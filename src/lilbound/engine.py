@@ -392,9 +392,10 @@ def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
               k_max: int = DEFAULT_KMAX) -> BlockSumResult:
     """Series over the geometric partition with the given ratio.
 
-    Evaluated fully vectorized for analytic-conjugate phi, in growing
-    chunks otherwise.  See the module docstring for the certification
-    and divergence rules.
+    Evaluated fully vectorized for analytic-conjugate phi, otherwise in
+    chunks of 256, 512, 1024, ... terms until the series is certified or
+    diverges.  See the module docstring for the certification and
+    divergence rules.
     """
     if u <= 0:
         raise DomainError(f"block_sum needs u > 0, got {u}")
@@ -409,15 +410,18 @@ def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
         with np.errstate(over="ignore"):
             terms = np.exp(-conjugate_many(phi, u * args))
         return _finish_sum(terms, tol)
+    # the first certified stop and the first divergence point do not
+    # depend on where chunks end, so growing the chunks only saves work
     terms = np.empty(0)
-    for hi in range(_CHUNK, k_max + _CHUNK, _CHUNK):
-        hi = min(hi, k_max)
+    chunk = _CHUNK
+    while True:
+        hi = min(len(terms) + chunk, k_max)
         new = np.exp(-conjugate_many(phi, u * args[len(terms):hi]))
         terms = np.concatenate([terms, new])
-        stop, residual, div = _scan_terms(terms, tol)
+        stop, _, div = _scan_terms(terms, tol)
         if div is not None or stop is not None or hi == k_max:
             return _finish_sum(terms, tol)
-    return _finish_sum(terms, tol)  # pragma: no cover
+        chunk *= 2
 
 
 def _finish_sum(terms: np.ndarray, tol: float) -> BlockSumResult:

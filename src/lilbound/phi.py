@@ -14,6 +14,13 @@ closed-form conjugates; everything else is solved numerically by bisection
 on the (strictly increasing) derivative, with a golden-section fallback
 near a finite domain edge.
 
+The solver comes in two forms that take the same steps.  The scalar one
+(:func:`conjugate`) is plain Python, cheapest for a single point.  The
+array one (:func:`conjugate_many`) runs every point in lockstep: the
+bracket doublings are shared, and each bisection step evaluates phi once
+on all points still in play, each point stopping under the scalar rule.
+For table generators the two give bit-identical values.
+
 Numerical contract: the numeric conjugate targets 1e-10 absolute accuracy
 with a hard iteration cap of 200; exceeding the cap above tolerance raises
 :class:`NonconvergenceError` carrying the residual.
@@ -40,8 +47,10 @@ _EDGE = 1.0 - 1e-12  # open-endpoint clamp factor
 class PhiFunction:
     """An even convex generator with its (optional) closed-form companions.
 
-    evaluate accepts scalars; the analytic companions, when present, must
-    also accept numpy arrays so vectorized block sums stay cheap.
+    evaluate accepts scalars.  A generator without analytic_conjugate
+    must also evaluate numpy arrays elementwise, since the array solver
+    behind vectorized block sums calls it on whole arrays; the analytic
+    companions, when present, must accept numpy arrays too.
     """
     label: str
     evaluate: Callable[[float], float]
@@ -190,11 +199,12 @@ def phi_from_table(lambdas: Sequence[float], values: Sequence[float],
     lambda0 = float(lam[-1])
 
     def ev(x):
-        x = abs(x)
-        if x >= lambda0:
-            raise DomainError(f"{label}: lambda = {x:g} is outside the open "
-                              f"domain [0, {lambda0:g})")
-        return float(interp(x))
+        x = np.abs(x)
+        if np.any(x >= lambda0):
+            raise DomainError(f"{label}: lambda = {np.max(x):g} is outside "
+                              f"the open domain [0, {lambda0:g})")
+        y = interp(x)
+        return float(y) if y.ndim == 0 else y
 
     return PhiFunction(label=label, evaluate=ev, lambda0=lambda0)
 
@@ -305,6 +315,85 @@ def _conjugate_numeric(phi: PhiFunction, u: float,
     return value, residual
 
 
+def _dphi_many(phi: PhiFunction, lam: np.ndarray, cap: float) -> np.ndarray:
+    """:func:`_dphi` at every point of a 1-d array."""
+    h = 1e-6 * np.maximum(1.0, np.abs(lam))
+    hi = np.minimum(lam + h, cap)
+    lo = np.maximum(lam - h, 0.0)
+    with np.errstate(all="ignore"):
+        f = phi.evaluate(np.concatenate([hi, lo]))
+        num = f[:len(lam)] - f[len(lam):]
+        slope = num / (hi - lo)
+    return np.where((hi > lo) & ~np.isnan(num), slope, math.inf)
+
+
+def _conjugate_numeric_many(phi: PhiFunction, u: np.ndarray,
+                            tol: float, max_iter: int):
+    """:func:`_conjugate_numeric` on a 1-d array of u >= 0, in lockstep.
+
+    Returns (values, residuals).  u = 0 gives exactly 0.  Every point
+    takes the scalar solver's steps: the bracket doublings from
+    min(1, cap) are the same for all points, so they are evaluated once;
+    the bisection then runs on all points together, each point leaving
+    when it meets the scalar stop rule.  Points the doublings cannot
+    bracket go through the scalar solver one at a time.
+    """
+    cap = _domain_cap(phi)
+    values = np.zeros(len(u))
+    residuals = np.zeros(len(u))
+    todo = np.nonzero(u != 0.0)[0]
+    if not len(todo):
+        return values, residuals
+    ut = u[todo]
+
+    # bracket: the scalar loop tries right ends min(2^j, cap) for
+    # j = 0..601 and takes the one before as left end; the ends do not
+    # depend on u, so each slope is taken once, for all points
+    edges = [0.0, min(1.0, cap)]
+    slopes = [_dphi_many(phi, np.array(edges[1:]), cap)[0]]
+    u_max = ut.max()
+    while not slopes[-1] >= u_max and edges[-1] < cap and len(slopes) <= 601:
+        edges.append(min(edges[-1] * 2.0, cap))
+        slopes.append(_dphi_many(phi, np.array(edges[-1:]), cap)[0])
+    first = np.full(len(ut), -1)
+    for j, slope in enumerate(slopes):
+        first[(first < 0) & (slope >= ut)] = j
+    for i in np.nonzero(first < 0)[0]:
+        values[todo[i]], residuals[todo[i]] = _conjugate_numeric(
+            phi, float(ut[i]), tol, max_iter)
+    ok = first >= 0
+    todo, ut, first = todo[ok], ut[ok], first[ok]
+    edges = np.array(edges)
+    lo, hi = edges[first], edges[first + 1]
+
+    live = np.arange(len(ut))
+    for _ in range(max_iter):
+        if not len(live):
+            break
+        l, h = lo[live], hi[live]
+        mid = 0.5 * (l + h)
+        up = _dphi_many(phi, mid, cap) >= ut[live]
+        h = np.where(up, mid, h)
+        l = np.where(up, l, mid)
+        hi[live], lo[live] = h, l
+        live = live[h - l > 1e-13 * np.maximum(1.0, h)]
+    lam = np.concatenate([lo, 0.5 * (lo + hi), hi])
+    with np.errstate(all="ignore"):
+        f = (lam * np.tile(ut, 3) - phi.evaluate(lam)).reshape(3, -1)
+    value = np.maximum(f.max(axis=0), 0.0)
+    residual = value - f.min(axis=0)
+    bad = ~np.isfinite(value) | (residual > np.maximum(tol, 1e-12 * value))
+    if bad.any():
+        worst = np.where(bad, np.nan_to_num(residual, nan=math.inf), -1.0)
+        i = int(np.argmax(worst))
+        raise NonconvergenceError(
+            f"conjugate of {phi.label} at u={ut[i]:g} stalled "
+            f"(residual {residual[i]:.3e})", residual=float(residual[i]))
+    values[todo] = value
+    residuals[todo] = residual
+    return values, residuals
+
+
 def conjugate(phi: PhiFunction, u: float,
               tol: float = CONJUGATE_TOL, max_iter: int = MAX_ITER) -> float:
     """Young-Fenchel conjugate of phi at u >= 0.
@@ -326,27 +415,28 @@ def conjugate(phi: PhiFunction, u: float,
 def conjugate_grid(phi: PhiFunction, u_values: Sequence[float],
                    tol: float = CONJUGATE_TOL) -> ConjugateGrid:
     """Tabulate the conjugate on a grid, tracking the worst solver residual."""
-    us = [float(u) for u in u_values]
-    if any(u < 0 for u in us):
+    us = np.array([float(u) for u in u_values])
+    if np.any(us < 0):
         raise DomainError("conjugate grid values must be >= 0")
-    vals = []
-    worst = 0.0
-    for u in us:
-        if phi.analytic_conjugate is not None or u == 0.0:
-            vals.append(conjugate(phi, u, tol=tol))
-        else:
-            v, r = _conjugate_numeric(phi, u, tol, MAX_ITER)
-            vals.append(v)
-            worst = max(worst, r)
-    return ConjugateGrid(tuple(us), tuple(vals), worst)
+    if phi.analytic_conjugate is not None:
+        vals, worst = conjugate_many(phi, us), 0.0
+    else:
+        vals, residuals = _conjugate_numeric_many(phi, us, tol, MAX_ITER)
+        worst = float(residuals.max(initial=0.0))
+    return ConjugateGrid(tuple(us.tolist()), tuple(vals.tolist()), worst)
 
 
 def conjugate_many(phi: PhiFunction, u: np.ndarray) -> np.ndarray:
-    """Vectorized conjugate; closed form when available, else a loop."""
+    """Vectorized conjugate: the closed form when available, else the
+    lockstep array solver (same values as :func:`conjugate` per point)."""
     u = np.asarray(u, dtype=float)
     if phi.analytic_conjugate is not None:
         return np.asarray(phi.analytic_conjugate(u), dtype=float)
-    return np.array([conjugate(phi, x) for x in u.ravel()]).reshape(u.shape)
+    if np.any(u < 0):
+        raise DomainError(f"conjugate argument must be >= 0, got {u.min()}")
+    values, _ = _conjugate_numeric_many(phi, u.ravel(), CONJUGATE_TOL,
+                                        MAX_ITER)
+    return values.reshape(u.shape)
 
 
 def conjugate_function(phi: PhiFunction) -> PhiFunction:
@@ -354,11 +444,18 @@ def conjugate_function(phi: PhiFunction) -> PhiFunction:
 
     The result evaluates numerically even when phi has a closed-form
     conjugate available internally, and deliberately carries no analytic
-    companions, so conjugating it exercises the numeric solver.
+    companions, so conjugating it exercises the numeric solver.  Like
+    every generator without a closed-form conjugate, it evaluates numpy
+    arrays elementwise.
     """
     inner = phi.analytic_conjugate
 
     def ev(u):
+        if np.ndim(u) > 0:
+            x = np.abs(u)
+            if inner is not None:
+                return np.asarray(inner(x), dtype=float)
+            return conjugate_many(phi, x)
         x = abs(u)
         if inner is not None:
             return float(inner(x))

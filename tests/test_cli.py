@@ -141,6 +141,26 @@ def test_bound_divergent_norming_exits_4(tmp_path, capsys):
     assert (tmp_path / "bound.json").exists()
 
 
+def test_bound_on_tabulated_generator(tmp_path, capsys):
+    """--phi csv:PATH with a lambda^2/2 table tracks --phi phi2."""
+    table = tmp_path / "phi.csv"
+    lams = np.arange(801) / 20.0
+    np.savetxt(table, np.column_stack([lams, lams * lams / 2.0]),
+               delimiter=",", fmt="%.17g")
+    payloads = []
+    for phi in (f"csv:{table}", "phi2"):
+        out = tmp_path / phi.split(":")[0]
+        code, _, _ = run_cli(capsys, [
+            "bound", "--phi", phi, "--u-grid", "3", "--ratio-grid", "4",
+            "--out-dir", str(out)])
+        assert code == EXIT_OK
+        payloads.append(json.loads((out / "bound.json").read_text()))
+    numeric, analytic = payloads
+    assert numeric["flag"] == analytic["flag"]
+    assert numeric["k_used"] == analytic["k_used"]
+    assert numeric["bound"] == pytest.approx(analytic["bound"], rel=1e-5)
+
+
 def test_bad_grid_spec_exits_2(capsys):
     code, _, err = run_cli(capsys, ["bound", "--u-grid", "log:1:8"])
     assert code == EXIT_DOMAIN

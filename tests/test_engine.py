@@ -27,7 +27,8 @@ from lilbound import (
     table_norming,
     table_profile,
 )
-from lilbound.phi import conjugate
+from lilbound.engine import DEFAULT_TOL, _block_arguments, _finish_sum
+from lilbound.phi import conjugate, conjugate_many, phi_from_table
 
 SQRT_SIGMA = power_law_surrogate(0.5)   # sigma(n) = sqrt(n)
 V2 = iterated_log_norming(2.0)
@@ -128,6 +129,22 @@ def test_block_sum_divergence_sentinel():
     assert res.value == math.inf
     assert res.residual_bound == math.inf
     assert res.k_used >= 64   # at least 64 consecutive non-decaying ratios
+
+
+@pytest.mark.parametrize("v", [V2, constant_norming(1.0)],
+                         ids=["vr:2", "const:1"])
+def test_numeric_block_sum_does_not_depend_on_chunking(v):
+    """Chunked evaluation gives the one-pass result over all k_max terms."""
+    lams = np.arange(801) / 20.0
+    table = phi_from_table(lams, lams * lams / 2.0)
+    k_max, ratio, u = 3000, 3.0, 3.0
+    res = block_sum(ratio, v, SQRT_SIGMA, table, u, k_max=k_max)
+    args = _block_arguments(v, SQRT_SIGMA, ratio, k_max)
+    full = _finish_sum(np.exp(-conjugate_many(table, u * args)), DEFAULT_TOL)
+    assert res == full
+    analytic = block_sum(ratio, v, SQRT_SIGMA, phi2(), u, k_max=k_max)
+    assert res.diverged == analytic.diverged
+    assert res.value == pytest.approx(analytic.value, rel=1e-5)
 
 
 def test_block_sum_input_validation():

@@ -9,11 +9,13 @@ from hypothesis import given, strategies as st
 
 from lilbound import (
     DomainError,
+    NonconvergenceError,
     UnreachableValueError,
     chi_square_phi,
     conjugate,
     conjugate_function,
     conjugate_grid,
+    conjugate_many,
     cosh_phi,
     phi2,
     phi_from_table,
@@ -23,6 +25,8 @@ from lilbound import (
     standard_grid,
     validate_phi,
 )
+from lilbound.phi import (CONJUGATE_TOL, _conjugate_numeric,
+                          _conjugate_numeric_many)
 
 
 def numeric_only(phi):
@@ -92,6 +96,84 @@ def test_conjugate_grid_reports_solver_residual():
     assert grid.max_residual < 1e-8
     assert grid.phi_star_values == pytest.approx(
         tuple(u * u / 2.0 for u in grid.u_values), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the array solver against the scalar one
+# ---------------------------------------------------------------------------
+
+def quadratic_table():
+    """lambda^2/2 tabulated on [0, 40]; the open right edge is at 40."""
+    lams = np.arange(801) / 20.0
+    return phi_from_table(lams, lams * lams / 2.0)
+
+
+def test_conjugate_many_bit_identical_to_scalar_on_table():
+    table = quadratic_table()
+    # 0, interior points, the slope 40 at the edge and past it (where the
+    # supremum sits at the domain edge), and large u
+    us = np.concatenate([[0.0], np.linspace(0.01, 39.9, 97),
+                         [39.99, 40.0, 40.01, 45.0, 1e3, 1e6]])
+    expected = [conjugate(table, float(u)) for u in us]
+    np.testing.assert_array_equal(conjugate_many(table, us), expected)
+    assert conjugate_many(table, us)[0] == 0.0
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 4.0])
+def test_conjugate_many_matches_scalar_on_power_family(q):
+    # numpy's array pow and Python's ** may differ in the last bit, so
+    # the two solvers agree to rounding here, not bit for bit
+    phi = numeric_only(power_phi(q))
+    us = np.linspace(0.0, 20.0, 256)
+    expected = [conjugate(phi, float(u)) for u in us]
+    np.testing.assert_allclose(conjugate_many(phi, us), expected,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_conjugate_many_keeps_shape_and_rejects_negative():
+    phi = numeric_only(phi2())
+    us = np.array([[0.5, 1.0], [2.0, 0.0]])
+    assert conjugate_many(phi, us).shape == (2, 2)
+    with pytest.raises(DomainError):
+        conjugate_many(phi, np.array([1.0, -0.5]))
+
+
+def test_array_solver_stall_reports_scalar_residual():
+    phi = numeric_only(phi2())
+    with pytest.raises(NonconvergenceError) as scalar:
+        _conjugate_numeric(phi, 2.5, CONJUGATE_TOL, 2)
+    with pytest.raises(NonconvergenceError) as lockstep:
+        _conjugate_numeric_many(phi, np.array([2.5]), CONJUGATE_TOL, 2)
+    assert lockstep.value.residual == scalar.value.residual
+    assert lockstep.value.residual > CONJUGATE_TOL
+    # with several stalled points the worst residual is the one reported
+    us = [0.5, 2.5, 7.0]
+    worst = 0.0
+    for u in us:
+        with pytest.raises(NonconvergenceError) as one:
+            _conjugate_numeric(phi, u, CONJUGATE_TOL, 2)
+        worst = max(worst, one.value.residual)
+    with pytest.raises(NonconvergenceError) as many:
+        _conjugate_numeric_many(phi, np.array(us), CONJUGATE_TOL, 2)
+    assert many.value.residual == worst
+
+
+def test_table_generator_evaluates_arrays_elementwise():
+    table = quadratic_table()
+    lams = np.array([0.0, 0.3, -2.5, 39.0])
+    np.testing.assert_array_equal(table.evaluate(lams),
+                                  [table.evaluate(float(x)) for x in lams])
+    with pytest.raises(DomainError):
+        table.evaluate(np.array([1.0, 40.0]))
+
+
+def test_conjugate_function_evaluates_arrays_elementwise():
+    for phi in (phi2(), numeric_only(phi2())):
+        star = conjugate_function(phi)
+        us = np.array([0.0, 0.5, -3.0, 8.0])
+        np.testing.assert_allclose(star.evaluate(us),
+                                   [star.evaluate(float(u)) for u in us],
+                                   rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
