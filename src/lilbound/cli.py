@@ -135,19 +135,25 @@ def profile_from_id(sigma_id: str) -> SigmaProfile:
 def parse_grid(spec: str, what: str) -> np.ndarray:
     """Grid specs: 'log:lo:hi:n', 'lin:lo:hi:n', or a comma list."""
     parts = spec.split(":")
+    grid = None
     try:
         if parts[0] == "log" and len(parts) == 4:
             lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
-            return np.geomspace(lo, hi, n)
-        if parts[0] == "lin" and len(parts) == 4:
+            grid = np.geomspace(lo, hi, n)
+        elif parts[0] == "lin" and len(parts) == 4:
             lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
-            return np.linspace(lo, hi, n)
-        if len(parts) == 1:
-            return np.array([float(x) for x in spec.split(",") if x])
+            grid = np.linspace(lo, hi, n)
+        elif len(parts) == 1:
+            grid = np.array([float(x) for x in spec.split(",") if x])
     except ValueError as exc:
         raise DomainError(f"bad {what} spec {spec!r}: {exc}")
-    raise DomainError(f"bad {what} spec {spec!r}; use log:lo:hi:n, "
-                      f"lin:lo:hi:n, or a comma list")
+    if grid is None:
+        raise DomainError(f"bad {what} spec {spec!r}; use log:lo:hi:n, "
+                          f"lin:lo:hi:n, or a comma list")
+    if grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise DomainError(f"bad {what} spec {spec!r}: the grid must be "
+                          f"nonempty and finite")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +171,7 @@ class RunConfig:
     horizon: int = 16384
     paths: int = 100000
     seed: int = 1
-    ratio_grid: str = "log:2:16:12"
+    ratio_grid: str = ""     # empty: the engine's DEFAULT_RATIOS
     tolerance: float = 1e-12
     out_dir: str = "."
 
@@ -177,7 +183,23 @@ class RunConfig:
                               f"{self.tolerance}")
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_CONFIG_FIELDS = {f.name: type(f.default)
+                  for f in dataclasses.fields(RunConfig)}
+
+
+def _config_value(key: str, val):
+    """val as the type of config field key.  A bool is no number, and an
+    int field takes only integral numbers."""
+    want = _CONFIG_FIELDS[key]
+    if isinstance(val, want if want is str else (int, float)) \
+            and not isinstance(val, bool):
+        try:
+            if want is not int or float(val).is_integer():
+                return want(val)
+        except OverflowError:  # an integer beyond float range
+            pass
+    raise DomainError(f"config key {key!r} must be of type "
+                      f"{want.__name__}, got {val!r}")
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -186,18 +208,25 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise DomainError("config file must hold one JSON object")
         unknown = set(raw) - set(_CONFIG_FIELDS)
         if unknown:
             raise DomainError(f"unknown config keys {sorted(unknown)}; "
                               f"known: {sorted(_CONFIG_FIELDS)}")
         for key, val in raw.items():
-            setattr(cfg, key, type(getattr(cfg, key))(val))
+            setattr(cfg, key, _config_value(key, val))
     for key in _CONFIG_FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
     cfg.validate()
     return cfg
+
+
+def _ratio_grid(cfg: RunConfig) -> Optional[np.ndarray]:
+    """The configured ratio family; None selects the engine's default."""
+    return parse_grid(cfg.ratio_grid, "ratio grid") if cfg.ratio_grid else None
 
 
 def _resolve(cfg: RunConfig):
@@ -314,9 +343,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     _, v, sigma, phi = _resolve(cfg)
     u_grid = parse_grid(cfg.u_grid, "u grid")
-    ratios = parse_grid(cfg.ratio_grid, "ratio grid")
-    report = optimized_bound(v, sigma, phi, u_grid, ratio_grid=ratios,
-                             tol=cfg.tolerance)
+    report = optimized_bound(v, sigma, phi, u_grid,
+                             ratio_grid=_ratio_grid(cfg), tol=cfg.tolerance)
     d = report.to_dict()
     write_csv(_out(cfg, "bound.csv"), ("u", "bound", "ratio_chosen", "k_used"),
               list(zip(d["u"], d["bound"], d["ratio_chosen"], d["k_used"])))
@@ -419,7 +447,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print("every grid point censored; cannot calibrate",
                   file=sys.stderr)
             return EXIT_CENSORED
-    ratios = parse_grid(cfg.ratio_grid, "ratio grid")
+    ratios = _ratio_grid(cfg)
     try:
         calibration = calibrate_constant(estimate, v, sigma, phi,
                                          ratio_grid=ratios,

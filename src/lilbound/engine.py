@@ -5,8 +5,11 @@ partition {[A(k), B(k)]} of the positive integers: block k contributes
 
     exp(-conjugate(phi, u * sigma(A(k)) * v(A(k)) / sigma(B(k))))
 
-and the final bound is the infimum of the series over a family of
-geometric partitions A(k) ~ ratio^(k-1), locally refined in the ratio.
+and the final bound is the minimum of the series over a fixed family of
+geometric partitions A(k) ~ ratio^(k-1), one per ratio in the family.
+The level enters only through the scaled level x = C*u, so the bound is
+one function B(x) = min_r S_r(x): each series S_r is nonincreasing in x,
+hence so is B, and levels are evaluated independently of one another.
 
 Deep sums need care on two fronts, both handled here:
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, takewhile
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,7 +44,7 @@ from .phi import PhiFunction, conjugate, conjugate_many
 
 DEFAULT_TOL = 1e-12
 DEFAULT_KMAX = 20000
-DEFAULT_RATIOS = tuple(np.geomspace(2.0, 16.0, 12))
+DEFAULT_RATIOS = tuple(np.geomspace(2.0, 32.0, 12))
 #: consecutive term ratios >= 1 - 0.01/k before the sum is declared divergent
 _DIVERGENCE_RUN = 64
 #: exact integer boundaries are kept while ratio^(k-1) stays below this
@@ -87,6 +91,22 @@ class Partition:
         return self.a_values[k - 1], self.a_values[k] - 1
 
 
+def _integer_boundaries(ratio: float, power_cap: float = math.inf):
+    """A(1) = 1, A(2), ... with A(k) = max(A(k-1) + 2, round(ratio^(k-1))).
+
+    The geometric boundary rule shared by every partition in this module;
+    stops before the first A(k) with ratio^(k-1) > power_cap.
+    """
+    a, k = 1, 1
+    while True:
+        yield a
+        power = ratio ** k
+        if power > power_cap:
+            return
+        a = max(a + 2, int(round(power)))
+        k += 1
+
+
 def geometric_partition(ratio: float, depth: int) -> Partition:
     """Materialized geometric partition A(k) = max(prev + 2, round(ratio^(k-1))).
 
@@ -101,10 +121,7 @@ def geometric_partition(ratio: float, depth: int) -> Partition:
         raise DomainError(
             f"ratio {ratio} at depth {depth} exceeds exact integer range; "
             f"use block_sum for deep evaluation")
-    a = [1]
-    for k in range(1, depth + 1):
-        a.append(max(a[-1] + 2, int(round(ratio ** k))))
-    return Partition(tuple(a))
+    return Partition(tuple(islice(_integer_boundaries(ratio), depth + 1)))
 
 
 @lru_cache(maxsize=256)
@@ -117,14 +134,8 @@ def _log_boundaries(ratio: float, k_max: int):
     >= 2^52, and rounding shifts log A by < 2^-52).
     """
     log_q = math.log(ratio)
-    ints = [1]  # ints[i] = A(i+1) while exact
-    k = 1
-    while k <= k_max:
-        power = ratio ** k
-        if power > _EXACT_CAP:
-            break
-        ints.append(max(ints[-1] + 2, int(round(power))))
-        k += 1
+    # ints[i] = A(i+1) while exact
+    ints = list(islice(_integer_boundaries(ratio, _EXACT_CAP), k_max + 1))
     n_exact = len(ints)
     log_a = np.empty(k_max + 1)
     log_a[:n_exact] = np.log(np.array(ints, dtype=float))
@@ -470,71 +481,39 @@ class BoundReport:
         }
 
 
-_INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def optimized_bound(v: NormingSequence, sigma: SigmaProfile, phi: PhiFunction,
                     u_grid: Sequence[float], C: float = 1.0,
                     ratio_grid: Optional[Sequence[float]] = None,
                     tol: float = DEFAULT_TOL,
                     k_max: int = DEFAULT_KMAX) -> BoundReport:
-    """Infimum of the block series over geometric partitions, per u.
+    """B(C*u) = min over ratio_grid of the block series at level C*u, per u.
 
-    Two passes: a coarse ratio grid plus three golden-section refinement
-    steps finds each u's own best ratio; the final values then take the
-    minimum over the pooled candidate ratios of every u, so the reported
-    q_sums are minima over one common partition family and inherit
-    monotonicity in u exactly.
+    ratio_grid (default DEFAULT_RATIOS) is exactly the family searched,
+    and each level is evaluated on its own: the value at u depends only
+    on the scaled level C*u, never on the other levels in the grid.  Each
+    series is nonincreasing in its level, so q_sums are nonincreasing in
+    u; ties go to the smallest ratio.
     """
-    if C <= 0:
-        raise DomainError(f"theorem constant must be positive, got {C}")
+    if not 0 < C < math.inf:
+        raise DomainError(f"theorem constant must be positive and finite, "
+                          f"got {C}")
     us = [float(u) for u in u_grid]
-    if not us or any(u <= 0 for u in us):
-        raise DomainError("u grid must be nonempty and positive")
-    if ratio_grid is None:
-        ratios = list(DEFAULT_RATIOS)
-    else:
-        ratios = sorted(float(r) for r in ratio_grid)
-    if not ratios or any(r < 2 for r in ratios):
+    if not us or not all(0 < u < math.inf for u in us):
+        raise DomainError("u grid must be nonempty, finite and positive")
+    ratios = sorted(float(r) for r in
+                    (DEFAULT_RATIOS if ratio_grid is None else ratio_grid))
+    if not ratios or not all(2 <= r < math.inf for r in ratios):
         raise DomainError("candidate ratios must be a nonempty set of "
-                          "values >= 2")
+                          "finite values >= 2")
 
-    def total(r: float, scaled_u: float) -> float:
-        return block_sum(r, v, sigma, phi, scaled_u, tol, k_max).value
-
-    candidates = set(ratios)
-    for u in us:
-        vals = [total(r, C * u) for r in ratios]
-        best = int(np.argmin(vals))
-        if not math.isfinite(vals[best]):
-            continue
-        lo = ratios[best - 1] if best > 0 else max(2.0, ratios[0] * 0.75)
-        hi = ratios[best + 1] if best + 1 < len(ratios) else ratios[-1] * 4 / 3
-        a, b = lo, hi
-        c = b - _INV_GOLD * (b - a)
-        d = a + _INV_GOLD * (b - a)
-        fc, fd = total(c, C * u), total(d, C * u)
-        for _ in range(3):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - _INV_GOLD * (b - a)
-                fc = total(c, C * u)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INV_GOLD * (b - a)
-                fd = total(d, C * u)
-        candidates.add(c if fc < fd else d)
-
-    pool = sorted(candidates)
     q_sums, chosen, k_used, residuals, flags = [], [], [], [], []
     for u in us:
         results = [block_sum(r, v, sigma, phi, C * u, tol, k_max)
-                   for r in pool]
-        vals = [res.value for res in results]
-        best = int(np.argmin(vals))
+                   for r in ratios]
+        best = int(np.argmin([res.value for res in results]))
         res = results[best]
         q_sums.append(res.value)
-        chosen.append(pool[best])
+        chosen.append(ratios[best])
         k_used.append(res.k_used)
         residuals.append(res.residual_bound)
         flags.append("divergent" if res.diverged
@@ -652,12 +631,8 @@ def geometric_prefix_sum(ratio: float, v: NormingSequence,
         raise DomainError(f"prefix sum needs u > 0, got {u}")
     if ratio < 2:
         raise DomainError(f"geometric ratio must be >= 2, got {ratio}")
-    a_list = [1]
-    while True:
-        nxt = max(a_list[-1] + 2, int(round(ratio ** len(a_list))))
-        if nxt > n_max:
-            break
-        a_list.append(nxt)
+    a_list = list(takewhile(lambda a: a <= n_max,
+                            _integer_boundaries(ratio)))
     total = 0.0
     for i, a in enumerate(a_list):
         b = a_list[i + 1] - 1 if i + 1 < len(a_list) else n_max

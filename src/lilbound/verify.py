@@ -25,7 +25,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.stats import binom
@@ -299,19 +299,16 @@ def _chunk_maxima(model: MartingaleModel, denom: np.ndarray, first: int,
     return best, np.maximum(best, -worst)
 
 
-def _sup_maxima(model: MartingaleModel, v: Optional[NormingSequence],
-                horizon: int, n_paths: int,
-                seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-path maxima of the normalized statistic, parallel over chunks.
+def _over_path_chunks(model: MartingaleModel, denom: np.ndarray, first: int,
+                      horizon: int, seed: int,
+                      n_paths: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Signed and absolute running maxima of paths [0, n_paths).
 
-    Each chunk's paths depend only on (seed, path index), and chunk
-    results land in preallocated slices, so the output is identical for
-    any worker count.
+    Runs _chunk_maxima over spans of PATH_CHUNK paths, threaded when it
+    pays off.  Each span's paths depend only on (seed, path index) and
+    land in their own slice of the outputs, so the result is identical
+    for any worker count.
     """
-    denom, first = _normalizer(model, v, horizon)
-    if first >= horizon:
-        raise DomainError(f"horizon {horizon} ends before the first "
-                          f"non-degenerate time {model.n_min}")
     signed = np.empty(n_paths)
     absed = np.empty(n_paths)
 
@@ -320,12 +317,6 @@ def _sup_maxima(model: MartingaleModel, v: Optional[NormingSequence],
         signed[lo:hi], absed[lo:hi] = _chunk_maxima(
             model, denom, first, horizon, seed, lo, hi)
 
-    _over_path_chunks(n_paths, run)
-    return signed, absed
-
-
-def _over_path_chunks(n_paths: int, run: Callable) -> None:
-    """Apply run to (lo, hi) path spans, threaded when it pays off."""
     spans = [(lo, min(lo + PATH_CHUNK, n_paths))
              for lo in range(0, n_paths, PATH_CHUNK)]
     workers = min(worker_count(), len(spans))
@@ -335,6 +326,7 @@ def _over_path_chunks(n_paths: int, run: Callable) -> None:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, spans))
+    return signed, absed
 
 
 def empirical_sup_tail(model: MartingaleModel, v: NormingSequence,
@@ -355,7 +347,9 @@ def empirical_sup_tail(model: MartingaleModel, v: NormingSequence,
     grid = [float(u) for u in u_grid]
     if not grid or not all(math.isfinite(u) for u in grid):
         raise DomainError("u grid must be nonempty and finite")
-    signed, absed = _sup_maxima(model, v, horizon, n_paths, seed)
+    denom, first = _normalizer(model, v, horizon)
+    signed, absed = _over_path_chunks(model, denom, first, horizon, seed,
+                                      n_paths)
     counts = tuple(int(np.count_nonzero(signed > u)) for u in grid)
     counts_plus = tuple(int(np.count_nonzero(absed > u)) for u in grid)
     intervals = [wilson_interval(c, n_paths) for c in counts]
@@ -471,48 +465,53 @@ def calibrate_constant(estimate: TailEstimate, v: NormingSequence, sigma,
                        k_max: int = DEFAULT_KMAX) -> CalibrationResult:
     """Largest constant whose rescaled bound dominates the tail's upper CI.
 
-    The optimized block-sum bound evaluated at scaled level C*u shrinks
-    as C grows, so the dominating constants form an interval anchored at
-    zero and the informative endpoint is the largest one.  Bisection runs
-    in log space over [0.01, 100] to 1% relative precision; censored grid
-    cells carry too few hits to constrain anything and are skipped.
+    The bound is one function B of the scaled level C*u, nonincreasing,
+    so each uncensored cell i dominates exactly for C up to some c_i and
+    the answer is min_i c_i.  Each cell is inverted on its own: bisection
+    of B(c*u_i) >= ci_high_i in log space over [0.01, 100] to 1% relative
+    precision.  Every cell walks the same bisection lattice, so the
+    minimum lower end equals what one bisection of C over all cells at
+    once would return.  Censored cells carry too few hits to constrain
+    anything and are skipped.  bound_values and margin both come from
+    one evaluation of the bound over the whole grid at the returned C.
     """
     active = [i for i, c in enumerate(estimate.censored) if not c]
     if not active:
         raise CalibrationError("every grid point is censored; nothing to "
                                "calibrate against")
-    u_act = np.array([estimate.u_grid[i] for i in active])
-    target = np.array([estimate.ci_high[i] for i in active])
 
-    def margin_at(c: float) -> float:
-        report = optimized_bound(v, sigma, phi, u_act, C=c,
+    def dominates(i: int, c: float) -> bool:
+        report = optimized_bound(v, sigma, phi, [estimate.u_grid[i]], C=c,
                                  ratio_grid=ratio_grid, tol=tol, k_max=k_max)
-        vals = np.asarray(report.q_sums)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(target > 0, vals / target, np.inf)
-        return float(ratios.min())
+        return report.q_sums[0] >= estimate.ci_high[i]
 
-    lo, hi = 0.01, 100.0
-    if margin_at(lo) < 1.0:
-        raise CalibrationError(
-            "bound at C=0.01 fails to dominate the empirical CI; shrinking "
-            "C only loosens the bound, so this signals an implementation "
-            "inconsistency between the bound and the estimator")
-    capped = margin_at(hi) >= 1.0
-    if not capped:
+    floor, cap = 0.01, 100.0
+    c_hat = cap
+    for i in active:
+        if not dominates(i, floor):
+            raise CalibrationError(
+                "bound at C=0.01 fails to dominate the empirical CI; "
+                "shrinking C only loosens the bound, so this signals an "
+                "implementation inconsistency between the bound and the "
+                "estimator")
+        if dominates(i, cap):
+            continue
+        lo, hi = floor, cap
         while hi / lo > 1.01:
             mid = math.sqrt(lo * hi)
-            if margin_at(mid) >= 1.0:
+            if dominates(i, mid):
                 lo = mid
             else:
                 hi = mid
-    else:
-        lo = hi
-    full = optimized_bound(v, sigma, phi, np.asarray(estimate.u_grid), C=lo,
-                           ratio_grid=ratio_grid, tol=tol, k_max=k_max)
-    return CalibrationResult(c_hat=lo, u_grid=estimate.u_grid,
-                             margin=margin_at(lo),
-                             bound_values=tuple(full.q_sums), capped=capped)
+        c_hat = min(c_hat, lo)
+    full = optimized_bound(v, sigma, phi, np.asarray(estimate.u_grid),
+                           C=c_hat, ratio_grid=ratio_grid, tol=tol,
+                           k_max=k_max)
+    margin = min(full.q_sums[i] / estimate.ci_high[i]
+                 if estimate.ci_high[i] > 0 else math.inf for i in active)
+    return CalibrationResult(c_hat=c_hat, u_grid=estimate.u_grid,
+                             margin=margin, bound_values=tuple(full.q_sums),
+                             capped=c_hat == cap)
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +574,7 @@ def lil_trajectory_stats(d: int, horizon: int, n_paths: int,
         raise DomainError(f"horizon too short for loglog weights: {horizon}")
     model = chaos_model(d)
     denom = _loglog_weight(horizon, d / 2.0)
-    signed = np.empty(n_paths)
-
-    def run(span):
-        lo, hi = span
-        signed[lo:hi], _ = _chunk_maxima(model, denom, 0, horizon,
-                                         seed, lo, hi)
-
-    _over_path_chunks(n_paths, run)
+    signed, _ = _over_path_chunks(model, denom, 0, horizon, seed, n_paths)
     q25, med, q75 = np.percentile(signed, [25.0, 50.0, 75.0])
     return TrajectoryStats(
         degree=d, horizon=horizon, paths=n_paths, seed=seed,
@@ -602,14 +594,7 @@ def hartman_wintner_probe(horizon: int, n_paths: int,
         raise DomainError(f"probe needs horizon >= 8, got {horizon}")
     model = chaos_model(1)
     denom = _loglog_weight(horizon, 0.5)
-    absed = np.empty(n_paths)
-
-    def run(span):
-        lo, hi = span
-        _, absed[lo:hi] = _chunk_maxima(model, denom, 0, horizon,
-                                        seed, lo, hi)
-
-    _over_path_chunks(n_paths, run)
+    _, absed = _over_path_chunks(model, denom, 0, horizon, seed, n_paths)
     theta1 = absed ** 2
     q25, med, q75 = np.percentile(theta1, [25.0, 50.0, 75.0])
     sample = model.noise_block(seed, 0, min(n_paths, 64), 0, 64)

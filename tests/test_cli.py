@@ -130,6 +130,20 @@ def test_bound_writes_decreasing_grid(tmp_path, capsys):
     assert payload["config"]["u_grid"] == "log:2:6:5"
 
 
+@pytest.mark.parametrize("flag,spec", [
+    ("--u-grid", "nan,3"), ("--u-grid", "3,inf"), ("--u-grid", "log:1:8:0"),
+    ("--u-grid", ","), ("--ratio-grid", "nan"), ("--ratio-grid", "4,inf")])
+def test_bound_rejects_nonfinite_or_empty_grid(tmp_path, capsys, flag, spec):
+    argv = ["bound", "--u-grid", "3", "--ratio-grid", "4",
+            "--out-dir", str(tmp_path)]
+    argv[argv.index(flag) + 1] = spec
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_DOMAIN
+    assert "nan" not in out
+    assert err.startswith("error:")
+    assert not (tmp_path / "bound.json").exists()
+
+
 def test_bound_divergent_norming_exits_4(tmp_path, capsys):
     """A constant norming cannot absorb the growing sums: exit 4."""
     code, _, err = run_cli(capsys, [
@@ -285,6 +299,20 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["verify", "--config", str(cfg)])
     assert code == EXIT_DOMAIN
     assert "unknown config keys" in err and "horizon" in err
+
+
+@pytest.mark.parametrize("entry", [{"horizon": "abc"}, {"paths": 1500.9},
+                                   {"seed": True}])
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, entry):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entry))
+    code, out, err = run_cli(capsys, [
+        "bound", "--config", str(cfg), "--u-grid", "3", "--ratio-grid", "4",
+        "--out-dir", str(tmp_path)])
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(next(iter(entry))) in err
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

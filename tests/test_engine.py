@@ -13,6 +13,7 @@ from lilbound import (
     Partition,
     block_sum,
     block_term,
+    chaos_model,
     constant_norming,
     dp_partition_oracle,
     fit_rate_form,
@@ -26,6 +27,7 @@ from lilbound import (
     single_time_lower_bound,
     table_norming,
     table_profile,
+    weighted_iid_model,
 )
 from lilbound.engine import DEFAULT_TOL, _block_arguments, _finish_sum
 from lilbound.phi import conjugate, conjugate_many, phi_from_table
@@ -189,13 +191,39 @@ def test_optimized_bound_monotone_on_dense_grid():
 
 
 def test_optimized_bound_singleton_grid_dominated_by_that_ratio():
-    # golden refinement may leave the singleton behind, but the result
-    # can never be worse than the singleton's own series
     direct = block_sum(3.0, V2, SQRT_SIGMA, phi2(), 3.0).value
     report = optimized_bound(V2, SQRT_SIGMA, phi2(), [3.0],
                              ratio_grid=np.array([3.0]))
-    assert report.q_sums[0] <= direct * (1.0 + 1e-12)
-    assert report.chosen_ratios[0] >= 2.0
+    assert report.q_sums[0] == direct
+    assert report.chosen_ratios == (3.0,)
+
+
+def test_optimized_bound_chooses_only_from_the_given_grid():
+    # bounded sigma puts the best ratio past the top of this grid
+    model = weighted_iid_model(beta=1.0)
+    grid = np.geomspace(2.0, 16.0, 12)
+    report = optimized_bound(V2, model.sigma_profile(), model.phi,
+                             [1.0, 2.0, 4.0], ratio_grid=grid)
+    assert set(report.chosen_ratios) <= set(grid.tolist())
+    assert report.chosen_ratios[0] == grid[-1]
+
+
+def _rows(report):
+    return list(zip(report.q_sums, report.chosen_ratios, report.k_used,
+                    report.residual_bounds, report.flags))
+
+
+@pytest.mark.parametrize("model", [chaos_model(1),
+                                   weighted_iid_model(1.0, weibull_r=3.0)],
+                         ids=lambda m: m.label)
+def test_optimized_bound_is_a_function_of_the_scaled_level(model):
+    sigma, phi, c = model.sigma_profile(), model.phi, 1.25
+    us = np.geomspace(1.0, 8.0, 16)
+    whole = _rows(optimized_bound(V2, sigma, phi, us, C=c))
+    for i in range(len(us)):
+        alone = _rows(optimized_bound(V2, sigma, phi, [us[i]], C=c))
+        scaled = _rows(optimized_bound(V2, sigma, phi, [c * us[i]], C=1.0))
+        assert alone == scaled == [whole[i]]
 
 
 def test_optimized_bound_ratio_superset_never_increases():
@@ -220,6 +248,13 @@ def test_optimized_bound_argument_validation():
         optimized_bound(V2, SQRT_SIGMA, phi2(), [])
     with pytest.raises(DomainError):
         optimized_bound(V2, SQRT_SIGMA, phi2(), [-1.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            optimized_bound(V2, SQRT_SIGMA, phi2(), [bad, 3.0])
+        with pytest.raises(DomainError):
+            optimized_bound(V2, SQRT_SIGMA, phi2(), [3.0], C=bad)
+        with pytest.raises(DomainError):
+            optimized_bound(V2, SQRT_SIGMA, phi2(), [3.0], ratio_grid=[bad])
     with pytest.raises(DomainError):
         optimized_bound(V2, SQRT_SIGMA, phi2(), [2.0], ratio_grid=[1.5])
     with pytest.raises(DomainError):

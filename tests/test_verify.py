@@ -226,6 +226,38 @@ def test_calibrate_constant_against_real_run():
     assert all(b >= hi for b, hi in zip(cal.bound_values, est.ci_high))
 
 
+def _shared_bisection(est, v, sigma, phi):
+    """Reference calibration: one bisection of C over all uncensored
+    cells at once, with the same interval, step and stop rule."""
+    from lilbound import optimized_bound
+    active = [i for i, c in enumerate(est.censored) if not c]
+
+    def holds(c):
+        q = optimized_bound(v, sigma, phi, [est.u_grid[i] for i in active],
+                            C=c).q_sums
+        return all(b >= est.ci_high[i] for b, i in zip(q, active))
+
+    lo, hi = 0.01, 100.0
+    while hi / lo > 1.01:
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
+def test_calibrate_constant_inverts_each_cell_and_reports_its_margin():
+    model = weighted_iid_model(beta=1.0)
+    sigma, phi = model.sigma_profile(), model.phi
+    est = make_estimate([1.0, 1.5, 3.0, 4.0], [0.6, 0.2, 0.05, 0.01],
+                        censored=(False, True, False, False))
+    cal = calibrate_constant(est, V2, sigma, phi)
+    assert not cal.capped
+    assert cal.c_hat == _shared_bisection(est, V2, sigma, phi)
+    active = (0, 2, 3)
+    assert cal.margin == min(cal.bound_values[i] / est.ci_high[i]
+                             for i in active)
+    assert cal.margin >= 1.0
+
+
 def test_calibrate_constant_error_when_floor_fails():
     sigma = CHAOS1.sigma_profile()
     est = make_estimate([500.0], [0.9])
