@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -51,6 +52,7 @@ PHI_REGISTRY = "phi2, power:q=Q, cosh, chi2, csv:PATH"
 NORMING_REGISTRY = "vr:R, const:C"
 MODEL_REGISTRY = "chaos:d=D, weightedA:beta=B[,r=R]"
 SIGMA_REGISTRY = "model (exact profile), powerlaw:gamma=G[,m=one|log|invlog]"
+MAX_GRID_POINTS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +72,19 @@ def _parse_kv(spec: str, what: str) -> dict:
     return out
 
 
+def _number(text: str, what: str, kind=float):
+    """text as a finite float (or an int), or a DomainError naming what
+    it was for."""
+    try:
+        value = kind(text)
+        if kind is int or math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    noun = "an integer" if kind is int else "a finite number"
+    raise DomainError(f"{what} must be {noun}, got {text!r}")
+
+
 def phi_from_id(phi_id: str) -> PhiFunction:
     """Resolve a generator id; unknown ids name the registry."""
     head, _, rest = phi_id.partition(":")
@@ -83,7 +98,7 @@ def phi_from_id(phi_id: str) -> PhiFunction:
         kv = _parse_kv(rest, "phi")
         if set(kv) != {"q"}:
             raise DomainError(f"power generator takes q=..., got {rest!r}")
-        return power_phi(float(kv["q"]))
+        return power_phi(_number(kv["q"], "power q"))
     if head == "csv":
         if not rest:
             raise DomainError("csv generator needs a path: csv:PATH")
@@ -94,9 +109,10 @@ def phi_from_id(phi_id: str) -> PhiFunction:
 def norming_from_id(norming_id: str) -> NormingSequence:
     head, _, rest = norming_id.partition(":")
     if head == "vr":
-        return iterated_log_norming(float(rest))
+        return iterated_log_norming(_number(rest, "vr rate exponent"))
     if head == "const":
-        return constant_norming(float(rest) if rest else 1.0)
+        return constant_norming(_number(rest, "const norming") if rest
+                               else 1.0)
     raise DomainError(f"unknown norming id {norming_id!r}; registry: "
                       f"{NORMING_REGISTRY}")
 
@@ -107,14 +123,15 @@ def model_from_id(model_id: str) -> MartingaleModel:
     if head == "chaos":
         if set(kv) != {"d"}:
             raise DomainError(f"chaos model takes d=..., got {rest!r}")
-        return chaos_model(int(kv["d"]))
+        return chaos_model(_number(kv["d"], "chaos degree d", int))
     if head == "weightedA":
         extra = set(kv) - {"beta", "r"}
         if extra:
             raise DomainError(f"weightedA model takes beta=,r=; got {extra}")
-        return weighted_iid_model(beta=float(kv.get("beta", "1")),
-                                  weibull_r=(float(kv["r"]) if "r" in kv
-                                             else None))
+        return weighted_iid_model(
+            beta=_number(kv.get("beta", "1"), "weightedA beta"),
+            weibull_r=(_number(kv["r"], "weightedA r") if "r" in kv
+                       else None))
     raise DomainError(f"unknown model id {model_id!r}; registry: "
                       f"{MODEL_REGISTRY}")
 
@@ -127,22 +144,27 @@ def profile_from_id(sigma_id: str) -> SigmaProfile:
         if "gamma" not in kv or extra:
             raise DomainError(f"powerlaw profile takes gamma=[,m=]; "
                               f"got {rest!r}")
-        return power_law_surrogate(float(kv["gamma"]), kv.get("m", "one"))
+        return power_law_surrogate(_number(kv["gamma"], "powerlaw gamma"),
+                                   kv.get("m", "one"))
     raise DomainError(f"unknown sigma id {sigma_id!r}; registry: "
                       f"{SIGMA_REGISTRY}")
 
 
 def parse_grid(spec: str, what: str) -> np.ndarray:
-    """Grid specs: 'log:lo:hi:n', 'lin:lo:hi:n', or a comma list."""
+    """Grid specs: 'log:lo:hi:n', 'lin:lo:hi:n', or a comma list.
+
+    n is capped at MAX_GRID_POINTS, so a typo cannot ask for an array
+    larger than memory.
+    """
     parts = spec.split(":")
     grid = None
     try:
-        if parts[0] == "log" and len(parts) == 4:
+        if parts[0] in ("log", "lin") and len(parts) == 4:
             lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
-            grid = np.geomspace(lo, hi, n)
-        elif parts[0] == "lin" and len(parts) == 4:
-            lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
-            grid = np.linspace(lo, hi, n)
+            if n > MAX_GRID_POINTS:
+                raise ValueError(f"at most {MAX_GRID_POINTS} points")
+            space = np.geomspace if parts[0] == "log" else np.linspace
+            grid = space(lo, hi, n)
         elif len(parts) == 1:
             grid = np.array([float(x) for x in spec.split(",") if x])
     except ValueError as exc:
@@ -206,8 +228,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the JSON config file, then explicit flags."""
     cfg = RunConfig()
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except ValueError as exc:  # not UTF-8 text, or not JSON
+            raise DomainError(f"config file {args.config!r} is not valid "
+                              f"JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise DomainError("config file must hold one JSON object")
         unknown = set(raw) - set(_CONFIG_FIELDS)
@@ -305,7 +331,7 @@ def _out(cfg_or_dir, name: str) -> str:
 
 def cmd_conjugate(args: argparse.Namespace) -> int:
     phi = phi_from_id(args.phi)
-    grid = [float(x) for x in args.u.split(",") if x]
+    grid = [_number(x, "conjugate point") for x in args.u.split(",") if x]
     if not grid:
         raise DomainError("empty u grid")
     values = [conjugate(phi, u) for u in grid]
@@ -581,7 +607,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NonconvergenceError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except LilboundError as exc:

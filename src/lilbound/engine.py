@@ -303,7 +303,6 @@ def table_profile(n_values: Sequence[int], s_values: Sequence[float],
 # block terms and sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class BlockSumResult:
     """One geometric-family series evaluation with its truncation status.
 
@@ -313,12 +312,45 @@ class BlockSumResult:
     but valid probability bound).  A result with neither flag ran into
     k_max: residual_bound is then a conservative estimate from the
     observed log-log slope (+inf when the terms are too flat to trust).
+
+    Converged and divergent results carry their residual from the start.
+    A truncated result keeps its terms instead and fits the slope the
+    first time residual_bound is read, then drops them: optimized_bound
+    reads it only for the ratio it reports, and calibration only compares
+    values, so the fit is never paid for a series nobody reports.
     """
-    value: float
-    k_used: int
-    residual_bound: float
-    converged: bool
-    diverged: bool
+    __slots__ = ("value", "k_used", "converged", "diverged",
+                 "_residual", "_terms")
+
+    def __init__(self, value: float, k_used: int,
+                 residual_bound: Optional[float], converged: bool,
+                 diverged: bool, terms: Optional[np.ndarray] = None):
+        self.value = value
+        self.k_used = k_used
+        self.converged = converged
+        self.diverged = diverged
+        self._residual = residual_bound
+        self._terms = terms
+
+    @property
+    def residual_bound(self) -> float:
+        if self._terms is not None:
+            self._residual = _flat_tail_estimate(self._terms)
+            self._terms = None
+        return self._residual
+
+    def _outcome(self) -> tuple:
+        return (self.value, self.k_used, self.residual_bound,
+                self.converged, self.diverged)
+
+    def __eq__(self, other):
+        if not isinstance(other, BlockSumResult):
+            return NotImplemented
+        return self._outcome() == other._outcome()
+
+    def __repr__(self) -> str:
+        return ("BlockSumResult(value=%r, k_used=%r, residual_bound=%r, "
+                "converged=%r, diverged=%r)" % self._outcome())
 
 
 def block_term(k: int, partition: Partition, v: NormingSequence,
@@ -406,12 +438,14 @@ def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
     Evaluated fully vectorized for analytic-conjugate phi, otherwise in
     chunks of 256, 512, 1024, ... terms until the series is certified or
     diverges.  See the module docstring for the certification and
-    divergence rules.
+    divergence rules.  A series that runs into k_max fits its residual
+    only when residual_bound is first read (see BlockSumResult).
     """
-    if u <= 0:
-        raise DomainError(f"block_sum needs u > 0, got {u}")
-    if ratio < 2:
-        raise DomainError(f"geometric ratio must be >= 2, got {ratio}")
+    if not 0 < u < math.inf:
+        raise DomainError(f"block_sum needs finite u > 0, got {u}")
+    if not 2 <= ratio < math.inf:
+        raise DomainError(f"geometric ratio must be finite and >= 2, "
+                          f"got {ratio}")
     if not 0 < tol < 1:
         raise DomainError(f"tolerance must be in (0, 1), got {tol}")
     args = _block_arguments(v, sigma, ratio, k_max)
@@ -446,8 +480,8 @@ def _finish_sum(terms: np.ndarray, tol: float) -> BlockSumResult:
                               k_used=stop + 1, residual_bound=residual,
                               converged=True, diverged=False)
     return BlockSumResult(value=float(terms.sum()), k_used=len(terms),
-                          residual_bound=_flat_tail_estimate(terms),
-                          converged=False, diverged=False)
+                          residual_bound=None, converged=False,
+                          diverged=False, terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +542,11 @@ def optimized_bound(v: NormingSequence, sigma: SigmaProfile, phi: PhiFunction,
 
     q_sums, chosen, k_used, residuals, flags = [], [], [], [], []
     for u in us:
-        results = [block_sum(r, v, sigma, phi, C * u, tol, k_max)
-                   for r in ratios]
-        best = int(np.argmin([res.value for res in results]))
-        res = results[best]
+        # a running minimum: only the best series so far keeps its terms
+        ratio, res = min(((r, block_sum(r, v, sigma, phi, C * u, tol, k_max))
+                          for r in ratios), key=lambda pair: pair[1].value)
         q_sums.append(res.value)
-        chosen.append(ratios[best])
+        chosen.append(ratio)
         k_used.append(res.k_used)
         residuals.append(res.residual_bound)
         flags.append("divergent" if res.diverged

@@ -474,6 +474,18 @@ def calibrate_constant(estimate: TailEstimate, v: NormingSequence, sigma,
     once would return.  Censored cells carry too few hits to constrain
     anything and are skipped.  bound_values and margin both come from
     one evaluation of the bound over the whole grid at the returned C.
+
+    Cells are visited in grid order against the running minimum c_hat
+    (100 until a cell falls below it), and a cell pays only for what can
+    lower it.  A cell that dominates at c_hat costs that one evaluation:
+    its bisection result is a nondecreasing function of c_i, and c_hat
+    is a fixed point of the lattice (the bisection with threshold c_hat
+    takes the very path that produced it), so the cell's result is at
+    least c_hat; its floor check is implied by monotonicity.  A cell that
+    fails at c_hat is bisected on the same lattice, and every midpoint
+    at or above c_hat is decided false without evaluating it, since B
+    cannot dominate there either.  So c_hat is the value the full
+    per-cell bisection gives.
     """
     active = [i for i, c in enumerate(estimate.censored) if not c]
     if not active:
@@ -488,18 +500,18 @@ def calibrate_constant(estimate: TailEstimate, v: NormingSequence, sigma,
     floor, cap = 0.01, 100.0
     c_hat = cap
     for i in active:
+        if dominates(i, c_hat):
+            continue
         if not dominates(i, floor):
             raise CalibrationError(
                 "bound at C=0.01 fails to dominate the empirical CI; "
                 "shrinking C only loosens the bound, so this signals an "
                 "implementation inconsistency between the bound and the "
                 "estimator")
-        if dominates(i, cap):
-            continue
         lo, hi = floor, cap
         while hi / lo > 1.01:
             mid = math.sqrt(lo * hi)
-            if dominates(i, mid):
+            if mid < c_hat and dominates(i, mid):
                 lo = mid
             else:
                 hi = mid

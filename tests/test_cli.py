@@ -3,13 +3,17 @@
 Everything runs in-process through ``main(argv)``, which returns the exit
 code, so there is no subprocess overhead and capsys sees the output.
 """
+import argparse
 import json
 
 import numpy as np
 import pytest
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from lilbound.cli import (EXIT_CENSORED, EXIT_DIVERGENT, EXIT_DOMAIN,
-                          EXIT_OK, main)
+                          EXIT_OK, RunConfig, load_config, main, parse_grid)
+from lilbound.errors import DomainError
 
 
 def run_cli(capsys, argv):
@@ -80,6 +84,23 @@ def test_unknown_ids_name_their_registry(capsys, argv, registry_hint):
     code, _, err = run_cli(capsys, argv)
     assert code == EXIT_DOMAIN
     assert registry_hint in err
+
+
+def test_bad_number_in_an_id_exits_2(tmp_path, capsys):
+    """A malformed number inside an id is one line on stderr and exit 2."""
+    for argv, bad in [
+            (["bound", "--norming", "vr:abc"], "abc"),
+            (["bound", "--model", "chaos:d=x"], "x"),
+            (["bound", "--phi", "power:q=abc"], "abc"),
+            (["conjugate", "--phi", "phi2", "--u", "abc"], "abc"),
+            (["bound", "--norming", "vr:nan"], "nan"),
+            (["conjugate", "--phi", "phi2", "--u", "1,inf"], "inf")]:
+        code, out, err = run_cli(capsys, argv + ["--out-dir", str(tmp_path)])
+        assert code == EXIT_DOMAIN, argv
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(bad) in err
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -333,3 +354,61 @@ def test_models_lists_registries(capsys):
     for token in ("chaos:d=D", "weightedA:beta=B", "phi2", "vr:R",
                   "powerlaw:gamma=G"):
         assert token in out
+
+
+# ---------------------------------------------------------------------------
+# input fuzzing: every grid spec and config file parses or is a DomainError,
+# which main maps to exit 2; nothing else may escape
+# ---------------------------------------------------------------------------
+
+_NUMBERS = st.one_of(
+    st.integers(-2 ** 40, 2 ** 40).map(str),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789.-+eE_ infa", max_size=8))
+# point counts of a log/lin spec: small ones, and ones no memory holds
+_COUNTS = (st.integers(-3, 40) | st.integers(2 ** 20, 2 ** 40)).map(str)
+_GRID_SPECS = st.one_of(
+    st.text(max_size=24),
+    st.tuples(st.sampled_from(["log", "lin", "geo", ""]), _NUMBERS, _NUMBERS,
+              _NUMBERS | _COUNTS).map(":".join),
+    st.lists(_NUMBERS, max_size=5).map(":".join),
+    st.lists(_NUMBERS, max_size=5).map(",".join))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_GRID_SPECS)
+@example(spec="log:1:8:1099511627776")
+def test_fuzz_parse_grid(spec):
+    try:
+        grid = parse_grid(spec, "u grid")
+    except DomainError:
+        return
+    assert grid.size > 0 and np.all(np.isfinite(grid))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+_CONFIG_FILES = st.one_of(
+    st.dictionaries(st.sampled_from(sorted(vars(RunConfig())))
+                    | st.text(max_size=8), _JSON, max_size=4)
+    .map(lambda d: json.dumps(d).encode()),
+    _JSON.map(lambda x: json.dumps(x).encode()),
+    st.text(max_size=30).map(str.encode),
+    st.binary(max_size=30))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=_CONFIG_FILES)
+def test_fuzz_load_config(tmp_path, content):
+    path = tmp_path / "run.json"
+    path.write_bytes(content)
+    try:
+        cfg = load_config(argparse.Namespace(config=str(path)))
+    except DomainError:
+        return
+    assert isinstance(cfg, RunConfig)

@@ -156,6 +156,11 @@ def test_block_sum_input_validation():
         block_sum(3.0, V2, SQRT_SIGMA, phi2(), -1.0)
     with pytest.raises(DomainError):
         block_sum(3.0, V2, SQRT_SIGMA, phi2(), 2.0, tol=2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            block_sum(3.0, V2, SQRT_SIGMA, phi2(), bad)
+        with pytest.raises(DomainError):
+            block_sum(bad, V2, SQRT_SIGMA, phi2(), 2.0)
 
 
 def test_table_norming_refuses_deep_sums():
@@ -224,6 +229,40 @@ def test_optimized_bound_is_a_function_of_the_scaled_level(model):
         alone = _rows(optimized_bound(V2, sigma, phi, [us[i]], C=c))
         scaled = _rows(optimized_bound(V2, sigma, phi, [c * us[i]], C=1.0))
         assert alone == scaled == [whole[i]]
+
+
+@pytest.mark.parametrize("model, us, flags", [
+    (chaos_model(1), [2.0], {"truncated"}),
+    (weighted_iid_model(1.0, weibull_r=3.0), [2.0, 5.0],
+     {"truncated", "converged"})], ids=lambda x: getattr(x, "label", None))
+def test_reported_residual_is_the_chosen_series_residual(model, us, flags):
+    """A reported row carries the residual block_sum gives its ratio."""
+    sigma, phi, c = model.sigma_profile(), model.phi, 1.25
+    report = optimized_bound(V2, sigma, phi, us, C=c)
+    assert set(report.flags) == flags
+    for u, ratio, residual in zip(us, report.chosen_ratios,
+                                  report.residual_bounds):
+        assert residual == block_sum(ratio, V2, sigma, phi,
+                                     c * u).residual_bound
+
+
+def test_tail_fit_runs_only_for_reported_rows(monkeypatch):
+    """16 truncated levels x 12 ratios fit the tail once per level."""
+    from lilbound import engine
+    fits = []
+    real = engine._flat_tail_estimate
+
+    def counted(terms):
+        fits.append(len(terms))
+        return real(terms)
+
+    monkeypatch.setattr(engine, "_flat_tail_estimate", counted)
+    model = chaos_model(1)
+    report = optimized_bound(V2, model.sigma_profile(), model.phi,
+                             np.geomspace(1.0, 8.0, 16))
+    assert len(engine.DEFAULT_RATIOS) == 12
+    assert set(report.flags) == {"truncated"}
+    assert 0 < len(fits) <= 16
 
 
 def test_optimized_bound_ratio_superset_never_increases():

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo verifier and its exact oracles."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lilbound import verify
 from lilbound import (
     CalibrationError,
     DomainError,
@@ -256,6 +258,50 @@ def test_calibrate_constant_inverts_each_cell_and_reports_its_margin():
     assert cal.margin == min(cal.bound_values[i] / est.ci_high[i]
                              for i in active)
     assert cal.margin >= 1.0
+
+
+@pytest.fixture(scope="module")
+def later_binding_case():
+    """Exact chaos d=1 tail at horizon 12 on lin:1:2.5:8, the grid of the
+    verify --exact benchmark.  The per-cell constants fall from 3.49 at
+    u=1 to 2.21 at u=1.64 and rise again, so the binding cell is the
+    fourth.  per_cell[i] is the reference bisection of cell i alone."""
+    u = np.linspace(1.0, 2.5, 8)
+    exact = exact_sup_tail(CHAOS1, V2, 12, u)
+    est = make_estimate(exact.u_grid, [float(f) for f in exact.w])
+    sigma, phi = CHAOS1.sigma_profile(), CHAOS1.phi
+    per_cell = [_shared_bisection(
+        dataclasses.replace(est, censored=tuple(j != i for j in range(8))),
+        V2, sigma, phi) for i in range(8)]
+    return est, sigma, phi, per_cell
+
+
+def test_calibrate_constant_when_a_later_cell_binds(later_binding_case):
+    est, sigma, phi, per_cell = later_binding_case
+    assert per_cell.index(min(per_cell)) == 3
+    cal = calibrate_constant(est, V2, sigma, phi)
+    assert cal.c_hat == _shared_bisection(est, V2, sigma, phi)
+    assert cal.c_hat == min(per_cell)
+
+
+def test_calibrate_constant_settles_later_cells_in_one_call(
+        later_binding_case, monkeypatch):
+    """Each cell after the binding one costs one bound evaluation."""
+    est, sigma, phi, per_cell = later_binding_case
+    calls = []
+    real = verify.optimized_bound
+
+    def counted(v, sigma, phi, u_grid, **kw):
+        calls.append(tuple(u_grid))
+        return real(v, sigma, phi, u_grid, **kw)
+
+    monkeypatch.setattr(verify, "optimized_bound", counted)
+    calibrate_constant(est, V2, sigma, phi)
+    binding = per_cell.index(min(per_cell))
+    per = [calls.count((u,)) for u in est.u_grid]
+    assert per[0] == 12           # cap, floor and ten bisection steps
+    assert per[binding + 1:] == [1] * (len(per) - binding - 1)
+    assert calls[-1] == est.u_grid and len(calls) == sum(per) + 1
 
 
 def test_calibrate_constant_error_when_floor_fails():
