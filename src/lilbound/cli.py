@@ -231,6 +231,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
+        except OSError as exc:  # missing, a directory, unreadable, ...
+            raise DomainError(f"cannot read config file {args.config!r}: "
+                              f"{exc.strerror or exc}") from None
         except ValueError as exc:  # not UTF-8 text, or not JSON
             raise DomainError(f"config file {args.config!r} is not valid "
                               f"JSON: {exc}") from None

@@ -17,6 +17,15 @@ exact sigma, a shifted :class:`SigmaProfile` starting at the first
 non-degenerate index, counter-based noise generation, vectorized
 path-block simulation with carried state, and an exact single-path
 stepper for desk-scale enumeration checks.
+
+Path-block simulation writes S values into one float64 array, which the
+caller may pass as ``out=`` and reuse for every block of a path tile;
+without it a fresh array is returned.  The values are the same bit for
+bit either way.  Chaos models use float64 for an intermediate only
+where it is exact: the +-1 sign sums of d = 1, far below 2^53.  For
+d >= 2, where a product could pass 2^53, sums and products run in int64
+over the same buffer and are rounded once, at the final division.
+Weighted models work in float64 throughout, in a fixed order.
 """
 from __future__ import annotations
 
@@ -32,14 +41,22 @@ from .errors import DomainError
 from .phi import PhiFunction, chi_square_phi, phi2, power_phi
 from .rng import rademacher_block, uniform_symmetric_block
 
+#: the largest chaos degree whose d! is a finite float (171! overflows)
+MAX_CHAOS_DEGREE = 170
+
 
 @dataclass(frozen=True, eq=False)
 class MartingaleModel:
     """A martingale family bundled with its exact second-order structure.
 
     noise_block returns int8 signs for rademacher noise and float64
-    draws otherwise; prefix_values turns a noise block into S values,
-    carrying per-path state across consecutive blocks.  new_state /
+    draws otherwise.  prefix_values(noise_block, state=None, out=None)
+    turns a (paths x steps) noise block into S values of the same shape,
+    carrying per-path state across consecutive blocks: it returns
+    (values, state), where values is out (a float64 array of the block's
+    shape, overwritten) or a fresh array, and state shares no memory
+    with it.  The values do not depend on whether out is given, nor on
+    how a path is split into blocks.  new_state /
     step / read_s walk a single path exactly (integer or Fraction
     arithmetic) for enumeration-based checks.
     """
@@ -101,18 +118,40 @@ class ChaosState:
         return self
 
 
-def _chaos_closed_form(d: int, p1: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """S_d(n) from the sign sum P1(n), valid for sign noise and d <= 3.
+def _chaos_closed_form(d: int, p1: np.ndarray, n,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """S_d(n) from int64 sign sums P1(n), valid for sign noise and d <= 3.
 
     Newton's identities with p_k = sum eps^k collapse to p_2 = n and
-    p_3 = P1 because eps^2 = 1.
+    p_3 = P1 because eps^2 = 1.  The products stay in int64, and the one
+    rounding is the conversion to float64 in the final division.  For
+    d >= 2 p1 is overwritten; out may be a float64 view of p1's memory.
     """
-    p1 = p1.astype(np.int64)
+    if out is None:
+        out = np.empty(p1.shape)
     if d == 1:
-        return p1.astype(np.float64)
-    if d == 2:
-        return (p1 * p1 - n) / 2.0
-    return (p1 * (p1 * p1 - 3 * n + 2)) / 6.0
+        out[...] = p1
+    elif d == 2:
+        p1 *= p1
+        p1 -= n
+        np.divide(p1, 2.0, out=out)
+    else:
+        square = p1 * p1
+        square -= 3 * n - 2
+        p1 *= square
+        np.divide(p1, 6.0, out=out)
+    return out
+
+
+def _value_buffer(noise_block: np.ndarray,
+                  out: Optional[np.ndarray]) -> np.ndarray:
+    """out checked against the block, or a fresh float64 array."""
+    if out is None:
+        return np.empty(noise_block.shape)
+    if out.shape != noise_block.shape or out.dtype != np.float64:
+        raise DomainError(f"value buffer must be float64 of shape "
+                          f"{noise_block.shape}, got {out.dtype} {out.shape}")
+    return out
 
 
 def chaos_model(d: int) -> MartingaleModel:
@@ -123,8 +162,9 @@ def chaos_model(d: int) -> MartingaleModel:
     value, so it carries the per-step generator phi2 and relies on the
     moment-growth norm instead.  Simulation at scale supports d <= 3.
     """
-    if d < 1:
-        raise DomainError(f"chaos degree must be >= 1, got {d}")
+    if not 1 <= d <= MAX_CHAOS_DEGREE:
+        raise DomainError(f"chaos degree must be in [1, {MAX_CHAOS_DEGREE}] "
+                          f"(d! must fit a float), got {d}")
     fact = float(math.factorial(d))
 
     def sigma(n):
@@ -137,18 +177,25 @@ def chaos_model(d: int) -> MartingaleModel:
     def noise(seed, path_lo, path_hi, step_lo, n_steps):
         return rademacher_block(seed, path_lo, path_hi, step_lo, n_steps)
 
-    def prefix(noise_block, state=None):
+    def prefix(noise_block, state=None, out=None):
         if d > 3:
             raise DomainError("closed-form simulation supports d <= 3; "
                               "use the exact stepper for higher degrees")
         if state is None:
             state = {"p1": np.zeros(noise_block.shape[0], dtype=np.int64),
                      "n": 0}
-        p1 = state["p1"][:, None] + np.cumsum(noise_block, axis=1,
-                                              dtype=np.int64)
+        out = _value_buffer(noise_block, out)
+        # d = 1 sums signs straight in float64 (exact); d >= 2 sums them
+        # in int64 over the same memory for the closed form's products
+        p1 = out if d == 1 else out.view(np.int64)
+        p1[...] = noise_block
+        p1[:, 0] += state["p1"]
+        np.add.accumulate(p1, axis=1, out=p1)
         ns = state["n"] + np.arange(1, noise_block.shape[1] + 1)
-        values = _chaos_closed_form(d, p1, ns[None, :])
-        return values, {"p1": p1[:, -1], "n": int(ns[-1])}
+        carried = {"p1": p1[:, -1].astype(np.int64), "n": int(ns[-1])}
+        if d > 1:
+            _chaos_closed_form(d, p1, ns, out=out)
+        return out, carried
 
     off = d - 1
     log_fact = math.lgamma(d + 1)
@@ -239,13 +286,16 @@ def weighted_iid_model(beta: float = 1.0,
         n = np.asarray(n, dtype=float)
         return beta * np.sqrt((1.0 - 4.0 ** -n) / 3.0)
 
-    def prefix(noise_block, state=None):
+    def prefix(noise_block, state=None, out=None):
         if state is None:
             state = {"s": np.zeros(noise_block.shape[0]), "n": 0}
+        out = _value_buffer(noise_block, out)
         ks = state["n"] + np.arange(1, noise_block.shape[1] + 1)
-        weighted = noise_block.astype(np.float64) * unit_scale * 2.0 ** -ks
-        values = state["s"][:, None] + np.cumsum(weighted, axis=1)
-        return values, {"s": values[:, -1], "n": int(ks[-1])}
+        np.multiply(noise_block, unit_scale, out=out)
+        out *= 2.0 ** -ks
+        np.add.accumulate(out, axis=1, out=out)
+        out += state["s"][:, None]
+        return out, {"s": out[:, -1].copy(), "n": int(ks[-1])}
 
     beta_exact = Fraction(beta)
 

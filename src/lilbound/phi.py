@@ -129,7 +129,7 @@ def cosh_phi() -> PhiFunction:
     """cosh(lambda) - 1; conjugate u*asinh(u) - sqrt(1+u^2) + 1."""
 
     def ev(lam):
-        return math.cosh(lam) - 1.0
+        return np.cosh(lam) - 1.0
 
     def conj(u):
         u = np.abs(u)
@@ -155,11 +155,11 @@ def chi_square_phi() -> PhiFunction:
     """
 
     def ev(lam):
-        x = abs(lam)
-        if x >= 1.0 / _SQRT2:
-            raise DomainError(f"chi2 generator undefined at |lambda| = {x:g} "
-                              f">= {1.0 / _SQRT2:g}")
-        return -x / _SQRT2 - 0.5 * math.log1p(-_SQRT2 * x)
+        x = np.abs(lam)
+        if np.any(x >= 1.0 / _SQRT2):
+            raise DomainError(f"chi2 generator undefined at |lambda| = "
+                              f"{np.max(x):g} >= {1.0 / _SQRT2:g}")
+        return -x / _SQRT2 - 0.5 * np.log1p(-_SQRT2 * x)
 
     def conj(u):
         u = np.abs(u)

@@ -336,6 +336,20 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, entry):
     assert repr(next(iter(entry))) in err
 
 
+def test_config_path_that_cannot_be_read_exits_2(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing.json"):
+        code, out, err = run_cli(capsys, ["bound", "--config", str(path)])
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("error: cannot read config file")
+        assert err.count("\n") == 1
+
+
+def test_chaos_degree_too_large_exits_2(capsys):
+    code, _, err = run_cli(capsys, ["bound", "--model", "chaos:d=200"])
+    assert code == EXIT_DOMAIN
+    assert "chaos degree" in err and err.count("\n") == 1
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text("{not json")

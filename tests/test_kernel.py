@@ -1,0 +1,170 @@
+"""The Monte Carlo kernel against the allocate-per-block reference.
+
+The reference below is the simulation path as it stood before path
+tiles and the reused value buffer: an int64 cumsum per block, the chaos
+closed forms on fresh int64 arrays, the weighted cumsum on a fresh
+float64 array, and one divide-and-reduce per block over all paths.  The
+kernel must reproduce it bit for bit, whatever the tiling, the worker
+count or the split of a path into blocks.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from lilbound import (DomainError, chaos_model, empirical_sup_tail,
+                      iterated_log_norming, weighted_iid_model)
+from lilbound import verify
+from lilbound.verify import PATH_CHUNK, STEP_BLOCK
+
+V2 = iterated_log_norming(2.0)
+
+
+def reference_chaos_prefix(d, noise_block, state=None):
+    if state is None:
+        state = {"p1": np.zeros(noise_block.shape[0], dtype=np.int64),
+                 "n": 0}
+    p1 = state["p1"][:, None] + np.cumsum(noise_block, axis=1,
+                                          dtype=np.int64)
+    ns = state["n"] + np.arange(1, noise_block.shape[1] + 1)
+    n = ns[None, :]
+    if d == 1:
+        values = p1.astype(np.float64)
+    elif d == 2:
+        values = (p1 * p1 - n) / 2.0
+    else:
+        values = (p1 * (p1 * p1 - 3 * n + 2)) / 6.0
+    return values, {"p1": p1[:, -1], "n": int(ns[-1])}
+
+
+def reference_weighted_prefix(unit_scale, noise_block, state=None):
+    if state is None:
+        state = {"s": np.zeros(noise_block.shape[0]), "n": 0}
+    ks = state["n"] + np.arange(1, noise_block.shape[1] + 1)
+    weighted = noise_block.astype(np.float64) * unit_scale * 2.0 ** -ks
+    values = state["s"][:, None] + np.cumsum(weighted, axis=1)
+    return values, {"s": values[:, -1], "n": int(ks[-1])}
+
+
+def reference_maxima(model, prefix, denom, first, horizon, seed, n_paths):
+    """Signed and absolute running maxima of paths [0, n_paths)."""
+    best = np.full(n_paths, -np.inf)
+    worst = np.full(n_paths, np.inf)
+    state = None
+    for s0 in range(0, horizon, STEP_BLOCK):
+        ns = min(STEP_BLOCK, horizon - s0)
+        noise = model.noise_block(seed, 0, n_paths, s0, ns)
+        values, state = prefix(noise, state)
+        c0 = max(0, first - s0)
+        if c0 >= ns:
+            continue
+        # divide a copy: the weighted state is a view of the last column
+        stat = values[:, c0:] / denom[s0 + c0:s0 + ns]
+        best = np.maximum(best, stat.max(axis=1))
+        worst = np.minimum(worst, stat.min(axis=1))
+    return best, np.maximum(best, -worst)
+
+
+def chaos_case(d):
+    return chaos_model(d), lambda b, s=None: reference_chaos_prefix(d, b, s)
+
+
+def weighted_case(r=None):
+    # the Weibull noise is rescaled to unit standard deviation
+    scale = 1.0 if r is None else 1.0 / math.sqrt(math.gamma(1.0 + 2.0 / r))
+    return (weighted_iid_model(1.0, r),
+            lambda b, s=None: reference_weighted_prefix(scale, b, s))
+
+
+# (model, its reference prefix) for every simulated family
+CASES = {
+    "chaos:d=1": chaos_case(1),
+    "chaos:d=2": chaos_case(2),
+    "chaos:d=3": chaos_case(3),
+    "weightedA:beta=1": weighted_case(),
+    "weightedA:beta=1,r=3": weighted_case(3.0),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("horizon", [300, STEP_BLOCK + 300])
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_kernel_maxima_bit_identical_to_reference(label, horizon, threads,
+                                                  monkeypatch):
+    # both horizons end inside a step block, and both leave a ragged last
+    # tile: the short one's chunks hold three times PATH_CHUNK paths
+    model, prefix = CASES[label]
+    n_paths = 6 * PATH_CHUNK + 17
+    denom, first = verify._normalizer(model, V2, horizon)
+    monkeypatch.setenv("LILBOUND_THREADS", threads)
+    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
+                                             seed=77, n_paths=n_paths)
+    ref_signed, ref_absed = reference_maxima(model, prefix, denom, first,
+                                             horizon, 77, n_paths)
+    assert np.array_equal(signed, ref_signed)
+    assert np.array_equal(absed, ref_absed)
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_prefix_values_with_and_without_buffer_across_a_split(label):
+    model, prefix = CASES[label]
+    noise = model.noise_block(5, 0, 37, 0, 200)
+    split = 128  # blocks of the stream start on word boundaries
+    fresh_head, fresh_state = model.prefix_values(noise[:, :split])
+    fresh_tail, fresh_end = model.prefix_values(noise[:, split:],
+                                                fresh_state)
+    tile = np.full((37, split), np.nan)
+    head, state = model.prefix_values(noise[:, :split], out=tile)
+    assert head is tile
+    assert np.array_equal(head, fresh_head)
+    assert_same_state(state, fresh_state)
+    head = head.copy()  # the tile is reused for the next block
+    tail, end = model.prefix_values(noise[:, split:], state,
+                                    out=tile[:, :200 - split])
+    assert np.array_equal(tail, fresh_tail)
+    assert_same_state(end, fresh_end)
+    ref_head, ref_state = prefix(noise[:, :split])
+    ref_tail, ref_end = prefix(noise[:, split:], ref_state)
+    assert np.array_equal(np.concatenate([head, tail], axis=1),
+                          np.concatenate([ref_head, ref_tail], axis=1))
+    assert_same_state(end, ref_end)
+
+
+def assert_same_state(a, b):
+    assert a.keys() == b.keys()
+    for key in a:
+        assert np.array_equal(a[key], b[key]), key
+        assert np.asarray(a[key]).dtype == np.asarray(b[key]).dtype, key
+
+
+def test_prefix_values_rejects_a_mismatched_buffer():
+    model = chaos_model(1)
+    noise = model.noise_block(5, 0, 4, 0, 64)
+    for bad in (np.empty((4, 63)), np.empty((4, 64), dtype=np.int64)):
+        with pytest.raises(DomainError):
+            model.prefix_values(noise, out=bad)
+
+
+@pytest.mark.parametrize("d,p1", [(2, 2 ** 27 - 77), (3, 2 ** 20 - 77)])
+def test_chaos_products_past_float_precision_stay_int64(d, p1):
+    # these sign sums make the degree-2 and degree-3 products pass 2^53,
+    # where float64 arithmetic would round each step; int64 rounds once
+    model = chaos_model(d)
+    noise = model.noise_block(3, 0, 8, 0, 64)
+    state = {"p1": np.full(8, p1, dtype=np.int64), "n": 2 ** 30}
+    values, end = model.prefix_values(noise, state)
+    ref, ref_end = reference_chaos_prefix(d, noise, state)
+    assert np.abs(ref).max() * math.factorial(d) > 2.0 ** 53
+    assert np.array_equal(values, ref)
+    assert_same_state(end, ref_end)
+
+
+def test_golden_tail_counts():
+    # recorded before the path-tile kernel; a change to the draws or the
+    # arithmetic of the simulation moves them
+    est = empirical_sup_tail(chaos_model(1), V2, 2048, 8192,
+                             [1.0, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0, 3.5],
+                             seed=20260816)
+    assert est.counts == (6498, 3168, 2646, 1412, 439, 214, 64, 4)
+    assert est.counts_plus == (8192, 5835, 5066, 2782, 889, 416, 121, 6)

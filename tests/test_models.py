@@ -111,6 +111,12 @@ def test_chaos_degree_validation():
         model.prefix_values(np.ones((2, 6), dtype=np.int8))
 
 
+def test_chaos_degree_capped_where_its_factorial_leaves_float_range():
+    assert chaos_model(170).label == "chaos:d=170"
+    with pytest.raises(DomainError):
+        chaos_model(171)
+
+
 def test_chaos_generator_assignment():
     assert chaos_model(1).phi.label == "phi2"
     assert chaos_model(2).phi.label == "chi2"

@@ -130,6 +130,24 @@ def test_conjugate_many_matches_scalar_on_power_family(q):
                                rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("make", [cosh_phi, chi_square_phi])
+def test_conjugate_many_matches_closed_form_on_cosh_and_chi2(make):
+    # the array solver evaluates these generators on whole arrays; chi2's
+    # large u pushes the supremum against its domain edge 1/sqrt(2)
+    closed = make()
+    us = np.concatenate([[0.0], np.geomspace(0.01, 200.0, 64)])
+    np.testing.assert_allclose(conjugate_many(numeric_only(closed), us),
+                               closed.analytic_conjugate(us),
+                               rtol=1e-8, atol=1e-10)
+
+
+def test_chi_square_generator_rejects_an_array_past_its_edge():
+    phi = chi_square_phi()
+    assert phi.evaluate(np.array([-0.5, 0.0, 0.5])).shape == (3,)
+    with pytest.raises(DomainError):
+        phi.evaluate(np.array([0.1, 0.8]))
+
+
 def test_conjugate_many_keeps_shape_and_rejects_negative():
     phi = numeric_only(phi2())
     us = np.array([[0.5, 1.0], [2.0, 0.0]])
