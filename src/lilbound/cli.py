@@ -11,9 +11,10 @@ timestamps, so rerunning a fixed (config, seed) is byte-identical.  CSV and
 JSON twins carry the same numbers; CSV floats use %.17g, which round-trips
 float64 exactly.
 
-Exit codes: 0 success, 2 bad configuration or domain error, 3 transform
-nonconvergence, 4 all-divergent bound, 5 calibration or dominance failure,
-6 censored tail grid (too few exceedances to estimate anything).
+Exit codes: 0 success, 2 bad configuration, domain error, or a file that
+cannot be read or written, 3 transform nonconvergence, 4 all-divergent
+bound, 5 calibration or dominance failure, 6 censored tail grid (too few
+exceedances to estimate anything).
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .engine import (DEFAULT_KMAX, NormingSequence, SigmaProfile,
-                     constant_norming, iterated_log_norming, optimized_bound,
+from .engine import (NormingSequence, SigmaProfile, constant_norming,
+                     iterated_log_norming, optimized_bound,
                      single_time_lower_bound)
 from .errors import (CalibrationError, DomainError, LilboundError,
                      NonconvergenceError)
@@ -338,17 +339,17 @@ def cmd_conjugate(args: argparse.Namespace) -> int:
     if not grid:
         raise DomainError("empty u grid")
     values = [conjugate(phi, u) for u in grid]
+    if args.out_dir:
+        payload = {"u": grid, "phi_star": values, "phi": phi.label}
+        write_csv(_out(args.out_dir, "conjugate.csv"), ("u", "phi_star"),
+                  list(zip(grid, values)))
+        write_json(_out(args.out_dir, "conjugate.json"), payload)
     if args.json:
         print(json.dumps({"u": grid, "phi_star": values}))
     else:
         print("u,phi_star")
         for u, val in zip(grid, values):
             print(f"{_fmt(u)},{_fmt(val)}")
-    if args.out_dir:
-        payload = {"u": grid, "phi_star": values, "phi": phi.label}
-        write_csv(_out(args.out_dir, "conjugate.csv"), ("u", "phi_star"),
-                  list(zip(grid, values)))
-        write_json(_out(args.out_dir, "conjugate.json"), payload)
     return EXIT_OK
 
 
@@ -356,8 +357,6 @@ def cmd_norm(args: argparse.Namespace) -> int:
     sample = Sample.from_csv(args.sample)
     phi = phi_from_id(args.phi)
     est = estimate_norms(sample, phi)
-    print(f"b_norm={est.b_norm:.6g} g_norm={est.g_norm:.6g} "
-          f"(sample {sample.label!r}, M={est.sample_size}, phi {phi.label})")
     if args.out_dir:
         d = est.to_dict()
         keys = ("b_norm", "g_norm", "lambda_grid_max", "p_max", "mean_abs",
@@ -365,6 +364,8 @@ def cmd_norm(args: argparse.Namespace) -> int:
         write_csv(_out(args.out_dir, "norms.csv"), keys,
                   [[d[k] for k in keys]])
         write_json(_out(args.out_dir, "norms.json"), d)
+    print(f"b_norm={est.b_norm:.6g} g_norm={est.g_norm:.6g} "
+          f"(sample {sample.label!r}, M={est.sample_size}, phi {phi.label})")
     return EXIT_OK
 
 
@@ -610,10 +611,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NonconvergenceError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (DomainError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except LilboundError as exc:
+    except (LilboundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -34,13 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, takewhile
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonconvergenceError
-from .phi import PhiFunction, conjugate, conjugate_many
+from .errors import DomainError
+from .phi import PhiFunction, conjugate_many
 
 DEFAULT_TOL = 1e-12
 DEFAULT_KMAX = 20000
@@ -53,49 +53,16 @@ _CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
-# partitions
+# partition boundaries
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Partition:
-    """Consecutive blocks [A(k), B(k)] tiling [1, A(K+1)-1].
-
-    a_values holds A(1..K+1); block k is [a_values[k-1], a_values[k]-1],
-    so the invariant A(k+1) >= A(k) + 2 gives every block length >= 2.
-    """
-    a_values: tuple
-
-    def __post_init__(self):
-        a = tuple(int(x) for x in self.a_values)
-        if len(a) < 2 or a[0] != 1:
-            raise DomainError("partition needs A(1) = 1 and at least one block")
-        for prev, nxt in zip(a, a[1:]):
-            if nxt < prev + 2:
-                raise DomainError(
-                    f"block starting at {prev} is shorter than 2 "
-                    f"(next boundary {nxt})")
-        object.__setattr__(self, "a_values", a)
-
-    @property
-    def depth(self) -> int:
-        return len(self.a_values) - 1
-
-    @property
-    def b_values(self) -> tuple:
-        return tuple(x - 1 for x in self.a_values[1:])
-
-    def block(self, k: int) -> tuple:
-        """(A(k), B(k)) for 1-based block index k."""
-        if not 1 <= k <= self.depth:
-            raise DomainError(f"block index {k} outside 1..{self.depth}")
-        return self.a_values[k - 1], self.a_values[k] - 1
-
 
 def _integer_boundaries(ratio: float, power_cap: float = math.inf):
     """A(1) = 1, A(2), ... with A(k) = max(A(k-1) + 2, round(ratio^(k-1))).
 
-    The geometric boundary rule shared by every partition in this module;
-    stops before the first A(k) with ratio^(k-1) > power_cap.
+    The geometric boundary rule: _log_boundaries carries it in log space
+    for block_sum, and the partition oracles in tests/oracles.py
+    materialize it; stops before the first A(k) with ratio^(k-1) >
+    power_cap.
     """
     a, k = 1, 1
     while True:
@@ -105,23 +72,6 @@ def _integer_boundaries(ratio: float, power_cap: float = math.inf):
             return
         a = max(a + 2, int(round(power)))
         k += 1
-
-
-def geometric_partition(ratio: float, depth: int) -> Partition:
-    """Materialized geometric partition A(k) = max(prev + 2, round(ratio^(k-1))).
-
-    For deep tail sums use :func:`block_sum`, which carries the same
-    boundaries in log space instead of materializing them.
-    """
-    if ratio < 2:
-        raise DomainError(f"geometric ratio must be >= 2, got {ratio}")
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
-    if ratio ** depth > 2.0 ** 60:
-        raise DomainError(
-            f"ratio {ratio} at depth {depth} exceeds exact integer range; "
-            f"use block_sum for deep evaluation")
-    return Partition(tuple(islice(_integer_boundaries(ratio), depth + 1)))
 
 
 @lru_cache(maxsize=256)
@@ -211,94 +161,6 @@ def constant_norming(c: float = 1.0) -> NormingSequence:
         eval_log=lambda log_n: np.full_like(np.asarray(log_n, dtype=float), c))
 
 
-def table_norming(n_values: Sequence[int], v_values: Sequence[float],
-                  label: str = "table") -> NormingSequence:
-    """Norming interpolated from (n, v) pairs; evaluation beyond the table
-    is a domain error, so deep block sums reject table normings early."""
-    from scipy.interpolate import PchipInterpolator
-
-    ns = np.asarray(n_values, dtype=float)
-    vs = np.asarray(v_values, dtype=float)
-    if len(ns) < 2 or ns[0] < 1 or np.any(np.diff(ns) <= 0):
-        raise DomainError("table norming needs increasing n >= 1")
-    if np.any(vs <= 0) or np.any(np.diff(vs) < 0):
-        raise DomainError("table norming values must be positive nondecreasing")
-    interp = PchipInterpolator(ns, vs, extrapolate=False)
-    top = float(ns[-1])
-
-    def ev(n):
-        n = np.asarray(n, dtype=float)
-        if np.any(n < ns[0]) or np.any(n > top):
-            raise DomainError(f"{label}: index outside table range "
-                              f"[{ns[0]:g}, {top:g}]")
-        return interp(n)
-
-    def ev_log(log_n):
-        log_n = np.asarray(log_n, dtype=float)
-        if np.any(log_n > math.log(top)):
-            raise DomainError(f"{label}: block boundary beyond table range; "
-                              f"deep sums need an analytic norming")
-        return interp(np.exp(log_n))
-
-    return NormingSequence(label=label, kind="table",
-                           evaluate=ev, eval_log=ev_log)
-
-
-def shifted_norming(v: NormingSequence, offset: int) -> NormingSequence:
-    """View of v displaced by a nonnegative integer offset: n -> v(n + offset).
-
-    Used to align the bound's index (which starts at 1) with models whose
-    variance is degenerate on a prefix: the model's profile is shifted the
-    same way, keeping the statistic sup_j S(j+offset)/(sigma v) intact.
-    """
-    if offset < 0:
-        raise DomainError("norming shift must be nonnegative")
-    if offset == 0:
-        return v
-
-    def ev(n):
-        return v.evaluate(np.asarray(n, dtype=float) + offset)
-
-    def ev_log(log_n):
-        log_n = np.asarray(log_n, dtype=float)
-        safe = np.minimum(log_n, 700.0)
-        return v.eval_log(log_n + np.log1p(offset * np.exp(-safe)))
-
-    return NormingSequence(label=f"{v.label}@+{offset}", kind=v.kind,
-                           evaluate=ev, eval_log=ev_log)
-
-
-def table_profile(n_values: Sequence[int], s_values: Sequence[float],
-                  label: str = "table-sigma") -> SigmaProfile:
-    """Variance profile from tabulated (n, sigma) pairs; same range rules
-    as table_norming."""
-    from scipy.interpolate import PchipInterpolator
-
-    ns = np.asarray(n_values, dtype=float)
-    ss = np.asarray(s_values, dtype=float)
-    if len(ns) < 2 or ns[0] < 1 or np.any(np.diff(ns) <= 0):
-        raise DomainError("table profile needs increasing n >= 1")
-    if np.any(ss <= 0) or np.any(np.diff(ss) < 0):
-        raise DomainError("table profile must be positive nondecreasing")
-    interp = PchipInterpolator(ns, ss, extrapolate=False)
-    top = float(ns[-1])
-
-    def ev(n):
-        n = np.asarray(n, dtype=float)
-        if np.any(n < ns[0]) or np.any(n > top):
-            raise DomainError(f"{label}: index outside table range")
-        return interp(n)
-
-    def log_sig(log_n):
-        log_n = np.asarray(log_n, dtype=float)
-        if np.any(log_n > math.log(top)):
-            raise DomainError(f"{label}: block boundary beyond table range")
-        return np.log(interp(np.exp(log_n)))
-
-    return SigmaProfile(label=label, kind="table", evaluate=ev,
-                        log_sigma=log_sig)
-
-
 # ---------------------------------------------------------------------------
 # block terms and sums
 # ---------------------------------------------------------------------------
@@ -351,17 +213,6 @@ class BlockSumResult:
     def __repr__(self) -> str:
         return ("BlockSumResult(value=%r, k_used=%r, residual_bound=%r, "
                 "converged=%r, diverged=%r)" % self._outcome())
-
-
-def block_term(k: int, partition: Partition, v: NormingSequence,
-               sigma: SigmaProfile, phi: PhiFunction, u: float) -> float:
-    """Contribution of block k: exp(-phi*(u sigma(A) v(A) / sigma(B)))."""
-    if u <= 0:
-        raise DomainError(f"block_term needs u > 0, got {u}")
-    a, b = partition.block(k)
-    arg = u * float(sigma.evaluate(a)) * float(v.evaluate(a)) \
-        / float(sigma.evaluate(b))
-    return math.exp(-conjugate(phi, arg))
 
 
 def _scan_terms(terms: np.ndarray, tol: float):
@@ -616,60 +467,3 @@ def single_time_lower_bound(tail_at_n0: Callable[[float], float], n0: int,
     if n0 < 1:
         raise DomainError(f"n0 must be a positive index, got {n0}")
     return float(tail_at_n0(u * float(v.evaluate(n0))))
-
-
-# ---------------------------------------------------------------------------
-# exhaustive partition oracle (test support)
-# ---------------------------------------------------------------------------
-
-def dp_partition_oracle(v: NormingSequence, sigma: SigmaProfile,
-                        phi: PhiFunction, u: float, n_max: int) -> float:
-    """Exact minimum of the series over ALL partitions of [1, n_max].
-
-    Dynamic program over block boundaries on the truncated horizon;
-    cost[j] is the cheapest way to tile [1, j] with blocks of length >= 2.
-    The truncation lets the optimum spend arbitrarily many short blocks
-    near the horizon, a structure no convergent infinite partition can
-    imitate, so compare against :func:`geometric_prefix_sum` (the same
-    truncated objective), not against the infinite series, and only
-    where the leading blocks dominate.
-    """
-    if u <= 0:
-        raise DomainError(f"oracle needs u > 0, got {u}")
-    if n_max < 2:
-        raise DomainError("horizon too small for a single block")
-    n = np.arange(0, n_max + 1, dtype=float)
-    n[0] = 1.0  # unused slot, keep evaluate() happy
-    sig = np.asarray(sigma.evaluate(n), dtype=float)
-    vv = np.asarray(v.evaluate(n), dtype=float)
-    cost = np.full(n_max + 1, np.inf)
-    cost[0] = 0.0
-    lead = u * sig * vv  # u * sigma(a) * v(a), indexed by a
-    for j in range(2, n_max + 1):
-        a = np.arange(1, j)
-        terms = np.exp(-conjugate_many(phi, lead[a] / sig[j]))
-        cost[j] = float(np.min(cost[a - 1] + terms))
-    return float(cost[n_max])
-
-
-def geometric_prefix_sum(ratio: float, v: NormingSequence,
-                         sigma: SigmaProfile, phi: PhiFunction, u: float,
-                         n_max: int) -> float:
-    """Geometric-partition series clipped to the horizon [1, n_max].
-
-    The last block is cut at n_max so the objective matches
-    :func:`dp_partition_oracle` block for block.
-    """
-    if u <= 0:
-        raise DomainError(f"prefix sum needs u > 0, got {u}")
-    if ratio < 2:
-        raise DomainError(f"geometric ratio must be >= 2, got {ratio}")
-    a_list = list(takewhile(lambda a: a <= n_max,
-                            _integer_boundaries(ratio)))
-    total = 0.0
-    for i, a in enumerate(a_list):
-        b = a_list[i + 1] - 1 if i + 1 < len(a_list) else n_max
-        arg = u * float(sigma.evaluate(a)) * float(v.evaluate(a)) \
-            / float(sigma.evaluate(b))
-        total += math.exp(-conjugate(phi, arg))
-    return total

@@ -4,19 +4,15 @@ Two families are built in:
 
   * degree-d sign chaos: S(n) = sum of products eps(i1)...eps(id) over
     increasing index tuples, a martingale with Var S(n) = C(n, d).
-    Updates go through the elementary-symmetric recursion
-    e_j(n) = e_j(n-1) + eps(n) * e_{j-1}(n-1), which is O(d) per step and
-    exact in integer arithmetic; simulation at scale uses closed forms in
-    the plain sign sum P1(n) for d <= 3.
+    Simulation uses closed forms in the plain sign sum P1(n) for d <= 3.
 
   * weighted i.i.d. sums: S(n) = sum_{k<=n} 2^{-k} xi(k) with symmetric
     noise of standard deviation beta, so Var S(n) = beta^2 (1 - 4^{-n})/3.
 
 A model packages everything the verifier and the bound engine need:
 exact sigma, a shifted :class:`SigmaProfile` starting at the first
-non-degenerate index, counter-based noise generation, vectorized
-path-block simulation with carried state, and an exact single-path
-stepper for desk-scale enumeration checks.
+non-degenerate index, counter-based noise generation, and vectorized
+path-block simulation with carried state.
 
 Path-block simulation writes S values into one float64 array, which the
 caller may pass as ``out=`` and reuse for every block of a path tile;
@@ -31,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,9 +51,7 @@ class MartingaleModel:
     (values, state), where values is out (a float64 array of the block's
     shape, overwritten) or a fresh array, and state shares no memory
     with it.  The values do not depend on whether out is given, nor on
-    how a path is split into blocks.  new_state /
-    step / read_s walk a single path exactly (integer or Fraction
-    arithmetic) for enumeration-based checks.
+    how a path is split into blocks.
     """
     label: str
     kind: str
@@ -69,17 +62,14 @@ class MartingaleModel:
     log_sigma_shifted: Callable
     noise_block: Callable
     prefix_values: Callable
-    new_state: Callable
-    step: Callable
-    read_s: Callable
 
     def sigma_profile(self) -> SigmaProfile:
         """Variance profile re-indexed to start at the first usable time.
 
         The bound engine's partitions start at index 1, while sigma may
         vanish on a degenerate prefix (chaos needs n >= d).  The profile
-        maps engine index j to model time j + (n_min - 1); pair it with a
-        norming shifted by the same offset.
+        maps engine index j to model time j + (n_min - 1), the time the
+        verifier pairs with norming index j.
         """
         off = self.n_min - 1
         sig = self.sigma_exact
@@ -94,29 +84,6 @@ class MartingaleModel:
 # ---------------------------------------------------------------------------
 # degree-d sign chaos
 # ---------------------------------------------------------------------------
-
-class ChaosState:
-    """Exact elementary-symmetric coefficients of the signs seen so far.
-
-    e[j] is the degree-j elementary symmetric polynomial in
-    (eps(1), ..., eps(n)) as an unbounded Python integer, so identity
-    checks are exact at any depth.
-    """
-
-    __slots__ = ("e", "n")
-
-    def __init__(self, d: int):
-        self.e = [1] + [0] * d
-        self.n = 0
-
-    def step(self, eps: int) -> "ChaosState":
-        if eps not in (-1, 1):
-            raise DomainError(f"sign step must be +-1, got {eps}")
-        for j in range(len(self.e) - 1, 0, -1):
-            self.e[j] += eps * self.e[j - 1]
-        self.n += 1
-        return self
-
 
 def _chaos_closed_form(d: int, p1: np.ndarray, n,
                        out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -179,8 +146,7 @@ def chaos_model(d: int) -> MartingaleModel:
 
     def prefix(noise_block, state=None, out=None):
         if d > 3:
-            raise DomainError("closed-form simulation supports d <= 3; "
-                              "use the exact stepper for higher degrees")
+            raise DomainError("closed-form simulation supports d <= 3")
         if state is None:
             state = {"p1": np.zeros(noise_block.shape[0], dtype=np.int64),
                      "n": 0}
@@ -213,9 +179,7 @@ def chaos_model(d: int) -> MartingaleModel:
     return MartingaleModel(
         label=f"chaos:d={d}", kind="chaos", noise_kind="rademacher",
         n_min=d, phi=phi, sigma_exact=sigma, log_sigma_shifted=log_sigma,
-        noise_block=noise, prefix_values=prefix,
-        new_state=lambda: ChaosState(d),
-        step=lambda st, eps: st.step(eps), read_s=lambda st: st.e[d])
+        noise_block=noise, prefix_values=prefix)
 
 
 def chaos_identity_check(signs: np.ndarray) -> bool:
@@ -297,14 +261,6 @@ def weighted_iid_model(beta: float = 1.0,
         out += state["s"][:, None]
         return out, {"s": out[:, -1].copy(), "n": int(ks[-1])}
 
-    beta_exact = Fraction(beta)
-
-    def step(state, eps):
-        n, s = state
-        if eps not in (-1, 1):
-            raise DomainError("exact stepper supports sign noise only")
-        return (n + 1, s + eps * beta_exact / Fraction(2) ** (n + 1))
-
     log_b3 = math.log(beta) - 0.5 * math.log(3.0)
 
     def log_sigma(log_n):
@@ -315,9 +271,7 @@ def weighted_iid_model(beta: float = 1.0,
     return MartingaleModel(
         label=label, kind="weighted_iid", noise_kind=noise_kind,
         n_min=1, phi=phi, sigma_exact=sigma, log_sigma_shifted=log_sigma,
-        noise_block=noise, prefix_values=prefix,
-        new_state=lambda: (0, Fraction(0)),
-        step=step, read_s=lambda state: state[1])
+        noise_block=noise, prefix_values=prefix)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import CenteringError, DomainError, UnreachableValueError
-from .phi import PhiFunction, phi_inverse, psi
+from .phi import PhiFunction, load_csv, phi_inverse, psi
 
 LAMBDA_GRID_SIZE = 200
 LAMBDA_GRID_START = 1e-3
@@ -61,8 +61,7 @@ class Sample:
 
     @classmethod
     def from_csv(cls, path: str, label: Optional[str] = None) -> "Sample":
-        vals = np.loadtxt(path, delimiter=",", dtype=float, comments="#",
-                          ndmin=1)
+        vals = load_csv(path, ndmin=1)
         if vals.ndim != 1:
             raise DomainError(f"{path}: expected a single column")
         return cls(vals, label=label or f"csv:{path}")

@@ -67,14 +67,6 @@ class PhiFunction:
 
 
 @dataclass(frozen=True)
-class ConjugateGrid:
-    """Conjugate values tabulated on a u grid, with solver diagnostics."""
-    u_values: tuple
-    phi_star_values: tuple
-    max_residual: float
-
-
-@dataclass(frozen=True)
 class PhiReport:
     """Report-only diagnostics from :func:`validate_phi`."""
     label: str
@@ -209,9 +201,23 @@ def phi_from_table(lambdas: Sequence[float], values: Sequence[float],
     return PhiFunction(label=label, evaluate=ev, lambda0=lambda0)
 
 
+def load_csv(path: str, ndmin: int) -> np.ndarray:
+    """The numbers of a comma-separated file with #-comments, at least
+    ndmin-dimensional; a file that cannot be read or parsed is a
+    DomainError naming it."""
+    try:
+        return np.loadtxt(path, delimiter=",", dtype=float, comments="#",
+                          ndmin=ndmin)
+    except OSError as exc:  # missing, a directory, unreadable, ...
+        raise DomainError(f"cannot read {path!r}: "
+                          f"{exc.strerror or exc}") from None
+    except ValueError as exc:  # a header, a non-numeric cell, ragged rows
+        raise DomainError(f"cannot parse {path!r}: {exc}") from None
+
+
 def phi_from_csv(path: str, label: Optional[str] = None) -> PhiFunction:
     """Load a two-column CSV of (lambda, phi(lambda)) rows; see phi_from_table."""
-    rows = np.loadtxt(path, delimiter=",", dtype=float, comments="#", ndmin=2)
+    rows = load_csv(path, ndmin=2)
     if rows.shape[1] != 2:
         raise DomainError(f"{path}: expected exactly two columns")
     return phi_from_table(rows[:, 0], rows[:, 1], label=label or f"csv:{path}")
@@ -410,20 +416,6 @@ def conjugate(phi: PhiFunction, u: float,
         return 0.0
     value, _ = _conjugate_numeric(phi, u, tol, max_iter)
     return value
-
-
-def conjugate_grid(phi: PhiFunction, u_values: Sequence[float],
-                   tol: float = CONJUGATE_TOL) -> ConjugateGrid:
-    """Tabulate the conjugate on a grid, tracking the worst solver residual."""
-    us = np.array([float(u) for u in u_values])
-    if np.any(us < 0):
-        raise DomainError("conjugate grid values must be >= 0")
-    if phi.analytic_conjugate is not None:
-        vals, worst = conjugate_many(phi, us), 0.0
-    else:
-        vals, residuals = _conjugate_numeric_many(phi, us, tol, MAX_ITER)
-        worst = float(residuals.max(initial=0.0))
-    return ConjugateGrid(tuple(us.tolist()), tuple(vals.tolist()), worst)
 
 
 def conjugate_many(phi: PhiFunction, u: np.ndarray) -> np.ndarray:

@@ -205,44 +205,6 @@ class TrajectoryStats:
         }
 
 
-@dataclass(frozen=True)
-class SquaredWalkProbe:
-    """Running maxima of (sum of signs)^2 / (n loglog(n+3)).
-
-    The companion to the trajectory statistics for the classical
-    iterated-logarithm regime: the squared sign sum is a degree-2 object
-    whose quadratic variation is exactly n, so sigma2_exact is a direct
-    consequence of signs squaring to one and is verified on a sample
-    block rather than assumed.
-    """
-    horizon: int
-    paths: int
-    seed: int
-    theta1_median: float
-    theta1_q25: float
-    theta1_q75: float
-    squares_exact: bool
-    band_low: float = 0.5
-    band_high: float = 4.0
-
-    @property
-    def in_band(self) -> bool:
-        return self.band_low <= self.theta1_median <= self.band_high
-
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "paths": self.paths,
-            "seed": self.seed,
-            "theta1_median": self.theta1_median,
-            "theta1_q25": self.theta1_q25,
-            "theta1_q75": self.theta1_q75,
-            "squares_exact": self.squares_exact,
-            "band": [self.band_low, self.band_high],
-            "in_band": self.in_band,
-        }
-
-
 # ---------------------------------------------------------------------------
 # simulation core
 # ---------------------------------------------------------------------------
@@ -573,14 +535,6 @@ def doob_moment_check(model: MartingaleModel, horizon: int,
                       max_moment=max_moment, final_moment=final_moment)
 
 
-_LOGLOG_SHIFT = 3.0
-
-
-def _loglog_weight(horizon: int, power: float) -> np.ndarray:
-    n = np.arange(1, horizon + 1, dtype=float)
-    return (n * np.log(np.log(n + _LOGLOG_SHIFT))) ** power
-
-
 def lil_trajectory_stats(d: int, horizon: int, n_paths: int,
                          seed: int) -> TrajectoryStats:
     """Distribution of R(N) = max_n S(n)/(n loglog(n+3))^(d/2).
@@ -596,7 +550,8 @@ def lil_trajectory_stats(d: int, horizon: int, n_paths: int,
     if horizon < 4:
         raise DomainError(f"horizon too short for loglog weights: {horizon}")
     model = chaos_model(d)
-    denom = _loglog_weight(horizon, d / 2.0)
+    n = np.arange(1, horizon + 1, dtype=float)
+    denom = (n * np.log(np.log(n + 3.0))) ** (d / 2.0)
     signed, _ = _over_path_chunks(model, denom, 0, horizon, seed, n_paths)
     q25, med, q75 = np.percentile(signed, [25.0, 50.0, 75.0])
     return TrajectoryStats(
@@ -604,25 +559,3 @@ def lil_trajectory_stats(d: int, horizon: int, n_paths: int,
         median=float(med), q25=float(q25), q75=float(q75),
         positive_fraction=float(np.mean(signed > 0)),
         reference=2.0 ** (d / 2.0) / math.factorial(d))
-
-
-def hartman_wintner_probe(horizon: int, n_paths: int,
-                          seed: int) -> SquaredWalkProbe:
-    """Classical-regime probe: max_n (sum of signs)^2 / (n loglog(n+3)).
-
-    The squared sign sum is the max of |P1| against the square root of
-    the weight, squared, so the degree-1 machinery is reused verbatim.
-    """
-    if horizon < 8:
-        raise DomainError(f"probe needs horizon >= 8, got {horizon}")
-    model = chaos_model(1)
-    denom = _loglog_weight(horizon, 0.5)
-    _, absed = _over_path_chunks(model, denom, 0, horizon, seed, n_paths)
-    theta1 = absed ** 2
-    q25, med, q75 = np.percentile(theta1, [25.0, 50.0, 75.0])
-    sample = model.noise_block(seed, 0, min(n_paths, 64), 0, 64)
-    squares_exact = bool(np.all(sample.astype(np.int64) ** 2 == 1))
-    return SquaredWalkProbe(
-        horizon=horizon, paths=n_paths, seed=seed,
-        theta1_median=float(med), theta1_q25=float(q25),
-        theta1_q75=float(q75), squares_exact=squares_exact)

@@ -1,0 +1,202 @@
+"""Exact test oracles: partitions materialized block by block, the
+exhaustive partition optimum, and exact single-path steppers.
+
+The library evaluates the bound through log-space boundaries and
+simulates paths in float64 blocks; the oracles here compute the same
+objects the slow, literal way (integer boundaries, one block term at a
+time, unbounded integers and Fractions), so the tests can hold the fast
+paths to them.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import islice, takewhile
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from lilbound.engine import NormingSequence, SigmaProfile, _integer_boundaries
+from lilbound.errors import DomainError
+from lilbound.phi import PhiFunction, conjugate, conjugate_many
+
+
+# ---------------------------------------------------------------------------
+# partitions and block terms
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Partition:
+    """Consecutive blocks [A(k), B(k)] tiling [1, A(K+1)-1].
+
+    a_values holds A(1..K+1); block k is [a_values[k-1], a_values[k]-1],
+    so the invariant A(k+1) >= A(k) + 2 gives every block length >= 2.
+    """
+    a_values: tuple
+
+    def __post_init__(self):
+        a = tuple(int(x) for x in self.a_values)
+        if len(a) < 2 or a[0] != 1:
+            raise DomainError("partition needs A(1) = 1 and at least one block")
+        for prev, nxt in zip(a, a[1:]):
+            if nxt < prev + 2:
+                raise DomainError(
+                    f"block starting at {prev} is shorter than 2 "
+                    f"(next boundary {nxt})")
+        object.__setattr__(self, "a_values", a)
+
+    @property
+    def depth(self) -> int:
+        return len(self.a_values) - 1
+
+    @property
+    def b_values(self) -> tuple:
+        return tuple(x - 1 for x in self.a_values[1:])
+
+    def block(self, k: int) -> tuple:
+        """(A(k), B(k)) for 1-based block index k."""
+        if not 1 <= k <= self.depth:
+            raise DomainError(f"block index {k} outside 1..{self.depth}")
+        return self.a_values[k - 1], self.a_values[k] - 1
+
+
+def geometric_partition(ratio: float, depth: int) -> Partition:
+    """Materialized geometric partition A(k) = max(prev + 2, round(ratio^(k-1))).
+
+    For deep tail sums use :func:`block_sum`, which carries the same
+    boundaries in log space instead of materializing them.
+    """
+    if ratio < 2:
+        raise DomainError(f"geometric ratio must be >= 2, got {ratio}")
+    if depth < 1:
+        raise DomainError(f"depth must be >= 1, got {depth}")
+    if ratio ** depth > 2.0 ** 60:
+        raise DomainError(
+            f"ratio {ratio} at depth {depth} exceeds exact integer range; "
+            f"use block_sum for deep evaluation")
+    return Partition(tuple(islice(_integer_boundaries(ratio), depth + 1)))
+
+
+def block_term(k: int, partition: Partition, v: NormingSequence,
+               sigma: SigmaProfile, phi: PhiFunction, u: float) -> float:
+    """Contribution of block k: exp(-phi*(u sigma(A) v(A) / sigma(B)))."""
+    if u <= 0:
+        raise DomainError(f"block_term needs u > 0, got {u}")
+    a, b = partition.block(k)
+    arg = u * float(sigma.evaluate(a)) * float(v.evaluate(a)) \
+        / float(sigma.evaluate(b))
+    return math.exp(-conjugate(phi, arg))
+
+
+# ---------------------------------------------------------------------------
+# exhaustive partition oracle
+# ---------------------------------------------------------------------------
+
+def dp_partition_oracle(v: NormingSequence, sigma: SigmaProfile,
+                        phi: PhiFunction, u: float, n_max: int) -> float:
+    """Exact minimum of the series over ALL partitions of [1, n_max].
+
+    Dynamic program over block boundaries on the truncated horizon;
+    cost[j] is the cheapest way to tile [1, j] with blocks of length >= 2.
+    The truncation lets the optimum spend arbitrarily many short blocks
+    near the horizon, a structure no convergent infinite partition can
+    imitate, so compare against :func:`geometric_prefix_sum` (the same
+    truncated objective), not against the infinite series, and only
+    where the leading blocks dominate.
+    """
+    if u <= 0:
+        raise DomainError(f"oracle needs u > 0, got {u}")
+    if n_max < 2:
+        raise DomainError("horizon too small for a single block")
+    n = np.arange(0, n_max + 1, dtype=float)
+    n[0] = 1.0  # unused slot, keep evaluate() happy
+    sig = np.asarray(sigma.evaluate(n), dtype=float)
+    vv = np.asarray(v.evaluate(n), dtype=float)
+    cost = np.full(n_max + 1, np.inf)
+    cost[0] = 0.0
+    lead = u * sig * vv  # u * sigma(a) * v(a), indexed by a
+    for j in range(2, n_max + 1):
+        a = np.arange(1, j)
+        terms = np.exp(-conjugate_many(phi, lead[a] / sig[j]))
+        cost[j] = float(np.min(cost[a - 1] + terms))
+    return float(cost[n_max])
+
+
+def geometric_prefix_sum(ratio: float, v: NormingSequence,
+                         sigma: SigmaProfile, phi: PhiFunction, u: float,
+                         n_max: int) -> float:
+    """Geometric-partition series clipped to the horizon [1, n_max].
+
+    The last block is cut at n_max so the objective matches
+    :func:`dp_partition_oracle` block for block.
+    """
+    if u <= 0:
+        raise DomainError(f"prefix sum needs u > 0, got {u}")
+    if ratio < 2:
+        raise DomainError(f"geometric ratio must be >= 2, got {ratio}")
+    a_list = list(takewhile(lambda a: a <= n_max,
+                            _integer_boundaries(ratio)))
+    total = 0.0
+    for i, a in enumerate(a_list):
+        b = a_list[i + 1] - 1 if i + 1 < len(a_list) else n_max
+        arg = u * float(sigma.evaluate(a)) * float(v.evaluate(a)) \
+            / float(sigma.evaluate(b))
+        total += math.exp(-conjugate(phi, arg))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# exact single-path steppers
+# ---------------------------------------------------------------------------
+
+class ChaosState:
+    """Exact elementary-symmetric coefficients of the signs seen so far.
+
+    e[j] is the degree-j elementary symmetric polynomial in
+    (eps(1), ..., eps(n)) as an unbounded Python integer, so identity
+    checks are exact at any depth.
+    """
+
+    __slots__ = ("e", "n")
+
+    def __init__(self, d: int):
+        self.e = [1] + [0] * d
+        self.n = 0
+
+    def step(self, eps: int) -> "ChaosState":
+        if eps not in (-1, 1):
+            raise DomainError(f"sign step must be +-1, got {eps}")
+        for j in range(len(self.e) - 1, 0, -1):
+            self.e[j] += eps * self.e[j - 1]
+        self.n += 1
+        return self
+
+
+class Stepper(NamedTuple):
+    """Exact walk of one path: new_state() starts it, step(state, eps)
+    takes one sign, read_s(state) is S(n) as an int or a Fraction."""
+    new_state: Callable
+    step: Callable
+    read_s: Callable
+
+
+def chaos_stepper(d: int) -> Stepper:
+    """Degree-d sign chaos through the elementary-symmetric recursion."""
+    return Stepper(new_state=lambda: ChaosState(d),
+                   step=lambda st, eps: st.step(eps),
+                   read_s=lambda st: st.e[d])
+
+
+def weighted_stepper(beta: float) -> Stepper:
+    """S(n) = sum_{k<=n} 2^{-k} beta eps(k) in Fraction arithmetic."""
+    beta_exact = Fraction(beta)
+
+    def step(state, eps):
+        n, s = state
+        if eps not in (-1, 1):
+            raise DomainError("exact stepper supports sign noise only")
+        return (n + 1, s + eps * beta_exact / Fraction(2) ** (n + 1))
+
+    return Stepper(new_state=lambda: (0, Fraction(0)), step=step,
+                   read_s=lambda state: state[1])

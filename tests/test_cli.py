@@ -4,7 +4,9 @@ Everything runs in-process through ``main(argv)``, which returns the exit
 code, so there is no subprocess overhead and capsys sees the output.
 """
 import argparse
+import ast
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -86,16 +88,34 @@ def test_unknown_ids_name_their_registry(capsys, argv, registry_hint):
     assert registry_hint in err
 
 
-def test_bad_number_in_an_id_exits_2(tmp_path, capsys):
-    """A malformed number inside an id is one line on stderr and exit 2."""
+def test_bad_number_in_an_id_exits_2(tmp_path, tmp_path_factory, capsys):
+    """A malformed number inside an id, an input file that is not a table
+    of numbers, or an output directory that cannot be made is one line on
+    stderr and exit 2."""
+    inputs = tmp_path_factory.mktemp("inputs")
+    sample = inputs / "sample.csv"
+    sample.write_text("x\n1.0\n-1.0\n")
+    table = inputs / "table.csv"
+    table.write_text("lambda,phi\n0,0\n1,0.5\n2,2\n3,4.5\n")
     for argv, bad in [
             (["bound", "--norming", "vr:abc"], "abc"),
             (["bound", "--model", "chaos:d=x"], "x"),
             (["bound", "--phi", "power:q=abc"], "abc"),
             (["conjugate", "--phi", "phi2", "--u", "abc"], "abc"),
             (["bound", "--norming", "vr:nan"], "nan"),
-            (["conjugate", "--phi", "phi2", "--u", "1,inf"], "inf")]:
-        code, out, err = run_cli(capsys, argv + ["--out-dir", str(tmp_path)])
+            (["conjugate", "--phi", "phi2", "--u", "1,inf"], "inf"),
+            (["norm", "--sample", str(sample)], str(sample)),
+            (["bound", "--phi", f"csv:{table}"], str(table)),
+            (["conjugate", "--phi", f"csv:{table}", "--u", "1"], str(table)),
+            (["norm", "--sample", str(inputs)], str(inputs)),
+            (["bound", "--phi", f"csv:{inputs}"], str(inputs)),
+            (["bound", "--u-grid", "3", "--out-dir", str(sample)],
+             str(sample)),
+            (["conjugate", "--phi", "phi2", "--u", "1",
+              "--out-dir", str(sample / "x")], str(sample / "x"))]:
+        # a case's own --out-dir comes later on the line and wins
+        code, out, err = run_cli(capsys, argv[:1] + [
+            "--out-dir", str(tmp_path)] + argv[1:])
         assert code == EXIT_DOMAIN, argv
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
@@ -368,6 +388,22 @@ def test_models_lists_registries(capsys):
     for token in ("chaos:d=D", "weightedA:beta=B", "phi2", "vr:R",
                   "powerlaw:gamma=G"):
         assert token in out
+
+
+def test_public_names_resolve_and_cover_the_readme_example():
+    """Every name in lilbound.__all__ resolves, and the README's library
+    example imports only names from it."""
+    import lilbound
+    namespace = {}
+    exec("from lilbound import *", namespace)  # fails on a dangling name
+    assert set(lilbound.__all__) <= set(namespace)
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("## Library use")[1].split("```python")[1]
+    tree = ast.parse(example.split("```")[0])
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "lilbound" for alias in node.names}
+    assert imported and imported <= set(lilbound.__all__)
 
 
 # ---------------------------------------------------------------------------

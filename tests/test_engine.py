@@ -7,30 +7,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lilbound import (
-    BoundReport,
     DomainError,
     NormingSequence,
-    Partition,
+    SigmaProfile,
     block_sum,
-    block_term,
     chaos_model,
     constant_norming,
-    dp_partition_oracle,
     fit_rate_form,
-    geometric_partition,
-    geometric_prefix_sum,
     iterated_log_norming,
     optimized_bound,
     phi2,
     power_law_surrogate,
-    shifted_norming,
     single_time_lower_bound,
-    table_norming,
-    table_profile,
     weighted_iid_model,
 )
-from lilbound.engine import DEFAULT_TOL, _block_arguments, _finish_sum
+from lilbound.engine import (DEFAULT_TOL, BoundReport, _block_arguments,
+                             _finish_sum)
 from lilbound.phi import conjugate, conjugate_many, phi_from_table
+from oracles import (Partition, block_term, dp_partition_oracle,
+                     geometric_partition, geometric_prefix_sum)
 
 SQRT_SIGMA = power_law_surrogate(0.5)   # sigma(n) = sqrt(n)
 V2 = iterated_log_norming(2.0)
@@ -80,7 +75,10 @@ def test_geometric_partition_boundaries():
 
 def test_block_term_union_bound_baseline():
     # flat sigma and v == 1 collapse the argument to u itself
-    flat = table_profile(list(range(1, 40)), [2.0] * 39)
+    flat = SigmaProfile(label="flat", kind="synthetic",
+                        evaluate=lambda n: np.full(np.shape(n), 2.0),
+                        log_sigma=lambda log_n: np.full(np.shape(log_n),
+                                                        math.log(2.0)))
     p = geometric_partition(2.0, 4)
     for u in (1.0, 2.5):
         for k in (1, 2, 4):
@@ -161,13 +159,6 @@ def test_block_sum_input_validation():
             block_sum(3.0, V2, SQRT_SIGMA, phi2(), bad)
         with pytest.raises(DomainError):
             block_sum(bad, V2, SQRT_SIGMA, phi2(), 2.0)
-
-
-def test_table_norming_refuses_deep_sums():
-    v = table_norming(tuple(range(1, 101)),
-                      tuple(float(n) ** 0.25 for n in range(1, 101)))
-    with pytest.raises(DomainError):
-        block_sum(2.0, v, SQRT_SIGMA, phi2(), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -367,32 +358,3 @@ def test_single_time_lower_bound_two_point_case():
     assert got == 0.5
     with pytest.raises(DomainError):
         single_time_lower_bound(tail, 0, constant_norming(1.0), 0.5)
-
-
-# ---------------------------------------------------------------------------
-# norming utilities
-# ---------------------------------------------------------------------------
-
-def test_shifted_norming_consistency():
-    v = iterated_log_norming(2.0)
-    s = shifted_norming(v, 3)
-    assert s.label.endswith("@+3")
-    assert float(s.evaluate(5)) == pytest.approx(float(v.evaluate(8)))
-    # log-space route agrees with direct evaluation
-    direct = float(v.evaluate(np.exp(5.0) + 3.0))
-    via_log = float(s.eval_log(np.array(5.0)))
-    assert via_log == pytest.approx(direct, rel=1e-12)
-    assert shifted_norming(v, 0) is v
-    with pytest.raises(DomainError):
-        shifted_norming(v, -1)
-
-
-def test_table_norming_validation_and_range():
-    v = table_norming((1, 10, 100), (1.0, 2.0, 3.0))
-    assert float(v.evaluate(10)) == pytest.approx(2.0)
-    with pytest.raises(DomainError):
-        v.evaluate(101)
-    with pytest.raises(DomainError):
-        table_norming((1, 5), (2.0, 1.0))       # decreasing values
-    with pytest.raises(DomainError):
-        table_norming((5, 1), (1.0, 2.0))       # decreasing index

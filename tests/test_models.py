@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from lilbound import (
-    ChaosState,
     DomainError,
     chaos_identity_check,
     chaos_model,
     power_law_surrogate,
     weighted_iid_model,
 )
+from oracles import ChaosState, chaos_stepper, weighted_stepper
 
 
 def brute_force_chaos(signs: np.ndarray, d: int) -> np.ndarray:
@@ -61,10 +61,11 @@ def test_exact_stepper_agrees_with_closed_form(d):
     rng = np.random.default_rng(17)
     path = rng.choice([-1, 1], size=14)
     values, _ = model.prefix_values(path[None, :].astype(np.int8))
-    state = model.new_state()
+    exact = chaos_stepper(d)
+    state = exact.new_state()
     for i, eps in enumerate(path):
-        state = model.step(state, int(eps))
-        assert model.read_s(state) == int(values[0, i])
+        state = exact.step(state, int(eps))
+        assert exact.read_s(state) == int(values[0, i])
 
 
 def test_chaos_state_is_exact_integer_arithmetic():
@@ -140,13 +141,13 @@ def test_chaos_sigma_profile_absorbs_degenerate_prefix():
 # ---------------------------------------------------------------------------
 
 def test_weighted_two_step_support_is_exact():
-    model = weighted_iid_model(beta=1.0)
+    exact = weighted_stepper(beta=1.0)
     seen = set()
     for e1, e2 in product((-1, 1), repeat=2):
-        state = model.new_state()
-        state = model.step(state, e1)
-        state = model.step(state, e2)
-        seen.add(model.read_s(state))
+        state = exact.new_state()
+        state = exact.step(state, e1)
+        state = exact.step(state, e2)
+        seen.add(exact.read_s(state))
     assert seen == {Fraction(3, 4), Fraction(1, 4),
                     Fraction(-1, 4), Fraction(-3, 4)}
 
@@ -162,10 +163,11 @@ def test_weighted_prefix_matches_stepper():
     model = weighted_iid_model(beta=1.0)
     signs = np.array([[1, -1, 1, 1, -1]], dtype=np.int8)
     values, _ = model.prefix_values(signs)
-    state = model.new_state()
+    exact = weighted_stepper(beta=1.0)
+    state = exact.new_state()
     for i in range(5):
-        state = model.step(state, int(signs[0, i]))
-        assert float(model.read_s(state)) == pytest.approx(
+        state = exact.step(state, int(signs[0, i]))
+        assert float(exact.read_s(state)) == pytest.approx(
             values[0, i], rel=1e-15)
 
 
@@ -187,9 +189,9 @@ def test_weibull_exponent_validation():
 
 
 def test_weighted_exact_stepper_rejects_non_sign_noise():
-    model = weighted_iid_model(beta=1.0)
+    exact = weighted_stepper(beta=1.0)
     with pytest.raises(DomainError):
-        model.step(model.new_state(), 2)
+        exact.step(exact.new_state(), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from lilbound import (
-    CenteringError,
-    DomainError,
-    NormEstimate,
-    Sample,
-    bphi_norm,
-    cosh_phi,
-    estimate_norms,
-    gnorm_tail_bound,
-    gpsi_norm,
-    phi2,
-    tail_function,
-)
+from lilbound import DomainError, Sample, cosh_phi, estimate_norms, phi2
+from lilbound.errors import CenteringError
+from lilbound.norms import (NormEstimate, bphi_norm, gnorm_tail_bound,
+                            gpsi_norm, tail_function)
 from lilbound.phi import phi_from_table
 
 

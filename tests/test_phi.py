@@ -10,23 +10,18 @@ from hypothesis import given, strategies as st
 from lilbound import (
     DomainError,
     NonconvergenceError,
-    UnreachableValueError,
     chi_square_phi,
     conjugate,
     conjugate_function,
-    conjugate_grid,
-    conjugate_many,
     cosh_phi,
     phi2,
-    phi_from_table,
-    phi_inverse,
     power_phi,
-    psi,
     standard_grid,
-    validate_phi,
 )
+from lilbound.errors import UnreachableValueError
 from lilbound.phi import (CONJUGATE_TOL, _conjugate_numeric,
-                          _conjugate_numeric_many)
+                          _conjugate_numeric_many, conjugate_many,
+                          phi_from_table, phi_inverse, psi, validate_phi)
 
 
 def numeric_only(phi):
@@ -89,13 +84,6 @@ def test_power_family_rejects_degenerate_exponent():
         power_phi(1.0)
     with pytest.raises(DomainError):
         power_phi(0.5)
-
-
-def test_conjugate_grid_reports_solver_residual():
-    grid = conjugate_grid(numeric_only(phi2()), [0.5, 1.0, 2.0, 8.0])
-    assert grid.max_residual < 1e-8
-    assert grid.phi_star_values == pytest.approx(
-        tuple(u * u / 2.0 for u in grid.u_values), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

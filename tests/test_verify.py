@@ -20,15 +20,13 @@ from lilbound import (
     doob_moment_check,
     empirical_sup_tail,
     exact_sup_tail,
-    hartman_wintner_probe,
     iterated_log_norming,
     lil_trajectory_stats,
     phi2,
     single_time_tail,
     weighted_iid_model,
-    wilson_interval,
-    worker_count,
 )
+from lilbound.verify import wilson_interval, worker_count
 
 CHAOS1 = chaos_model(1)
 V1 = constant_norming(1.0)
@@ -364,15 +362,6 @@ def test_trajectory_stats_guards():
         lil_trajectory_stats(4, 256, 400, seed=1)
     with pytest.raises(DomainError):
         lil_trajectory_stats(1, 2, 400, seed=1)
-
-
-def test_hartman_wintner_probe_structure():
-    probe = hartman_wintner_probe(128, 400, seed=7)
-    assert probe.squares_exact
-    assert 0.0 < probe.theta1_q25 <= probe.theta1_median <= probe.theta1_q75
-    assert isinstance(probe.in_band, bool)
-    with pytest.raises(DomainError):
-        hartman_wintner_probe(4, 400, seed=7)
 
 
 # ---------------------------------------------------------------------------
