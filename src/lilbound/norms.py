@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CenteringError, DomainError, UnreachableValueError
 from .phi import PhiFunction, load_csv, phi_inverse, psi
@@ -114,6 +113,8 @@ def _check_centering(values: np.ndarray) -> float:
 
 def _log_mgf(scaled: np.ndarray, lam: float) -> float:
     """log of the empirical MGF at lam, computed stably."""
+    # imported here so that `bound` never loads scipy
+    from scipy.special import logsumexp
     return float(logsumexp(lam * scaled)) - math.log(len(scaled))
 
 
@@ -124,6 +125,8 @@ def _lambda_cutoff(scaled: np.ndarray) -> float:
     sqrt((m2/m^2 - 1)/M) with m2 the empirical MGF at 2*lam; the cutoff is
     the last scan point where this stays below RELSE_CAP for both signs.
     """
+    # imported here so that `bound` never loads scipy
+    from scipy.special import logsumexp
     m = len(scaled)
     log_m = math.log(m)
     cutoff = LAMBDA_GRID_START

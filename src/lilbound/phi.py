@@ -28,6 +28,7 @@ with a hard iteration cap of 200; exceeding the cap above tolerance raises
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -163,6 +164,14 @@ def chi_square_phi() -> PhiFunction:
                        analytic_conjugate=conj)
 
 
+def _pchip_end(h0, h1, m0, m1):
+    """Moler's one-sided end derivative, as scipy's PCHIP takes it.  Its
+    other clamp, to 3*m0, needs slopes of opposite sign, which a
+    nondecreasing table cannot have."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    return d if np.sign(d) == np.sign(m0) else 0.0
+
+
 def phi_from_table(lambdas: Sequence[float], values: Sequence[float],
                    label: str = "table") -> PhiFunction:
     """Generator from tabulated (lambda, phi) pairs on lambda >= 0.
@@ -170,10 +179,11 @@ def phi_from_table(lambdas: Sequence[float], values: Sequence[float],
     The table must start at (0, 0) with strictly increasing lambda and
     convex nondecreasing values.  Evaluation uses monotone (PCHIP)
     interpolation and evenness by reflection; the last lambda is an open
-    right endpoint, so requests at or beyond it are domain errors.
+    right endpoint, so requests at or beyond it are domain errors.  The
+    interpolant is scipy's ``PchipInterpolator(lam, val)`` to the bit:
+    its derivatives, its cubic coefficients, and PPoly's power-sum order.
+    It is written out in numpy so that a table run never imports scipy.
     """
-    from scipy.interpolate import PchipInterpolator
-
     lam = np.asarray(lambdas, dtype=float)
     val = np.asarray(values, dtype=float)
     if lam.ndim != 1 or lam.shape != val.shape or len(lam) < 4:
@@ -184,18 +194,47 @@ def phi_from_table(lambdas: Sequence[float], values: Sequence[float],
         raise DomainError("table lambdas must be strictly increasing")
     if not np.all(np.diff(val) >= 0):
         raise DomainError("table values must be nondecreasing")
-    slopes = np.diff(val) / np.diff(lam)
-    if np.any(np.diff(slopes) < -1e-9 * max(1.0, slopes.max())):
+    h = np.diff(lam)
+    m = np.diff(val) / h
+    if np.any(np.diff(m) < -1e-9 * max(1.0, m.max())):
         raise DomainError("table values are not convex")
-    interp = PchipInterpolator(lam, val, extrapolate=False)
+    # knot derivatives: weighted harmonic mean of the adjacent slopes,
+    # 0 where either slope is 0
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    d = np.zeros_like(val)
+    inner = (m[1:] != 0) & (m[:-1] != 0)
+    with np.errstate(divide="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d[1:-1][inner] = 1.0 / whmean[inner]
+    d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    # cubic on [lam_i, lam_(i+1)): c3 + c2*s + c1*s^2 + c0*s^3, s = x - lam_i;
+    # the left knots ride along as a fifth row, so one take gathers all
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    coef = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], val[:-1], lam[:-1]])
+    right = lam[1:]  # x >= 0 lies on piece i when right[i-1] <= x < right[i]
     lambda0 = float(lam[-1])
 
     def ev(x):
         x = np.abs(x)
-        if np.any(x >= lambda0):
+        if (x >= lambda0).any():
             raise DomainError(f"{label}: lambda = {np.max(x):g} is outside "
                               f"the open domain [0, {lambda0:g})")
-        y = interp(x)
+        # a NaN sorts past the last knot; clipping it to the last piece
+        # gives NaN, as scipy does
+        c0, c1, c2, y, knot = coef.take(right.searchsorted(x, side="right"),
+                                        axis=1, mode="clip")
+        # summed as PPoly does: ((c3 + c2*s) + c1*s^2) + c0*s^3
+        s = x - knot
+        c2 *= s
+        y += c2
+        s2 = s * s
+        c1 *= s2
+        y += c1
+        s2 *= s
+        c0 *= s2
+        y += c0
         return float(y) if y.ndim == 0 else y
 
     return PhiFunction(label=label, evaluate=ev, lambda0=lambda0)
@@ -203,16 +242,22 @@ def phi_from_table(lambdas: Sequence[float], values: Sequence[float],
 
 def load_csv(path: str, ndmin: int) -> np.ndarray:
     """The numbers of a comma-separated file with #-comments, at least
-    ndmin-dimensional; a file that cannot be read or parsed is a
-    DomainError naming it."""
+    ndmin-dimensional; a file that cannot be read or parsed, or that
+    holds no numbers, is a DomainError naming it."""
     try:
-        return np.loadtxt(path, delimiter=",", dtype=float, comments="#",
-                          ndmin=ndmin)
+        with warnings.catch_warnings():
+            # an empty file is reported below, as one line
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(path, delimiter=",", dtype=float, comments="#",
+                              ndmin=ndmin)
     except OSError as exc:  # missing, a directory, unreadable, ...
         raise DomainError(f"cannot read {path!r}: "
                           f"{exc.strerror or exc}") from None
     except ValueError as exc:  # a header, a non-numeric cell, ragged rows
         raise DomainError(f"cannot parse {path!r}: {exc}") from None
+    if not rows.size:
+        raise DomainError(f"cannot use {path!r}: it holds no numbers")
+    return rows
 
 
 def phi_from_csv(path: str, label: Optional[str] = None) -> PhiFunction:
@@ -322,15 +367,15 @@ def _conjugate_numeric(phi: PhiFunction, u: float,
 
 
 def _dphi_many(phi: PhiFunction, lam: np.ndarray, cap: float) -> np.ndarray:
-    """:func:`_dphi` at every point of a 1-d array."""
-    h = 1e-6 * np.maximum(1.0, np.abs(lam))
+    """:func:`_dphi` at every point of a 1-d array with 0 <= lam <= cap,
+    where hi > lo always.  The caller ignores floating-point errors
+    (np.errstate), since phi may overflow."""
+    h = 1e-6 * np.maximum(1.0, lam)
     hi = np.minimum(lam + h, cap)
     lo = np.maximum(lam - h, 0.0)
-    with np.errstate(all="ignore"):
-        f = phi.evaluate(np.concatenate([hi, lo]))
-        num = f[:len(lam)] - f[len(lam):]
-        slope = num / (hi - lo)
-    return np.where((hi > lo) & ~np.isnan(num), slope, math.inf)
+    f = phi.evaluate(np.concatenate([hi, lo]))
+    slope = (f[:len(lam)] - f[len(lam):]) / (hi - lo)
+    return np.where(np.isnan(slope), math.inf, slope)
 
 
 def _conjugate_numeric_many(phi: PhiFunction, u: np.ndarray,
@@ -356,11 +401,13 @@ def _conjugate_numeric_many(phi: PhiFunction, u: np.ndarray,
     # j = 0..601 and takes the one before as left end; the ends do not
     # depend on u, so each slope is taken once, for all points
     edges = [0.0, min(1.0, cap)]
-    slopes = [_dphi_many(phi, np.array(edges[1:]), cap)[0]]
     u_max = ut.max()
-    while not slopes[-1] >= u_max and edges[-1] < cap and len(slopes) <= 601:
-        edges.append(min(edges[-1] * 2.0, cap))
-        slopes.append(_dphi_many(phi, np.array(edges[-1:]), cap)[0])
+    with np.errstate(all="ignore"):
+        slopes = [_dphi_many(phi, np.array(edges[1:]), cap)[0]]
+        while (not slopes[-1] >= u_max and edges[-1] < cap
+               and len(slopes) <= 601):
+            edges.append(min(edges[-1] * 2.0, cap))
+            slopes.append(_dphi_many(phi, np.array(edges[-1:]), cap)[0])
     first = np.full(len(ut), -1)
     for j, slope in enumerate(slopes):
         first[(first < 0) & (slope >= ut)] = j
@@ -372,19 +419,23 @@ def _conjugate_numeric_many(phi: PhiFunction, u: np.ndarray,
     edges = np.array(edges)
     lo, hi = edges[first], edges[first + 1]
 
-    live = np.arange(len(ut))
-    for _ in range(max_iter):
-        if not len(live):
-            break
-        l, h = lo[live], hi[live]
-        mid = 0.5 * (l + h)
-        up = _dphi_many(phi, mid, cap) >= ut[live]
-        h = np.where(up, mid, h)
-        l = np.where(up, l, mid)
-        hi[live], lo[live] = h, l
-        live = live[h - l > 1e-13 * np.maximum(1.0, h)]
-    lam = np.concatenate([lo, 0.5 * (lo + hi), hi])
+    # the points still in play, packed: their indices, brackets and
+    # targets; a point's bracket goes back to lo, hi when it leaves
+    live, l, h, ul = np.arange(len(ut)), lo, hi, ut
     with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            if not len(live):
+                break
+            mid = 0.5 * (l + h)
+            up = _dphi_many(phi, mid, cap) >= ul
+            h = np.where(up, mid, h)
+            l = np.where(up, l, mid)
+            stay = h - l > 1e-13 * np.maximum(1.0, h)
+            if not stay.all():
+                lo[live], hi[live] = l, h
+                live, l, h, ul = live[stay], l[stay], h[stay], ul[stay]
+        lo[live], hi[live] = l, h
+        lam = np.concatenate([lo, 0.5 * (lo + hi), hi])
         f = (lam * np.tile(ut, 3) - phi.evaluate(lam)).reshape(3, -1)
     value = np.maximum(f.max(axis=0), 0.0)
     residual = value - f.min(axis=0)

@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import binom
 
 from .engine import DEFAULT_KMAX, DEFAULT_TOL, NormingSequence, optimized_bound
 from .errors import CalibrationError, DomainError
@@ -414,6 +413,8 @@ def single_time_tail(model: MartingaleModel, n0: int,
         d = model.n_min
         if d > 3:
             raise DomainError("single-time tails support chaos degree <= 3")
+        # imported here so that `bound` never loads scipy
+        from scipy.stats import binom
         p1 = np.arange(-n0, n0 + 1, 2, dtype=np.int64)
         weights = binom.pmf((p1 + n0) // 2, n0, 0.5)
         svals = _chaos_closed_form(d, p1, np.int64(n0)) / sig

@@ -150,6 +150,21 @@ def test_norm_missing_sample_file(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("content", ["", "# lambda,phi\n# nothing yet\n"])
+def test_input_file_without_numbers_exits_2(tmp_path, capsys, content):
+    """An empty or comments-only input file is one stderr line naming the
+    file, with no numpy warning before it."""
+    path = tmp_path / "empty.csv"
+    path.write_text(content)
+    for argv in (["norm", "--sample", str(path)],
+                 ["conjugate", "--phi", f"csv:{path}", "--u", "1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_DOMAIN, argv
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert repr(str(path)) in err and "no numbers" in err
+
+
 # ---------------------------------------------------------------------------
 # bound
 # ---------------------------------------------------------------------------

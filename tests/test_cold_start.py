@@ -1,0 +1,57 @@
+"""The package, ``bound``, ``conjugate`` and ``simulate`` run without
+importing scipy.
+
+Only ``verify`` (for the single-time floor) and ``norm`` (for logsumexp)
+load scipy, and only when they run.  Each check starts a fresh
+interpreter, since the test process has imported scipy already.
+"""
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+_PROBE = """
+import json, sys
+from lilbound import cli
+argv = json.loads(sys.argv[1])
+code = cli.main(argv) if argv else 0
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _run_fresh(argv):
+    """Exit code of cli.main(argv) (0 when argv is empty, for the bare
+    import) and the scipy modules loaded, from a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("case", ["import", "bound", "bound_csv",
+                                  "conjugate_csv", "simulate"])
+def test_no_scipy_outside_verify_and_norm(tmp_path, case):
+    table = tmp_path / "phi.csv"
+    lams = np.arange(801) / 20.0
+    np.savetxt(table, np.column_stack([lams, lams * lams / 2.0]),
+               delimiter=",", fmt="%.17g")
+    argv = {"import": [],
+            "bound": ["bound", "--out-dir", str(tmp_path)],
+            "bound_csv": ["bound", "--phi", f"csv:{table}", "--u-grid", "3",
+                          "--ratio-grid", "4", "--out-dir", str(tmp_path)],
+            "conjugate_csv": ["conjugate", "--phi", f"csv:{table}",
+                              "--u", "0.5,2,30"],
+            "simulate": ["simulate", "--paths", "2000", "--horizon", "64",
+                         "--out-dir", str(tmp_path)]}[case]
+    code, loaded = _run_fresh(argv)
+    assert code == 0
+    assert loaded == []

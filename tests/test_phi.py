@@ -173,6 +173,57 @@ def test_table_generator_evaluates_arrays_elementwise():
         table.evaluate(np.array([1.0, 40.0]))
 
 
+def _random_table(rng, flat=0):
+    """A convex, nondecreasing table on uneven knots; its first `flat`
+    segments have slope 0."""
+    rows = int(rng.integers(4, 200))
+    h = rng.uniform(0.01, 3.0, rows - 1)
+    slopes = np.sort(rng.exponential(1.0, rows - 1)) * rng.uniform(0.1, 10.0)
+    slopes[:flat] = 0.0
+    lams = np.concatenate([[0.0], np.cumsum(h)])
+    return lams, np.concatenate([[0.0], np.cumsum(slopes * h)])
+
+
+def _assert_matches_scipy_pchip(lams, vals, rng):
+    from scipy.interpolate import PchipInterpolator
+    ours = phi_from_table(lams, vals).evaluate
+    ref = PchipInterpolator(lams, vals, extrapolate=False)
+    knots = lams[:-1]
+    xs = np.concatenate([rng.uniform(0.0, lams[-1], 200), knots,
+                         np.nextafter(lams[1:], 0.0)])
+    expected = ref(xs)
+    np.testing.assert_array_equal(ours(xs), expected)
+    np.testing.assert_array_equal(ours(-xs), expected)
+    assert [ours(float(x)) for x in xs] == list(expected)
+
+
+def test_table_interpolator_is_scipy_pchip_to_the_bit():
+    """phi_from_table evaluates exactly as scipy's PchipInterpolator: at
+    random points, at every knot but the open right one, and one float
+    below each knot, for scalars and arrays."""
+    rng = np.random.default_rng(20261018)
+    # the benchmark's table
+    lams = np.arange(801) / 20.0
+    _assert_matches_scipy_pchip(lams, lams * lams / 2.0, rng)
+    assert np.isnan(phi_from_table(lams, lams).evaluate(np.array([np.nan]))[0])
+    for _ in range(32):
+        _assert_matches_scipy_pchip(*_random_table(rng), rng)
+    # flat leading segments: interior knots between a zero slope and a
+    # positive one take derivative 0
+    for flat in (1, 3):
+        _assert_matches_scipy_pchip(*_random_table(rng, flat=flat), rng)
+    # a steep second segment makes the one-sided estimate at lambda = 0
+    # negative, and it is clamped to 0.  The other end clamp, to 3 times
+    # the end slope, needs adjacent slopes of opposite sign, which a
+    # nondecreasing table cannot have.
+    lams = np.array([0.0, 1.0, 1.1, 2.0, 3.0])
+    slopes = np.array([0.1, 5.0, 6.0, 7.0])
+    h0, h1 = np.diff(lams)[:2]
+    assert ((2 * h0 + h1) * slopes[0] - h0 * slopes[1]) / (h0 + h1) < 0
+    _assert_matches_scipy_pchip(
+        lams, np.concatenate([[0.0], np.cumsum(slopes * np.diff(lams))]), rng)
+
+
 def test_conjugate_function_evaluates_arrays_elementwise():
     for phi in (phi2(), numeric_only(phi2())):
         star = conjugate_function(phi)
