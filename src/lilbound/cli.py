@@ -30,8 +30,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .engine import (NormingSequence, SigmaProfile, constant_norming,
-                     iterated_log_norming, optimized_bound,
-                     single_time_lower_bound)
+                     iterated_log_norming, optimized_bound)
 from .errors import (CalibrationError, DomainError, LilboundError,
                      NonconvergenceError)
 from .models import (MartingaleModel, chaos_model, power_law_surrogate,
@@ -445,15 +444,17 @@ def _exact_as_estimate(exact, paths_pow: int) -> TailEstimate:
 
 
 def _lower_bounds(model, v, horizon: int, u_grid: np.ndarray) -> np.ndarray:
-    """Single-time floor at the horizon; zero when no exact tail exists."""
+    """Single-time floor at the horizon; zero when no exact tail exists.
+
+    The thresholds u * v(j0) are the ones single_time_lower_bound forms,
+    all passed to one single_time_tail call, which builds its binomial
+    row once.
+    """
     j0 = horizon - (model.n_min - 1)
-
-    def tail(x: float) -> float:
-        return float(single_time_tail(model, horizon, [x])[0])
-
     try:
-        return np.array([single_time_lower_bound(tail, j0, v, float(u))
-                         for u in u_grid])
+        scale = float(v.evaluate(j0))
+        return single_time_tail(model, horizon,
+                                [float(u) * scale for u in u_grid])
     except DomainError:
         return np.zeros(len(u_grid))
 

@@ -8,11 +8,14 @@ given a concrete martingale family, how large is
 
 with the max truncated at a stated horizon N?  empirical_sup_tail samples
 paths with the counter-based generator so results are bit-identical for a
-fixed seed no matter how many workers run; exact_sup_tail enumerates all
-2^N sign paths for small horizons and returns exact rationals.  On top of
-those sit the calibration of the bound's constant, an enumeration check
-of the Doob maximal-moment step, and iterated-logarithm trajectory
-statistics.
+fixed seed no matter how many workers run; exact_sup_tail counts all 2^N
+sign paths for small horizons and returns exact rationals, by a dynamic
+program over the sign-sum lattice for chaos and by enumeration for the
+weighted models.  single_time_tail gives the single-time floor: exact
+integer binomial sums for chaos, rounded toward zero, so verify imports
+no scipy.  On top of those sit the calibration of the bound's constant,
+an enumeration check of the Doob maximal-moment step, and
+iterated-logarithm trajectory statistics.
 
 Normalization matches the bound engine: model time n pairs with norming
 index n - n_min + 1, so the first non-degenerate time gets v(1) and the
@@ -25,6 +28,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -353,13 +357,70 @@ def _sign_matrix(lo: int, hi: int, horizon: int) -> np.ndarray:
     return (2 * bits.astype(np.int8) - 1)
 
 
+def _lattice_sup_counts(d: int, denom: np.ndarray, first: int, horizon: int,
+                        grid: Sequence[float]
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sign paths of length horizon whose W and W+ statistics pass each level.
+
+    Degree-d sign chaos (d <= 3) at time n is a function of the number k
+    of plus signs so far (P1 = 2k - n), so paths that have not yet passed
+    a level can be counted per k: alive[k] <- alive[k] + alive[k-1] per
+    step.  From n_min on, the states where the enumeration's own float
+    test fires (the closed form over denom[n-1], compared with > u, and
+    for W+ also its negation) are zeroed, and each such path stands for
+    its 2^(horizon - n) continuations.  Counts are at most 2^horizon, so
+    int64 holds them exactly.
+    """
+    u = np.asarray(grid, dtype=float)[:, None]
+    # axis 0: W, then W+; axis 1: level; axis 2: k
+    alive = np.zeros((2, len(grid), horizon + 1), dtype=np.int64)
+    alive[..., 0] = 1
+    hits = np.zeros((2, len(grid)), dtype=np.int64)
+    for n in range(1, horizon + 1):
+        alive[..., 1:n + 1] += alive[..., :n].copy()
+        if n - 1 < first:
+            continue
+        p1 = np.arange(-n, n + 1, 2, dtype=np.int64)
+        stat = _chaos_closed_form(d, p1, n) / denom[n - 1]
+        over = stat > u
+        fired = np.stack([over, over | (-stat > u)])
+        live = alive[..., :n + 1]
+        hits += np.where(fired, live, 0).sum(axis=-1) << (horizon - n)
+        live[fired] = 0
+    return hits[0], hits[1]
+
+
+def _enumerated_sup_counts(model: MartingaleModel, denom: np.ndarray,
+                           first: int, horizon: int, grid: Sequence[float]
+                           ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sign paths of length horizon whose W and W+ statistics pass each
+    level, by simulating all 2^horizon of them in blocks of 2^16."""
+    counts = np.zeros(len(grid), dtype=np.int64)
+    counts_plus = np.zeros(len(grid), dtype=np.int64)
+    total = 1 << horizon
+    for lo in range(0, total, 1 << 16):
+        hi = min(lo + (1 << 16), total)
+        eps = _sign_matrix(lo, hi, horizon)
+        values, _ = model.prefix_values(eps)
+        stat = values[:, first:] / denom[first:]
+        signed = stat.max(axis=1)
+        absed = np.maximum(signed, -stat.min(axis=1))
+        for i, u in enumerate(grid):
+            counts[i] += np.count_nonzero(signed > u)
+            counts_plus[i] += np.count_nonzero(absed > u)
+    return counts, counts_plus
+
+
 def exact_sup_tail(model: MartingaleModel, v: NormingSequence, horizon: int,
                    u_grid: Sequence[float]) -> ExactTail:
-    """Exact truncated sup-tail by enumerating every sign path.
+    """Exact truncated sup-tail over every sign path.
 
-    Only meaningful for sign noise; 2^horizon paths caps the horizon at
-    ENUM_MAX_HORIZON.  Probabilities come back as exact fractions with
-    denominator 2^horizon.
+    Only meaningful for sign noise.  Chaos of degree d <= 3 is counted by
+    a dynamic program over the sign-sum lattice (O(horizon^2) per level);
+    weighted models enumerate all 2^horizon paths.  Either way the
+    horizon is capped at ENUM_MAX_HORIZON, and the counts are those of
+    the per-path float test.  Probabilities come back as exact fractions
+    with denominator 2^horizon.
     """
     if model.noise_kind != "rademacher":
         raise DomainError(f"enumeration needs sign noise, model "
@@ -373,19 +434,13 @@ def exact_sup_tail(model: MartingaleModel, v: NormingSequence, horizon: int,
             f"{model.n_min}")
     grid = [float(u) for u in u_grid]
     denom, first = _normalizer(model, v, horizon)
+    if model.kind == "chaos" and model.n_min <= 3:
+        counts, counts_plus = _lattice_sup_counts(model.n_min, denom, first,
+                                                  horizon, grid)
+    else:
+        counts, counts_plus = _enumerated_sup_counts(model, denom, first,
+                                                     horizon, grid)
     total = 1 << horizon
-    counts = np.zeros(len(grid), dtype=np.int64)
-    counts_plus = np.zeros(len(grid), dtype=np.int64)
-    for lo in range(0, total, 1 << 16):
-        hi = min(lo + (1 << 16), total)
-        eps = _sign_matrix(lo, hi, horizon)
-        values, _ = model.prefix_values(eps)
-        stat = values[:, first:] / denom[first:]
-        signed = stat.max(axis=1)
-        absed = np.maximum(signed, -stat.min(axis=1))
-        for i, u in enumerate(grid):
-            counts[i] += np.count_nonzero(signed > u)
-            counts_plus[i] += np.count_nonzero(absed > u)
     return ExactTail(
         u_grid=tuple(grid),
         w=tuple(Fraction(int(c), total) for c in counts),
@@ -396,13 +451,40 @@ def exact_sup_tail(model: MartingaleModel, v: NormingSequence, horizon: int,
     )
 
 
+def _binomial_row(n: int) -> list:
+    """C(n, 0), ..., C(n, n) as Python ints."""
+    row = [1] * (n + 1)
+    c = 1
+    for k in range(n // 2):
+        c = c * (n - k) // (k + 1)
+        row[k + 1] = row[n - k - 1] = c
+    return row
+
+
+def _ratio_toward_zero(num: int, den: int) -> float:
+    """num / den (0 <= num <= den) as a float rounded toward zero.
+
+    Integer true division rounds correctly to nearest; when that lands
+    above the exact ratio, the float one ulp below is the largest float
+    that does not exceed it.
+    """
+    q = num / den
+    if Fraction(q) > Fraction(num, den):
+        q = math.nextafter(q, 0.0)
+    return q
+
+
 def single_time_tail(model: MartingaleModel, n0: int,
                      thresholds: Sequence[float]) -> np.ndarray:
-    """P(S(n0)/sigma(n0) > x) for each threshold x, computed exactly.
+    """P(S(n0)/sigma(n0) > x) for each threshold x, never above the truth.
 
-    Degree-d sign chaos (d <= 3) reduces to a sum of binomial weights
-    over the support of the sign sum; other sign-noise models fall back
-    to enumeration when 2^n0 is tractable.
+    Degree-d sign chaos (d <= 3) is a function of the sign sum, so the
+    tail is an exact integer sum of binomial coefficients C(n0, k) over
+    the k whose value passes x (the same float test as simulation),
+    divided by 2^n0 and rounded toward zero, so it is a certified floor;
+    the row is built once for all thresholds.  Other sign-noise models
+    enumerate all 2^n0 paths when n0 <= ENUM_MAX_HORIZON, where
+    count / 2^n0 is an exact float.
     """
     if n0 < model.n_min:
         raise DomainError(f"time {n0} precedes first non-degenerate time "
@@ -413,12 +495,16 @@ def single_time_tail(model: MartingaleModel, n0: int,
         d = model.n_min
         if d > 3:
             raise DomainError("single-time tails support chaos degree <= 3")
-        # imported here so that `bound` never loads scipy
-        from scipy.stats import binom
         p1 = np.arange(-n0, n0 + 1, 2, dtype=np.int64)
-        weights = binom.pmf((p1 + n0) // 2, n0, 0.5)
         svals = _chaos_closed_form(d, p1, np.int64(n0)) / sig
-        return np.array([float(weights[svals > x].sum()) for x in xs])
+        passing = [int(np.count_nonzero(svals > x)) for x in xs]
+        # the k passing any threshold lead the order of decreasing value,
+        # so one running sum of C(n0, k) along it serves every threshold
+        order = np.argsort(-svals, kind="stable")[:max(passing, default=0)]
+        row = _binomial_row(n0)
+        sums = [0, *accumulate(row[k] for k in order.tolist())]
+        return np.array([_ratio_toward_zero(sums[c], 1 << n0)
+                         for c in passing])
     if model.noise_kind == "rademacher" and n0 <= ENUM_MAX_HORIZON:
         eps = _sign_matrix(0, 1 << n0, n0)
         values, _ = model.prefix_values(eps)

@@ -1,9 +1,9 @@
-"""The package, ``bound``, ``conjugate`` and ``simulate`` run without
-importing scipy.
+"""The package, ``bound``, ``conjugate``, ``simulate`` and ``verify`` run
+without importing scipy.
 
-Only ``verify`` (for the single-time floor) and ``norm`` (for logsumexp)
-load scipy, and only when they run.  Each check starts a fresh
-interpreter, since the test process has imported scipy already.
+Only ``norm`` (for logsumexp) loads scipy, and only when it runs.  Each
+check starts a fresh interpreter, since the test process has imported
+scipy already.
 """
 import json
 import os
@@ -55,3 +55,14 @@ def test_no_scipy_outside_verify_and_norm(tmp_path, case):
     code, loaded = _run_fresh(argv)
     assert code == 0
     assert loaded == []
+
+
+@pytest.mark.parametrize("case", ["exact", "monte_carlo"])
+def test_verify_loads_no_scipy(tmp_path, case):
+    argv = {"exact": ["verify", "--exact", "--horizon", "12"],
+            "monte_carlo": ["verify", "--paths", "2000", "--horizon", "64"]
+            }[case] + ["--out-dir", str(tmp_path)]
+    code, loaded = _run_fresh(argv)
+    assert code == 0
+    assert loaded == []
+    assert (tmp_path / "sandwich.csv").exists()

@@ -27,6 +27,7 @@ from lilbound import (
     weighted_iid_model,
 )
 from lilbound.verify import wilson_interval, worker_count
+from oracles import enumerated_single_time_tail, enumerated_sup_tail
 
 CHAOS1 = chaos_model(1)
 V1 = constant_norming(1.0)
@@ -86,6 +87,29 @@ def test_exact_tail_serialization_keeps_fractions():
     assert d["w_hat"] == [0.5]
 
 
+# levels below, at and above the lattice: under const:1, u = 0 and u = 1
+# are hit exactly (P1 = 2 at n = 4 gives 2/sqrt(4) = 1 for d = 1, and at
+# n = d every degree has |S| = sigma = 1), so the strict > is exercised
+LATTICE_LEVELS = [-1.0, -0.25, 0.0, 0.5, 1.0, 1.2, math.sqrt(2.0), 1.7, 2.0,
+                  2.5, 3.0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("v", [V1, V2], ids=["const:1", "vr:2"])
+def test_exact_sup_tail_lattice_equals_enumeration(d, v):
+    model = chaos_model(d)
+    for horizon in sorted({d, 8, 13, 17, 20}):
+        ex = exact_sup_tail(model, v, horizon, LATTICE_LEVELS)
+        w, w_plus = enumerated_sup_tail(model, v, horizon, LATTICE_LEVELS)
+        assert list(ex.w) == w, (horizon, ex.w, w)
+        assert list(ex.w_plus) == w_plus, (horizon, ex.w_plus, w_plus)
+    # the tie is real: every path sits exactly on u = 1 at n = d
+    below = math.nextafter(1.0, 0.0)
+    at_d = exact_sup_tail(model, V1, d, [1.0, below])
+    assert at_d.w == (Fraction(0), Fraction(1, 2))
+    assert at_d.w_plus == (Fraction(0), Fraction(1))
+
+
 # ---------------------------------------------------------------------------
 # single-time tails
 # ---------------------------------------------------------------------------
@@ -99,6 +123,51 @@ def test_single_time_tail_matches_enumeration_for_walk():
         values[:, -1] / math.sqrt(10.0) > x) / 1024.0
     assert got[0] == pytest.approx(direct, abs=1e-12)
     assert got[0] == pytest.approx(176.0 / 1024.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_single_time_tail_is_the_enumerated_count(d):
+    model = chaos_model(d)
+    xs = [-1.0, 0.0, 0.3, 1.0, 1.4, 2.0, 3.0]
+    for n0 in sorted({d, 7, 14, 20}):
+        got = single_time_tail(model, n0, xs)
+        assert [Fraction(g) for g in got] == \
+            enumerated_single_time_tail(model, n0, xs), n0
+
+
+def test_single_time_tail_is_exact_on_the_verify_exact_floor():
+    # chaos:d=1, vr:2, horizon 20 at u = 1 + 1.5 * 2/7: the floor is
+    # 60460 / 2^20 exactly, a float, so nothing may round it up
+    u = float(np.linspace(1.0, 2.5, 8)[2])
+    got = single_time_tail(CHAOS1, 20, [u * float(V2.evaluate(20))])
+    assert got[0] == 60460 / 2 ** 20
+
+
+def test_single_time_tail_rounds_toward_zero_at_scale():
+    n = 16384
+    xs = [float(u) * float(V2.evaluate(n)) for u in np.linspace(2, 4, 8)]
+    got = single_time_tail(CHAOS1, n, xs)
+    # suffix sums of C(n, k), from k = n down, independent of the row
+    tails = [0] * (n + 1)
+    acc, c = 0, 1
+    for k in range(n, -1, -1):
+        acc += c
+        tails[k] = acc
+        c = c * k // (n - k + 1) if k else c
+    assert tails[0] == 1 << n
+    p1 = np.arange(-n, n + 1, 2) / math.sqrt(n)
+    for x, g in zip(xs, got):
+        exact = Fraction(tails[int(np.argmax(p1 > x))], 1 << n)
+        assert Fraction(g) <= exact
+        assert (exact - Fraction(g)) / exact < Fraction(1, 2 ** 52)
+
+
+def test_ratio_toward_zero_steps_below_a_rounded_up_quotient():
+    # 1/10 rounds to nearest as 0.1000000000000000055...
+    assert verify._ratio_toward_zero(1, 10) == math.nextafter(0.1, 0.0)
+    assert verify._ratio_toward_zero(1, 3) == 1 / 3  # nearest is below
+    assert verify._ratio_toward_zero(0, 8) == 0.0
+    assert verify._ratio_toward_zero(8, 8) == 1.0
 
 
 def test_single_time_tail_weighted_family():
