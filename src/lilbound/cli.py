@@ -447,7 +447,7 @@ def _lower_bounds(model, v, horizon: int, u_grid: np.ndarray) -> np.ndarray:
     """Single-time floor at the horizon; zero when no exact tail exists.
 
     The thresholds u * v(j0) are the ones single_time_lower_bound forms,
-    all passed to one single_time_tail call, which builds its binomial
+    all passed to one single_time_tail call, which walks the binomial
     row once.
     """
     j0 = horizon - (model.n_min - 1)

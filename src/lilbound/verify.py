@@ -12,10 +12,10 @@ fixed seed no matter how many workers run; exact_sup_tail counts all 2^N
 sign paths for small horizons and returns exact rationals, by a dynamic
 program over the sign-sum lattice for chaos and by enumeration for the
 weighted models.  single_time_tail gives the single-time floor: exact
-integer binomial sums for chaos, rounded toward zero, so verify imports
-no scipy.  On top of those sit the calibration of the bound's constant,
-an enumeration check of the Doob maximal-moment step, and
-iterated-logarithm trajectory statistics.
+integer binomial sums for chaos up to time FLOOR_MAX_TIME, rounded toward
+zero, so verify imports no scipy.  On top of those sit the calibration
+of the bound's constant, an enumeration check of the Doob maximal-moment
+step, and iterated-logarithm trajectory statistics.
 
 Normalization matches the bound engine: model time n pairs with norming
 index n - n_min + 1, so the first non-degenerate time gets v(1) and the
@@ -48,6 +48,9 @@ PATH_CHUNK = 512
 STEP_BLOCK = 1024  # multiple of 64 so sign blocks tile the word stream
 CENSOR_COUNT = 10
 ENUM_MAX_HORIZON = 20
+# the exact single-time floor walks n0/2 bigints of up to n0 bits: 0.7 s
+# at 2^16 and 2.7 s at 2^17 on a 2-core Xeon, four times that per doubling
+FLOOR_MAX_TIME = 1 << 17
 
 
 def worker_count() -> int:
@@ -451,16 +454,6 @@ def exact_sup_tail(model: MartingaleModel, v: NormingSequence, horizon: int,
     )
 
 
-def _binomial_row(n: int) -> list:
-    """C(n, 0), ..., C(n, n) as Python ints."""
-    row = [1] * (n + 1)
-    c = 1
-    for k in range(n // 2):
-        c = c * (n - k) // (k + 1)
-        row[k + 1] = row[n - k - 1] = c
-    return row
-
-
 def _ratio_toward_zero(num: int, den: int) -> float:
     """num / den (0 <= num <= den) as a float rounded toward zero.
 
@@ -469,7 +462,8 @@ def _ratio_toward_zero(num: int, den: int) -> float:
     that does not exceed it.
     """
     q = num / den
-    if Fraction(q) > Fraction(num, den):
+    a, b = q.as_integer_ratio()
+    if a * den > num * b:
         q = math.nextafter(q, 0.0)
     return q
 
@@ -481,9 +475,12 @@ def single_time_tail(model: MartingaleModel, n0: int,
     Degree-d sign chaos (d <= 3) is a function of the sign sum, so the
     tail is an exact integer sum of binomial coefficients C(n0, k) over
     the k whose value passes x (the same float test as simulation),
-    divided by 2^n0 and rounded toward zero, so it is a certified floor;
-    the row is built once for all thresholds.  Other sign-noise models
-    enumerate all 2^n0 paths when n0 <= ENUM_MAX_HORIZON, where
+    divided by 2^n0 and rounded toward zero, so it is a certified floor.
+    One walk over k carries C(n0, k) by its recurrence and adds it to the
+    bucket of how many thresholds its value passes; suffix sums of the
+    buckets give every tail.  The walk holds O(n0) bits but takes
+    O(n0^2) time, so n0 is capped at FLOOR_MAX_TIME.  Other sign-noise
+    models enumerate all 2^n0 paths when n0 <= ENUM_MAX_HORIZON, where
     count / 2^n0 is an exact float.
     """
     if n0 < model.n_min:
@@ -495,16 +492,27 @@ def single_time_tail(model: MartingaleModel, n0: int,
         d = model.n_min
         if d > 3:
             raise DomainError("single-time tails support chaos degree <= 3")
+        if n0 > FLOOR_MAX_TIME:
+            raise DomainError(f"time {n0} exceeds the exact single-time "
+                              f"cap {FLOOR_MAX_TIME}")
         p1 = np.arange(-n0, n0 + 1, 2, dtype=np.int64)
         svals = _chaos_closed_form(d, p1, np.int64(n0)) / sig
-        passing = [int(np.count_nonzero(svals > x)) for x in xs]
-        # the k passing any threshold lead the order of decreasing value,
-        # so one running sum of C(n0, k) along it serves every threshold
-        order = np.argsort(-svals, kind="stable")[:max(passing, default=0)]
-        row = _binomial_row(n0)
-        sums = [0, *accumulate(row[k] for k in order.tolist())]
-        return np.array([_ratio_toward_zero(sums[c], 1 << n0)
-                         for c in passing])
+        # value k passes threshold x exactly when it passes more sorted
+        # thresholds than lie strictly below x
+        ordered = np.sort(xs)
+        passes = np.searchsorted(ordered, svals, side="left").tolist()
+        buckets = [0] * (len(xs) + 1)
+        c = 1
+        for k in range(n0 // 2 + 1):
+            # C(n0, k) = C(n0, n0 - k): one coefficient serves both ends
+            buckets[passes[k]] += c
+            if 2 * k < n0:
+                buckets[passes[n0 - k]] += c
+            c = c * (n0 - k) // (k + 1)
+        tails = list(accumulate(reversed(buckets[1:])))[::-1]
+        below = np.searchsorted(ordered, xs, side="left")
+        return np.array([_ratio_toward_zero(tails[i], 1 << n0)
+                         for i in below.tolist()])
     if model.noise_kind == "rademacher" and n0 <= ENUM_MAX_HORIZON:
         eps = _sign_matrix(0, 1 << n0, n0)
         values, _ = model.prefix_values(eps)

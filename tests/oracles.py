@@ -1,6 +1,6 @@
 """Exact test oracles: partitions materialized block by block, the
-exhaustive partition optimum, exact single-path steppers, and sup-tail
-and single-time tail counts by enumerating every sign path.
+exhaustive partition optimum, exact single-path steppers, and
+single-time tail counts by enumerating every sign path.
 
 The library evaluates the bound through log-space boundaries and
 simulates paths in float64 blocks; the oracles here compute the same
@@ -21,7 +21,7 @@ import numpy as np
 from lilbound.engine import NormingSequence, SigmaProfile, _integer_boundaries
 from lilbound.errors import DomainError
 from lilbound.phi import PhiFunction, conjugate, conjugate_many
-from lilbound.verify import _normalizer, _sign_matrix
+from lilbound.verify import _sign_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -207,31 +207,6 @@ def weighted_stepper(beta: float) -> Stepper:
 # ---------------------------------------------------------------------------
 # sign-path enumeration
 # ---------------------------------------------------------------------------
-
-def enumerated_sup_tail(model, v: NormingSequence, horizon: int, u_grid):
-    """(W, W+) at each level as Fractions over all 2^horizon sign paths.
-
-    Paths are simulated with the model's own prefix_values in blocks of
-    2^16, divided by the verifier's denominator, and pass a level when
-    their running max (for W+, their running max of |value|) is strictly
-    above it.
-    """
-    denom, first = _normalizer(model, v, horizon)
-    total = 1 << horizon
-    counts = [0] * len(u_grid)
-    counts_plus = [0] * len(u_grid)
-    for lo in range(0, total, 1 << 16):
-        eps = _sign_matrix(lo, min(lo + (1 << 16), total), horizon)
-        values, _ = model.prefix_values(eps)
-        stat = values[:, first:] / denom[first:]
-        signed = stat.max(axis=1)
-        absed = np.maximum(signed, -stat.min(axis=1))
-        for i, u in enumerate(u_grid):
-            counts[i] += int(np.count_nonzero(signed > u))
-            counts_plus[i] += int(np.count_nonzero(absed > u))
-    return ([Fraction(c, total) for c in counts],
-            [Fraction(c, total) for c in counts_plus])
-
 
 def enumerated_single_time_tail(model, n0: int, thresholds):
     """P(S(n0)/sigma(n0) > x) as Fractions over all 2^n0 sign paths."""

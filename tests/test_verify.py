@@ -27,7 +27,7 @@ from lilbound import (
     weighted_iid_model,
 )
 from lilbound.verify import wilson_interval, worker_count
-from oracles import enumerated_single_time_tail, enumerated_sup_tail
+from oracles import enumerated_single_time_tail
 
 CHAOS1 = chaos_model(1)
 V1 = constant_norming(1.0)
@@ -100,7 +100,12 @@ def test_exact_sup_tail_lattice_equals_enumeration(d, v):
     model = chaos_model(d)
     for horizon in sorted({d, 8, 13, 17, 20}):
         ex = exact_sup_tail(model, v, horizon, LATTICE_LEVELS)
-        w, w_plus = enumerated_sup_tail(model, v, horizon, LATTICE_LEVELS)
+        # the enumeration that weighted models still use is the reference
+        counts = verify._enumerated_sup_counts(
+            model, *verify._normalizer(model, v, horizon), horizon,
+            LATTICE_LEVELS)
+        w, w_plus = ([Fraction(int(c), 1 << horizon) for c in side]
+                     for side in counts)
         assert list(ex.w) == w, (horizon, ex.w, w)
         assert list(ex.w_plus) == w_plus, (horizon, ex.w_plus, w_plus)
     # the tie is real: every path sits exactly on u = 1 at n = d
@@ -128,11 +133,18 @@ def test_single_time_tail_matches_enumeration_for_walk():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_single_time_tail_is_the_enumerated_count(d):
     model = chaos_model(d)
-    xs = [-1.0, 0.0, 0.3, 1.0, 1.4, 2.0, 3.0]
-    for n0 in sorted({d, 7, 14, 20}):
+    # unsorted, with repeats: each level still reads its own bucket sum
+    xs = [1.4, -1.0, 3.0, 0.3, 1.0, 1.4, 0.0, 2.0, 0.3]
+    for n0 in sorted({d, 7, 14, 17, 20}):
         got = single_time_tail(model, n0, xs)
         assert [Fraction(g) for g in got] == \
             enumerated_single_time_tail(model, n0, xs), n0
+
+
+def test_single_time_tail_caps_the_time():
+    cap = verify.FLOOR_MAX_TIME
+    with pytest.raises(DomainError, match="exceeds the exact single-time"):
+        single_time_tail(CHAOS1, cap + 1, [1.0])
 
 
 def test_single_time_tail_is_exact_on_the_verify_exact_floor():
