@@ -146,7 +146,10 @@ def iterated_log_norming(r: float) -> NormingSequence:
         log_n = np.asarray(log_n, dtype=float)
         # log(n + 3) = log n + log1p(3/n), safe for any magnitude of log n
         ln3 = log_n + np.log1p(3.0 * np.exp(-np.minimum(log_n, 700.0)))
-        return np.log(ln3) ** inv_r
+        # a large 1/r overflows v to +inf at deep blocks, where the block
+        # term saturates to 0: the intended limit
+        with np.errstate(over="ignore"):
+            return np.log(ln3) ** inv_r
 
     return NormingSequence(label=f"vr:{r:g}", kind="iterated_log",
                            evaluate=ev, eval_log=ev_log)
@@ -215,43 +218,72 @@ class BlockSumResult:
                 "converged=%r, diverged=%r)" % self._outcome())
 
 
+@lru_cache(maxsize=16)
+def _near_one_thresholds(n_ratios: int) -> np.ndarray:
+    """1 - 0.01/k for the ratio of term k to term k-1, k = 2..n_ratios+1."""
+    thresholds = 1.0 - 0.01 / np.arange(2, n_ratios + 2, dtype=float)
+    thresholds.flags.writeable = False
+    return thresholds
+
+
+def _divergence_point(near_one: np.ndarray) -> Optional[int]:
+    """Position in terms that ends the first run of _DIVERGENCE_RUN
+    consecutive near-one ratios, None when there is no such run."""
+    if np.count_nonzero(near_one) < _DIVERGENCE_RUN:
+        return None
+    breaks = np.flatnonzero(~near_one)
+    # gaps[i] is the run length between breaks i-1 and i, with virtual
+    # breaks before the first ratio and after the last
+    gaps = np.diff(breaks, prepend=-1, append=len(near_one)) - 1
+    first = int(np.argmax(gaps >= _DIVERGENCE_RUN))
+    if gaps[first] < _DIVERGENCE_RUN:
+        return None
+    start = int(breaks[first - 1]) + 1 if first else 0
+    # ratio i belongs to term i+1, so the run ends at term start + RUN
+    return start + _DIVERGENCE_RUN
+
+
 def _scan_terms(terms: np.ndarray, tol: float):
     """Find the first certified stop or divergence point in a term prefix.
 
     Returns (stop_index, residual, diverged_index); indices are 0-based
     positions into terms, None when not found.  Certification at position
     i requires the last three ratios below 1 and non-increasing, with the
-    dominated-tail bound t_i * rho/(1 - rho) below tol.
+    dominated-tail bound t_i * rho/(1 - rho) below tol; divergence at
+    position i means the _DIVERGENCE_RUN ratios ending there are all
+    >= 1 - 0.01/k.  A ratio whose earlier term is zero or NaN counts as
+    +inf when the later term is positive, else 0.
+
+    One divide makes the ratios; the tail bound is evaluated only at the
+    windows that pass the ratio tests, and the run search only when
+    enough ratios are near one, so a scan allocates one ratio array plus
+    boolean masks.
     """
     m = len(terms)
     if m < 4:
         return None, math.nan, None
-    prev = terms[:-1]
+    prev, nxt = terms[:-1], terms[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        rr = np.where(prev > 0, terms[1:] / prev,
-                      np.where(terms[1:] > 0, np.inf, 0.0))
-    k = np.arange(2, m + 1, dtype=float)  # 1-based index of each ratio's term
-    near_one = rr >= 1.0 - 0.01 / k
-    div_idx = None
-    if m - 1 >= _DIVERGENCE_RUN:
-        csum = np.concatenate(([0], np.cumsum(near_one)))
-        runs = csum[_DIVERGENCE_RUN:] - csum[:-_DIVERGENCE_RUN]
-        hits = np.nonzero(runs == _DIVERGENCE_RUN)[0]
-        if len(hits):
-            div_idx = int(hits[0]) + _DIVERGENCE_RUN  # position in terms
+        rr = nxt / prev
+    undefined = ~(prev > 0)
+    if undefined.any():
+        rr[undefined] = 0.0
+        rr[undefined & (nxt > 0)] = np.inf
+    div_idx = _divergence_point(rr >= _near_one_thresholds(m - 1))
     r0, r1, r2 = rr[:-2], rr[1:-1], rr[2:]
-    window = (r2 < 1.0) & (r1 < 1.0) & (r0 < 1.0) & (r0 >= r1) & (r1 >= r2)
     # triple (r0, r1, r2)[j] are the ratios of terms j+1, j+2, j+3, so a
-    # certified window there stops the sum at term j+3; r0 is the window
-    # maximum by the non-increasing requirement
+    # certified window there stops the sum at term j+3; r0 < 1 with
+    # r0 >= r1 >= r2 puts all three below 1 (a NaN fails every test), and
+    # r0 is the window maximum
+    cand = np.flatnonzero((r0 < 1.0) & (r0 >= r1) & (r1 >= r2))
+    rho = rr[cand]
     with np.errstate(divide="ignore", invalid="ignore"):
-        tail = terms[3:] * r0 / (1.0 - r0)
-    ok = window & (tail < tol)
+        tail = terms[cand + 3] * rho / (1.0 - rho)
+    cert = np.flatnonzero(tail < tol)
     stop = None
     residual = math.nan
-    cert = np.nonzero(ok)[0]
     if len(cert):
-        stop = int(cert[0]) + 3
+        stop = int(cand[cert[0]]) + 3
         residual = float(tail[cert[0]])
     if div_idx is not None and (stop is None or div_idx < stop):
         return None, math.nan, div_idx
@@ -304,24 +336,29 @@ def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
         # overflow of the conjugate at deep blocks saturates to +inf and
         # the term to exactly 0, which is the intended limit
         with np.errstate(over="ignore"):
-            terms = np.exp(-conjugate_many(phi, u * args))
+            terms = np.negative(conjugate_many(phi, u * args))
+            np.exp(terms, out=terms)
         return _finish_sum(terms, tol)
     # the first certified stop and the first divergence point do not
     # depend on where chunks end, so growing the chunks only saves work
-    terms = np.empty(0)
-    chunk = _CHUNK
+    terms = np.empty(k_max)
+    lo, chunk = 0, _CHUNK
     while True:
-        hi = min(len(terms) + chunk, k_max)
-        new = np.exp(-conjugate_many(phi, u * args[len(terms):hi]))
-        terms = np.concatenate([terms, new])
-        stop, _, div = _scan_terms(terms, tol)
-        if div is not None or stop is not None or hi == k_max:
-            return _finish_sum(terms, tol)
-        chunk *= 2
+        hi = min(lo + chunk, k_max)
+        new = terms[lo:hi]
+        np.negative(conjugate_many(phi, u * args[lo:hi]), out=new)
+        np.exp(new, out=new)
+        scan = _scan_terms(terms[:hi], tol)
+        if scan[0] is not None or scan[2] is not None or hi == k_max:
+            return _finish_sum(terms[:hi], tol, scan)
+        lo, chunk = hi, chunk * 2
 
 
-def _finish_sum(terms: np.ndarray, tol: float) -> BlockSumResult:
-    stop, residual, div = _scan_terms(terms, tol)
+def _finish_sum(terms: np.ndarray, tol: float,
+                scan: Optional[tuple] = None) -> BlockSumResult:
+    """The result for a term array; scan is its _scan_terms result when
+    the caller already has it."""
+    stop, residual, div = _scan_terms(terms, tol) if scan is None else scan
     if div is not None:
         return BlockSumResult(value=math.inf, k_used=div + 1,
                               residual_bound=math.inf,

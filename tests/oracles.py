@@ -1,6 +1,7 @@
 """Exact test oracles: partitions materialized block by block, the
-exhaustive partition optimum, exact single-path steppers, and
-single-time tail counts by enumerating every sign path.
+exhaustive partition optimum, the whole-array series scan, exact
+single-path steppers, and single-time tail counts by enumerating every
+sign path.
 
 The library evaluates the bound through log-space boundaries and
 simulates paths in float64 blocks; the oracles here compute the same
@@ -18,7 +19,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from lilbound.engine import NormingSequence, SigmaProfile, _integer_boundaries
+from lilbound.engine import (_DIVERGENCE_RUN, NormingSequence, SigmaProfile,
+                             _integer_boundaries)
 from lilbound.errors import DomainError
 from lilbound.phi import PhiFunction, conjugate, conjugate_many
 from lilbound.verify import _sign_matrix
@@ -146,6 +148,49 @@ def geometric_prefix_sum(ratio: float, v: NormingSequence,
             / float(sigma.evaluate(b))
         total += math.exp(-conjugate(phi, arg))
     return total
+
+
+# ---------------------------------------------------------------------------
+# series scan
+# ---------------------------------------------------------------------------
+
+def scan_terms(terms: np.ndarray, tol: float):
+    """engine._scan_terms as a dozen whole-array passes: every ratio by
+    np.where, the divergence run by a cumulative sum, and the tail bound
+    at every window.  Same contract and return value."""
+    m = len(terms)
+    if m < 4:
+        return None, math.nan, None
+    prev = terms[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rr = np.where(prev > 0, terms[1:] / prev,
+                      np.where(terms[1:] > 0, np.inf, 0.0))
+    k = np.arange(2, m + 1, dtype=float)  # 1-based index of each ratio's term
+    near_one = rr >= 1.0 - 0.01 / k
+    div_idx = None
+    if m - 1 >= _DIVERGENCE_RUN:
+        csum = np.concatenate(([0], np.cumsum(near_one)))
+        runs = csum[_DIVERGENCE_RUN:] - csum[:-_DIVERGENCE_RUN]
+        hits = np.nonzero(runs == _DIVERGENCE_RUN)[0]
+        if len(hits):
+            div_idx = int(hits[0]) + _DIVERGENCE_RUN  # position in terms
+    r0, r1, r2 = rr[:-2], rr[1:-1], rr[2:]
+    window = (r2 < 1.0) & (r1 < 1.0) & (r0 < 1.0) & (r0 >= r1) & (r1 >= r2)
+    # triple (r0, r1, r2)[j] are the ratios of terms j+1, j+2, j+3, so a
+    # certified window there stops the sum at term j+3; r0 is the window
+    # maximum by the non-increasing requirement
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = terms[3:] * r0 / (1.0 - r0)
+    ok = window & (tail < tol)
+    stop = None
+    residual = math.nan
+    cert = np.nonzero(ok)[0]
+    if len(cert):
+        stop = int(cert[0]) + 3
+        residual = float(tail[cert[0]])
+    if div_idx is not None and (stop is None or div_idx < stop):
+        return None, math.nan, div_idx
+    return stop, residual, None
 
 
 # ---------------------------------------------------------------------------

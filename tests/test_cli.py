@@ -7,6 +7,7 @@ import argparse
 import ast
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,19 @@ def test_bound_divergent_norming_exits_4(tmp_path, capsys):
     assert "diverges" in err
     # the report is still written so the failure can be inspected
     assert (tmp_path / "bound.json").exists()
+
+
+def test_bound_with_overflowing_norming_is_silent(tmp_path, capsys):
+    """vr:0.0001 overflows v to +inf at deep blocks, where the block term
+    is exactly 0: exit 0 and nothing on stderr, not even a numpy
+    warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, [
+            "bound", "--model", "chaos:d=1", "--norming", "vr:0.0001",
+            "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    assert err == ""
 
 
 def test_bound_on_tabulated_generator(tmp_path, capsys):

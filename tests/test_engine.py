@@ -1,6 +1,7 @@
 """Tests for partitions, block sums, and the optimized tail bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ from lilbound import (
     single_time_lower_bound,
     weighted_iid_model,
 )
-from lilbound.engine import (DEFAULT_TOL, BoundReport, _block_arguments,
-                             _finish_sum)
+from lilbound.cli import model_from_id, norming_from_id, phi_from_id
+from lilbound.engine import (_DIVERGENCE_RUN, DEFAULT_KMAX, DEFAULT_TOL,
+                             BoundReport, _block_arguments, _finish_sum,
+                             _scan_terms)
 from lilbound.phi import conjugate, conjugate_many, phi_from_table
 from oracles import (Partition, block_term, dp_partition_oracle,
-                     geometric_partition, geometric_prefix_sum)
+                     geometric_partition, geometric_prefix_sum, scan_terms)
 
 SQRT_SIGMA = power_law_surrogate(0.5)   # sigma(n) = sqrt(n)
 V2 = iterated_log_norming(2.0)
@@ -145,6 +148,91 @@ def test_numeric_block_sum_does_not_depend_on_chunking(v):
     analytic = block_sum(ratio, v, SQRT_SIGMA, phi2(), u, k_max=k_max)
     assert res.diverged == analytic.diverged
     assert res.value == pytest.approx(analytic.value, rel=1e-5)
+
+
+def _same_scan(got, want):
+    """Scan results equal field by field, a NaN residual equal to NaN."""
+    return all(a == b or (a != a and b != b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("model_id", ["chaos:d=1", "chaos:d=2", "chaos:d=3",
+                                      "weightedA:beta=1"])
+def test_scan_equals_whole_array_oracle_on_real_series(model_id):
+    """Every prefix of every series the CLI can build scans the same as
+    the whole-array reference: stops, divergences and plain truncations."""
+    sigma = model_from_id(model_id).sigma_profile()
+    outcomes = set()
+    for v_id in ("vr:2", "vr:1", "const:1"):
+        v = norming_from_id(v_id)
+        for phi_id in ("phi2", "chi2", "cosh", "power:q=3"):
+            phi = phi_from_id(phi_id)
+            for ratio in (2.0, 3.0, 5.0, 32.0):
+                args = _block_arguments(v, sigma, ratio, DEFAULT_KMAX)
+                for u in np.geomspace(0.5, 40.0, 9):
+                    with np.errstate(over="ignore"):
+                        terms = np.exp(-conjugate_many(phi, u * args))
+                    for length in (3, 5, 70, 300, DEFAULT_KMAX):
+                        for tol in (DEFAULT_TOL, 1e-6):
+                            got = _scan_terms(terms[:length], tol)
+                            assert _same_scan(
+                                got, scan_terms(terms[:length], tol)), (
+                                v_id, phi_id, ratio, u, length, tol)
+                            outcomes.add((got[0] is None, got[2] is None))
+    assert outcomes >= {(False, True), (True, False), (True, True)}
+
+
+def _near_one_run_series(base, run, where, n=300):
+    """Terms whose ratios follow base, except `run` consecutive ratios of
+    exactly 1 at the start, middle or end."""
+    ratios = np.resize(np.asarray(base, dtype=float), n - 1)
+    start = {"start": 0, "middle": (n - 1 - run) // 2,
+             "end": n - 1 - run}[where]
+    ratios[start:start + run] = 1.0
+    return np.concatenate(([1.0], np.cumprod(ratios)))
+
+
+def test_scan_equals_whole_array_oracle_on_synthetic_arrays():
+    """Zeros, NaN, inf, 1e-300 and near-one runs of 63, 64 and 65 ratios
+    around the divergence rule's edge, at every position and length."""
+    cases = [np.ones(n) for n in range(4)]
+    cases += [np.ones(_DIVERGENCE_RUN + 1),
+              np.r_[np.ones(_DIVERGENCE_RUN), 2.0],
+              np.r_[np.ones(_DIVERGENCE_RUN), 0.0]]
+    for run in (_DIVERGENCE_RUN - 1, _DIVERGENCE_RUN, _DIVERGENCE_RUN + 1):
+        for where in ("start", "middle", "end"):
+            for base in ([0.5], [0.5, 0.9], [0.999], [2.0, 0.1]):
+                cases.append(_near_one_run_series(base, run, where))
+                cases.append(_near_one_run_series(base, run, where,
+                                                  n=run + 1))
+    rng = np.random.default_rng(20261018)
+    specials = np.array([0.0, np.nan, np.inf, 1e-300])
+    for _ in range(3000):
+        n = int(rng.choice([4, 5, 6, _DIVERGENCE_RUN + 1, 100, 400]))
+        ratios = np.where(rng.random(n - 1) < rng.choice([0.4, 0.98]), 1.0,
+                          rng.choice([0.3, 0.5, 0.9, 0.99, 1.5], size=n - 1))
+        terms = np.concatenate(([1.0], np.cumprod(ratios)))
+        hits = rng.random(n) < rng.choice([0.0, 0.01, 0.1, 0.5])
+        terms[hits] = rng.choice(specials, size=int(hits.sum()))
+        cases.append(terms)
+    for terms in cases:
+        for tol in (DEFAULT_TOL, 1e-3, 0.5):
+            assert _same_scan(_scan_terms(terms, tol),
+                              scan_terms(terms, tol)), (terms, tol)
+
+
+def test_analytic_block_sum_allocates_a_few_series_arrays():
+    """One default-length analytic series peaks at under five float64
+    arrays of k_max terms, cached boundaries and thresholds excluded."""
+    model = chaos_model(1)
+    call = (4.0, V2, model.sigma_profile(), phi2(), 2.3)
+    block_sum(*call)   # fill the caches
+    tracemalloc.start()
+    try:
+        block_sum(*call)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * DEFAULT_KMAX * 8
 
 
 def test_block_sum_input_validation():
