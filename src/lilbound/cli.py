@@ -302,25 +302,8 @@ def write_csv(path: str, header: Sequence[str],
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    return obj
-
-
 def write_json(path: str, obj: dict) -> None:
-    _atomic_write(path, json.dumps(_jsonify(obj), indent=2,
-                                   sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _out(cfg_or_dir, name: str) -> str:

@@ -23,7 +23,8 @@ Deep sums need care on two fronts, both handled here:
     not geometrically, so a last/(1-ratio) residual is certified only
     when the observed term ratios are below 1 *and* non-increasing
     (true geometric domination).  Otherwise the sum runs to k_max, is
-    flagged, and carries a conservative log-slope tail estimate.
+    flagged, and reports residual_bound = +inf: a finite residual is
+    always a certified one, never an extrapolation.
 
 Reported sums are always the plain partial sums: a truncated series is a
 certified lower estimate of the infinite one, which is the safe direction
@@ -168,54 +169,23 @@ def constant_norming(c: float = 1.0) -> NormingSequence:
 # block terms and sums
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class BlockSumResult:
     """One geometric-family series evaluation with its truncation status.
 
-    value is the partial sum through k_used terms.  converged means the
+    value is the partial sum through k_used terms.  converged means
     residual_bound is certified by geometric domination; diverged means
     the terms stopped decaying and value is the +inf sentinel (a vacuous
     but valid probability bound).  A result with neither flag ran into
-    k_max: residual_bound is then a conservative estimate from the
-    observed log-log slope (+inf when the terms are too flat to trust).
-
-    Converged and divergent results carry their residual from the start.
-    A truncated result keeps its terms instead and fits the slope the
-    first time residual_bound is read, then drops them: optimized_bound
-    reads it only for the ratio it reports, and calibration only compares
-    values, so the fit is never paid for a series nobody reports.
+    k_max.  residual_bound is finite only for a converged result: every
+    other result reports +inf, since nothing but geometric domination
+    certifies what lies past the last term summed.
     """
-    __slots__ = ("value", "k_used", "converged", "diverged",
-                 "_residual", "_terms")
-
-    def __init__(self, value: float, k_used: int,
-                 residual_bound: Optional[float], converged: bool,
-                 diverged: bool, terms: Optional[np.ndarray] = None):
-        self.value = value
-        self.k_used = k_used
-        self.converged = converged
-        self.diverged = diverged
-        self._residual = residual_bound
-        self._terms = terms
-
-    @property
-    def residual_bound(self) -> float:
-        if self._terms is not None:
-            self._residual = _flat_tail_estimate(self._terms)
-            self._terms = None
-        return self._residual
-
-    def _outcome(self) -> tuple:
-        return (self.value, self.k_used, self.residual_bound,
-                self.converged, self.diverged)
-
-    def __eq__(self, other):
-        if not isinstance(other, BlockSumResult):
-            return NotImplemented
-        return self._outcome() == other._outcome()
-
-    def __repr__(self) -> str:
-        return ("BlockSumResult(value=%r, k_used=%r, residual_bound=%r, "
-                "converged=%r, diverged=%r)" % self._outcome())
+    value: float
+    k_used: int
+    residual_bound: float
+    converged: bool
+    diverged: bool
 
 
 @lru_cache(maxsize=16)
@@ -290,29 +260,6 @@ def _scan_terms(terms: np.ndarray, tol: float):
     return stop, residual, None
 
 
-def _flat_tail_estimate(terms: np.ndarray) -> float:
-    """Residual estimate past k_max from the observed log-log slope.
-
-    Fits log(term) against log(k) on the second half; if the decay
-    exponent exceeds 1.05 the integral tail bound times a 1.5 safety
-    factor is returned, otherwise +inf (the decay is too flat to
-    extrapolate, or genuinely divergent).
-    """
-    m = len(terms)
-    lo = m // 2
-    t = terms[lo:]
-    pos = t > 0
-    if pos.sum() < 8:
-        # underflowed tail: everything past here is below float resolution
-        return 0.0 if terms[-1] == 0.0 else math.inf
-    ks = np.arange(lo + 1, m + 1, dtype=float)[pos]
-    slope = np.polyfit(np.log(ks), np.log(t[pos]), 1)[0]
-    c_hat = -slope
-    if c_hat <= 1.05 or not math.isfinite(c_hat):
-        return math.inf
-    return 1.5 * float(terms[-1]) * m / (c_hat - 1.0)
-
-
 def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
               phi: PhiFunction, u: float, tol: float = DEFAULT_TOL,
               k_max: int = DEFAULT_KMAX) -> BlockSumResult:
@@ -321,8 +268,7 @@ def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
     Evaluated fully vectorized for analytic-conjugate phi, otherwise in
     chunks of 256, 512, 1024, ... terms until the series is certified or
     diverges.  See the module docstring for the certification and
-    divergence rules.  A series that runs into k_max fits its residual
-    only when residual_bound is first read (see BlockSumResult).
+    divergence rules.
     """
     if not 0 < u < math.inf:
         raise DomainError(f"block_sum needs finite u > 0, got {u}")
@@ -368,8 +314,8 @@ def _finish_sum(terms: np.ndarray, tol: float,
                               k_used=stop + 1, residual_bound=residual,
                               converged=True, diverged=False)
     return BlockSumResult(value=float(terms.sum()), k_used=len(terms),
-                          residual_bound=None, converged=False,
-                          diverged=False, terms=terms)
+                          residual_bound=math.inf, converged=False,
+                          diverged=False)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +376,6 @@ def optimized_bound(v: NormingSequence, sigma: SigmaProfile, phi: PhiFunction,
 
     q_sums, chosen, k_used, residuals, flags = [], [], [], [], []
     for u in us:
-        # a running minimum: only the best series so far keeps its terms
         ratio, res = min(((r, block_sum(r, v, sigma, phi, C * u, tol, k_max))
                           for r in ratios), key=lambda pair: pair[1].value)
         q_sums.append(res.value)

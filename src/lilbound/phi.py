@@ -102,8 +102,10 @@ def power_phi(q: float) -> PhiFunction:
         return abs(lam) ** q / q
 
     def conj(u):
-        u = np.abs(u)
-        return u ** qp / qp
+        u = np.abs(u, dtype=float)  # a copy, so the rest runs in place
+        u **= qp
+        u /= qp
+        return u
 
     def inv(p):
         return (q * np.asarray(p)) ** (1.0 / q)

@@ -48,6 +48,7 @@ PATH_CHUNK = 512
 STEP_BLOCK = 1024  # multiple of 64 so sign blocks tile the word stream
 CENSOR_COUNT = 10
 ENUM_MAX_HORIZON = 20
+ENUM_BLOCK = 1 << 16  # sign paths per enumerated block
 # the exact single-time floor walks n0/2 bigints of up to n0 bits: 0.7 s
 # at 2^16 and 2.7 s at 2^17 on a 2-core Xeon, four times that per doubling
 FLOOR_MAX_TIME = 1 << 17
@@ -360,6 +361,15 @@ def _sign_matrix(lo: int, hi: int, horizon: int) -> np.ndarray:
     return (2 * bits.astype(np.int8) - 1)
 
 
+def _sign_path_values(model: MartingaleModel, horizon: int):
+    """prefix_values of all 2^horizon sign paths, ENUM_BLOCK paths at a
+    time, in path order."""
+    total = 1 << horizon
+    for lo in range(0, total, ENUM_BLOCK):
+        eps = _sign_matrix(lo, min(lo + ENUM_BLOCK, total), horizon)
+        yield model.prefix_values(eps)[0]
+
+
 def _lattice_sup_counts(d: int, denom: np.ndarray, first: int, horizon: int,
                         grid: Sequence[float]
                         ) -> Tuple[np.ndarray, np.ndarray]:
@@ -397,14 +407,10 @@ def _enumerated_sup_counts(model: MartingaleModel, denom: np.ndarray,
                            first: int, horizon: int, grid: Sequence[float]
                            ) -> Tuple[np.ndarray, np.ndarray]:
     """Sign paths of length horizon whose W and W+ statistics pass each
-    level, by simulating all 2^horizon of them in blocks of 2^16."""
+    level, by simulating all 2^horizon of them block by block."""
     counts = np.zeros(len(grid), dtype=np.int64)
     counts_plus = np.zeros(len(grid), dtype=np.int64)
-    total = 1 << horizon
-    for lo in range(0, total, 1 << 16):
-        hi = min(lo + (1 << 16), total)
-        eps = _sign_matrix(lo, hi, horizon)
-        values, _ = model.prefix_values(eps)
+    for values in _sign_path_values(model, horizon):
         stat = values[:, first:] / denom[first:]
         signed = stat.max(axis=1)
         absed = np.maximum(signed, -stat.min(axis=1))
@@ -480,8 +486,8 @@ def single_time_tail(model: MartingaleModel, n0: int,
     bucket of how many thresholds its value passes; suffix sums of the
     buckets give every tail.  The walk holds O(n0) bits but takes
     O(n0^2) time, so n0 is capped at FLOOR_MAX_TIME.  Other sign-noise
-    models enumerate all 2^n0 paths when n0 <= ENUM_MAX_HORIZON, where
-    count / 2^n0 is an exact float.
+    models enumerate all 2^n0 paths block by block when n0 <=
+    ENUM_MAX_HORIZON, where count / 2^n0 is an exact float.
     """
     if n0 < model.n_min:
         raise DomainError(f"time {n0} precedes first non-degenerate time "
@@ -514,11 +520,11 @@ def single_time_tail(model: MartingaleModel, n0: int,
         return np.array([_ratio_toward_zero(tails[i], 1 << n0)
                          for i in below.tolist()])
     if model.noise_kind == "rademacher" and n0 <= ENUM_MAX_HORIZON:
-        eps = _sign_matrix(0, 1 << n0, n0)
-        values, _ = model.prefix_values(eps)
-        final = values[:, -1] / sig
-        return np.array([np.count_nonzero(final > x) / (1 << n0)
-                         for x in xs])
+        counts = np.zeros(len(xs), dtype=np.int64)
+        for values in _sign_path_values(model, n0):
+            final = values[:, -1] / sig
+            counts += [np.count_nonzero(final > x) for x in xs]
+        return counts / (1 << n0)
     raise DomainError(f"no exact single-time tail for model {model.label} "
                       f"at n0={n0}")
 
@@ -616,8 +622,8 @@ def doob_moment_check(model: MartingaleModel, horizon: int,
         raise DomainError("moment check needs sign noise")
     if p <= 1:
         raise DomainError(f"moment order must exceed 1, got {p}")
-    eps = _sign_matrix(0, 1 << horizon, horizon)
-    values, _ = model.prefix_values(eps)
+    # horizon <= 12, so every path is in the first enumeration block
+    values = next(_sign_path_values(model, horizon))
     powered = np.abs(values) ** p
     max_moment = float(powered.max(axis=1).mean())
     final_moment = float(powered[:, -1].mean())

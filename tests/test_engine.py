@@ -221,7 +221,7 @@ def test_scan_equals_whole_array_oracle_on_synthetic_arrays():
 
 
 def test_analytic_block_sum_allocates_a_few_series_arrays():
-    """One default-length analytic series peaks at under five float64
+    """One default-length analytic series peaks at under three float64
     arrays of k_max terms, cached boundaries and thresholds excluded."""
     model = chaos_model(1)
     call = (4.0, V2, model.sigma_profile(), phi2(), 2.3)
@@ -232,7 +232,7 @@ def test_analytic_block_sum_allocates_a_few_series_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * DEFAULT_KMAX * 8
+    assert peak <= 3 * DEFAULT_KMAX * 8
 
 
 def test_block_sum_input_validation():
@@ -315,33 +315,19 @@ def test_optimized_bound_is_a_function_of_the_scaled_level(model):
     (weighted_iid_model(1.0, weibull_r=3.0), [2.0, 5.0],
      {"truncated", "converged"})], ids=lambda x: getattr(x, "label", None))
 def test_reported_residual_is_the_chosen_series_residual(model, us, flags):
-    """A reported row carries the residual block_sum gives its ratio."""
+    """A reported row carries the residual block_sum gives its ratio:
+    certified and finite when converged, exactly +inf when truncated."""
     sigma, phi, c = model.sigma_profile(), model.phi, 1.25
     report = optimized_bound(V2, sigma, phi, us, C=c)
     assert set(report.flags) == flags
-    for u, ratio, residual in zip(us, report.chosen_ratios,
-                                  report.residual_bounds):
+    for u, ratio, residual, flag in zip(us, report.chosen_ratios,
+                                        report.residual_bounds, report.flags):
         assert residual == block_sum(ratio, V2, sigma, phi,
                                      c * u).residual_bound
-
-
-def test_tail_fit_runs_only_for_reported_rows(monkeypatch):
-    """16 truncated levels x 12 ratios fit the tail once per level."""
-    from lilbound import engine
-    fits = []
-    real = engine._flat_tail_estimate
-
-    def counted(terms):
-        fits.append(len(terms))
-        return real(terms)
-
-    monkeypatch.setattr(engine, "_flat_tail_estimate", counted)
-    model = chaos_model(1)
-    report = optimized_bound(V2, model.sigma_profile(), model.phi,
-                             np.geomspace(1.0, 8.0, 16))
-    assert len(engine.DEFAULT_RATIOS) == 12
-    assert set(report.flags) == {"truncated"}
-    assert 0 < len(fits) <= 16
+        if flag == "truncated":
+            assert residual == math.inf
+        else:
+            assert math.isfinite(residual)
 
 
 def test_optimized_bound_ratio_superset_never_increases():

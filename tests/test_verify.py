@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -189,6 +190,24 @@ def test_single_time_tail_weighted_family():
     # S(3) support is +-{1,3,5,7}/8; only 7/8 and 5/8 exceed sigma(3)
     assert got[0] == pytest.approx(2.0 / 8.0)
     assert 5.0 / 8.0 > sigma3 > 3.0 / 8.0
+
+
+def test_single_time_tail_weighted_enumeration_is_blocked():
+    """Weighted sign models count every path exactly, one enumeration
+    block at a time, so 2^20 paths never sit in memory at once."""
+    model = weighted_iid_model(beta=1.0)
+    xs = [1.4, -1.0, 3.0, 0.3, 1.0, 0.0, 2.0]
+    for n0 in (1, 7, 14):
+        got = single_time_tail(model, n0, xs)
+        assert [Fraction(g) for g in got] == \
+            enumerated_single_time_tail(model, n0, xs), n0
+    tracemalloc.start()
+    try:
+        single_time_tail(model, 20, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_single_time_tail_rejects_unsupported_models():
