@@ -22,6 +22,12 @@ where it is exact: the +-1 sign sums of d = 1, far below 2^53.  For
 d >= 2, where a product could pass 2^53, sums and products run in int64
 over the same buffer and are rounded once, at the final division.
 Weighted models work in float64 throughout, in a fixed order.
+
+The Monte Carlo verifier draws sign chaos without noise_block and
+prefix_values: it reads the bits of the sign stream eight steps at a
+time and applies the same closed forms (verify._sign_chaos_extrema).
+Path-block simulation serves the weighted models, sign-path enumeration
+and the tests' references.
 """
 from __future__ import annotations
 

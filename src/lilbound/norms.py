@@ -111,11 +111,32 @@ def _check_centering(values: np.ndarray) -> float:
     return abs(mean)
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) as scipy.special.logsumexp computes it, to the bit.
+
+    The c elements equal to the maximum m are taken out of the sum, the
+    rest contribute exp(a - m) / c, and the result is log1p of that sum
+    plus log(c) plus m.  Where this is not finite (a +inf or NaN element,
+    or every element -inf), the plain log(sum(exp(a))) is returned.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a)
+        ties = a == top
+        count = float(np.count_nonzero(ties))
+        rest = a - top
+        rest[ties] = -np.inf
+        s = np.sum(np.exp(rest))
+        if s != 0:
+            s = s / count
+        out = np.log1p(s) + np.log(count) + top
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
 def _log_mgf(scaled: np.ndarray, lam: float) -> float:
     """log of the empirical MGF at lam, computed stably."""
-    # imported here so that `bound` never loads scipy
-    from scipy.special import logsumexp
-    return float(logsumexp(lam * scaled)) - math.log(len(scaled))
+    return _logsumexp(lam * scaled) - math.log(len(scaled))
 
 
 def _lambda_cutoff(scaled: np.ndarray) -> float:
@@ -125,16 +146,14 @@ def _lambda_cutoff(scaled: np.ndarray) -> float:
     sqrt((m2/m^2 - 1)/M) with m2 the empirical MGF at 2*lam; the cutoff is
     the last scan point where this stays below RELSE_CAP for both signs.
     """
-    # imported here so that `bound` never loads scipy
-    from scipy.special import logsumexp
     m = len(scaled)
     log_m = math.log(m)
     cutoff = LAMBDA_GRID_START
     for lam in _SCAN:
         worst = 0.0
         for s in (lam, -lam):
-            lm = float(logsumexp(s * scaled)) - log_m
-            lm2 = float(logsumexp(2.0 * s * scaled)) - log_m
+            lm = _logsumexp(s * scaled) - log_m
+            lm2 = _logsumexp(2.0 * s * scaled) - log_m
             relse2 = max(math.expm1(lm2 - 2.0 * lm), 0.0) / m
             worst = max(worst, math.sqrt(relse2))
         if worst > RELSE_CAP:

@@ -8,14 +8,17 @@ given a concrete martingale family, how large is
 
 with the max truncated at a stated horizon N?  empirical_sup_tail samples
 paths with the counter-based generator so results are bit-identical for a
-fixed seed no matter how many workers run; exact_sup_tail counts all 2^N
-sign paths for small horizons and returns exact rationals, by a dynamic
-program over the sign-sum lattice for chaos and by enumeration for the
-weighted models.  single_time_tail gives the single-time floor: exact
-integer binomial sums for chaos up to time FLOOR_MAX_TIME, rounded toward
-zero, so verify imports no scipy.  On top of those sit the calibration
-of the bound's constant, an enumeration check of the Doob maximal-moment
-step, and iterated-logarithm trajectory statistics.
+fixed seed no matter how many workers run.  Sign chaos (d <= 3) is
+simulated from the bit planes of the sign stream, eight steps per vector
+operation; the weighted models go through prefix_values on a reused
+value tile.  exact_sup_tail counts all 2^N sign paths for small
+horizons and returns exact rationals, by a dynamic program over the
+sign-sum lattice for chaos and by enumeration for the weighted models.
+single_time_tail gives the single-time floor: exact integer binomial
+sums for chaos up to time FLOOR_MAX_TIME, rounded toward zero, so verify
+imports no scipy.  On top of those sit the calibration of the bound's
+constant, an enumeration check of the Doob maximal-moment step, and
+iterated-logarithm trajectory statistics.
 
 Normalization matches the bound engine: model time n pairs with norming
 index n - n_min + 1, so the first non-degenerate time gets v(1) and the
@@ -36,14 +39,18 @@ import numpy as np
 from .engine import DEFAULT_KMAX, DEFAULT_TOL, NormingSequence, optimized_bound
 from .errors import CalibrationError, DomainError
 from .models import MartingaleModel, _chaos_closed_form, chaos_model
+from .rng import stream_words
 
 # 99% two-sided normal quantile, frozen so intervals never drift with scipy
 _Z99 = 2.5758293035489004
 
-# a path chunk reuses one float64 value tile (PATH_CHUNK x STEP_BLOCK,
-# 4 MiB) for all its step blocks; of 256, 512, 1024 and 4096, 512 paths
-# ran 2^15 paths x 2^14 steps fastest on two threads of a 2-core Xeon
-# (256 lost to lock contention between the threads' many short calls)
+# a path chunk reuses its buffers for all its step blocks: for sign chaos
+# the bit-plane kernel's, about 3 MiB (eight int16 planes and three
+# float64 arrays of PATH_CHUNK x STEP_BLOCK/8), for the weighted models
+# one float64 value tile of PATH_CHUNK x STEP_BLOCK (4 MiB).  Of steps x
+# paths 512x512, 1024x256, 1024x512, 1024x1024, 2048x256, 2048x512 and
+# 4096x128, 1024x512 and 1024x1024 ran 2^15 chaos paths x 2^14 steps
+# fastest on two threads of a 2-core Xeon; 1024x512 holds half as much
 PATH_CHUNK = 512
 STEP_BLOCK = 1024  # multiple of 64 so sign blocks tile the word stream
 CENSOR_COUNT = 10
@@ -55,7 +62,13 @@ FLOOR_MAX_TIME = 1 << 17
 
 
 def worker_count() -> int:
-    """Worker cap from LILBOUND_THREADS; 0 or unset means one per CPU."""
+    """Worker cap from LILBOUND_THREADS; 0 or unset means one per CPU
+    this process may run on.
+
+    The CPU affinity mask counts those; os.cpu_count() counts the host's,
+    too many in a pinned container, and serves only where the platform
+    has no affinity call.
+    """
     raw = os.environ.get("LILBOUND_THREADS", "0")
     try:
         k = int(raw)
@@ -63,7 +76,11 @@ def worker_count() -> int:
         raise DomainError(f"LILBOUND_THREADS must be an integer, got {raw!r}")
     if k < 0:
         raise DomainError(f"LILBOUND_THREADS must be >= 0, got {k}")
-    return k if k > 0 else (os.cpu_count() or 1)
+    if k > 0:
+        return k
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def wilson_interval(count: int, total: int, z: float = _Z99) -> Tuple[float, float]:
@@ -250,11 +267,18 @@ def _chunk_maxima(model: MartingaleModel, denom: np.ndarray, first: int,
                   path_hi: int) -> Tuple[np.ndarray, np.ndarray]:
     """Signed and absolute running maxima for paths [path_lo, path_hi).
 
-    One float64 tile of (paths x STEP_BLOCK) values is reused for every
-    step block: prefix_values writes into it and the divide, max and min
-    run in place on it, so a block allocates nothing of its size but its
-    noise.  The absolute max comes from the signed max and min.
+    Sign chaos goes to the bit-plane kernel.  Other models reuse one
+    float64 tile of (paths x STEP_BLOCK) values for every step block:
+    prefix_values writes into it and the divide, max and min run in
+    place on it, so a block allocates nothing of its size but its noise.
+    Their float64 sums depend on the order of addition, so they keep
+    the one-step-at-a-time cumsum.  The absolute max comes from the
+    signed max and min.
     """
+    if model.kind == "chaos":
+        best, worst = _sign_chaos_extrema(model.n_min, denom, first, horizon,
+                                          seed, path_lo, path_hi)
+        return best, np.maximum(best, -worst)
     n_paths = path_hi - path_lo
     best = np.full(n_paths, -np.inf)
     worst = np.full(n_paths, np.inf)
@@ -272,6 +296,86 @@ def _chunk_maxima(model: MartingaleModel, denom: np.ndarray, first: int,
         np.maximum(best, stat.max(axis=1), out=best)
         np.minimum(worst, stat.min(axis=1), out=worst)
     return best, np.maximum(best, -worst)
+
+
+def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
+                        seed: int, path_lo: int,
+                        path_hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Running max and min of degree-d sign chaos over steps [first,
+    horizon) for paths [path_lo, path_hi), from the bits of the stream.
+
+    Byte k of a path's stream words holds steps 8k .. 8k+7, bit j being
+    step 8k+j: the draws of rademacher_block.  Plane j is the (paths x
+    bytes) array of the sign sum P1 at steps 8k+j, for every byte k at
+    once.  It is the gain g_j of bits 0..j of the byte, g_j = g_(j-1) +
+    2 bit_j - 1 (one vector add per plane), plus P1 before the byte,
+    which one cumsum of g_7 over the bytes gives: an eighth of the
+    serial work of a cumsum over steps.  The closed form turns P1 into S
+    in int64 (float64 holds d = 1's sums exactly), and each plane is
+    divided by denom at its own steps and folded into running (paths x
+    bytes) max and min arrays; a plane skips the bytes whose step falls
+    before first or at or past the horizon.  Values and quotients are
+    those of prefix_values and the tile path, and max and min are exact,
+    so the extrema are the same bit for bit.
+    """
+    if d > 3:
+        raise DomainError("closed-form simulation supports d <= 3")
+    n_paths = path_hi - path_lo
+    # |P1| <= horizon, so int16 holds every sign sum below 2^15 steps
+    sums = np.int16 if horizon < 1 << 15 else np.int64
+    n_bytes = -(-horizon // 8)
+    # per_plane[j, k] = denom at step 8k + j; the pad past the horizon is
+    # never read, since every plane stops at the horizon
+    padded = np.ones(8 * n_bytes)
+    padded[:horizon] = denom
+    per_plane = padded.reshape(n_bytes, 8).T.copy()
+    width = min(STEP_BLOCK // 8, n_bytes)
+    top = np.full((n_paths, width), -np.inf)
+    bottom = np.full((n_paths, width), np.inf)
+    plane = np.empty((n_paths, width))
+    gains = np.empty((8, n_paths, width), dtype=sums)
+    byte = np.empty((n_paths, width), dtype=sums)
+    sign = np.empty((n_paths, width), dtype=sums)
+    p1 = np.zeros((n_paths, 1), dtype=sums)
+    for s0 in range(0, horizon, STEP_BLOCK):
+        nb = -(-min(STEP_BLOCK, horizon - s0) // 8)
+        words = stream_words(seed, path_lo, path_hi, s0 // 64, -(-nb // 8))
+        b, s, g = byte[:, :nb], sign[:, :nb], gains[:, :, :nb]
+        np.copyto(b, words.view(np.uint8)[:, :nb])
+        for j in range(8):
+            np.right_shift(b, j, out=s)
+            s &= 1
+            s += s
+            s -= 1  # the sign of step 8k + j
+            if j:
+                np.add(g[j - 1], s, out=g[j])
+            else:
+                g[0] = s
+        # P1 before each byte, then P1 after the block for the next one
+        before = np.cumsum(g[7], axis=1, dtype=sums)
+        before -= g[7]
+        before += p1
+        p1 = before[:, -1:] + g[7, :, -1:]
+        k0 = s0 // 8
+        for j in range(8):
+            # the bytes whose step s0 + 8k + j lies in [first, horizon)
+            k_lo = max(0, -(-(first - s0 - j) // 8))
+            k_hi = min(nb, -(-(horizon - s0 - j) // 8))
+            if k_lo >= k_hi:
+                continue
+            cols = slice(k_lo, k_hi)
+            out = plane[:, cols]
+            if d == 1:
+                np.add(before[:, cols], g[j, :, cols], out=out)
+            else:
+                ints = out.view(np.int64)
+                np.add(before[:, cols], g[j, :, cols], out=ints)
+                n = s0 + j + 1 + 8 * np.arange(k_lo, k_hi, dtype=np.int64)
+                _chaos_closed_form(d, ints, n, out=out)
+            out /= per_plane[j, k0 + k_lo:k0 + k_hi]
+            np.maximum(top[:, cols], out, out=top[:, cols])
+            np.minimum(bottom[:, cols], out, out=bottom[:, cols])
+    return top.max(axis=1), bottom.min(axis=1)
 
 
 def _over_path_chunks(model: MartingaleModel, denom: np.ndarray, first: int,

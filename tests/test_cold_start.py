@@ -1,9 +1,8 @@
-"""The package, ``bound``, ``conjugate``, ``simulate`` and ``verify`` run
-without importing scipy.
+"""The package and every command (``bound``, ``conjugate``, ``simulate``,
+``verify`` and ``norm``) run without importing scipy.
 
-Only ``norm`` (for logsumexp) loads scipy, and only when it runs.  Each
-check starts a fresh interpreter, since the test process has imported
-scipy already.
+Each check starts a fresh interpreter, since the test process has
+imported scipy already.
 """
 import json
 import os
@@ -66,3 +65,14 @@ def test_verify_loads_no_scipy(tmp_path, case):
     assert code == 0
     assert loaded == []
     assert (tmp_path / "sandwich.csv").exists()
+
+
+def test_norm_loads_no_scipy(tmp_path):
+    sample = tmp_path / "sample.csv"
+    values = np.random.default_rng(5).standard_normal(2000)
+    np.savetxt(sample, values - values.mean(), fmt="%.17g")
+    code, loaded = _run_fresh(["norm", "--sample", str(sample),
+                               "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert loaded == []
+    assert (tmp_path / "norms.json").exists()

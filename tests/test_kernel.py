@@ -15,7 +15,8 @@ import pytest
 
 from lilbound import (DomainError, chaos_model, empirical_sup_tail,
                       iterated_log_norming, weighted_iid_model)
-from lilbound import verify
+from lilbound import rng, verify
+from lilbound.rng import stream_words
 from lilbound.verify import PATH_CHUNK, STEP_BLOCK
 
 V2 = iterated_log_norming(2.0)
@@ -168,3 +169,58 @@ def test_golden_tail_counts():
                              seed=20260816)
     assert est.counts == (6498, 3168, 2646, 1412, 439, 214, 64, 4)
     assert est.counts_plus == (8192, 5835, 5066, 2782, 889, 416, 121, 6)
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("horizon", ["d", 7, 8, 9, 63, 65, 1023, 1025])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bit_planes_match_reference_on_ragged_bytes(d, horizon, threads,
+                                                    monkeypatch):
+    # horizons end inside a byte, on a byte, inside a word and just past
+    # a step block; first = d - 1 falls inside the first byte, and at
+    # horizon d the only step is the last bit of its plane range
+    horizon = d if horizon == "d" else horizon
+    model, prefix = CASES[f"chaos:d={d}"]
+    n_paths = 2 * PATH_CHUNK + 5
+    denom, first = verify._normalizer(model, V2, horizon)
+    monkeypatch.setenv("LILBOUND_THREADS", threads)
+    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
+                                             seed=101, n_paths=n_paths)
+    ref_signed, ref_absed = reference_maxima(model, prefix, denom, first,
+                                             horizon, 101, n_paths)
+    assert np.array_equal(signed, ref_signed)
+    assert np.array_equal(absed, ref_absed)
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_bit_planes_match_reference_past_int16_sums(d, threads, monkeypatch):
+    # even paths draw only +1 signs, so their sign sum reaches the horizon,
+    # 2^15 + 300, and leaves int16; odd paths keep their random draws
+    def drifting_words(seed, path_lo, path_hi, word_lo, n_words):
+        words = stream_words(seed, path_lo, path_hi, word_lo, n_words)
+        words[np.arange(path_lo, path_hi) % 2 == 0] = ~np.uint64(0)
+        return words
+
+    monkeypatch.setattr(rng, "stream_words", drifting_words)
+    monkeypatch.setattr(verify, "stream_words", drifting_words)
+    model, prefix = CASES[f"chaos:d={d}"]
+    horizon = (1 << 15) + 300
+    denom, first = verify._normalizer(model, V2, horizon)
+    monkeypatch.setenv("LILBOUND_THREADS", threads)
+    monkeypatch.setattr(verify, "PATH_CHUNK", 200)
+    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
+                                             seed=9, n_paths=600)
+    ref_signed, ref_absed = reference_maxima(model, prefix, denom, first,
+                                             horizon, 9, 600)
+    assert np.array_equal(signed, ref_signed)
+    assert np.array_equal(absed, ref_absed)
+    ramp = model.prefix_values(model.noise_block(9, 0, 1, 0, horizon))[0]
+    assert ramp[0, -1] == math.comb(horizon, d)
+
+
+def test_bit_planes_reject_chaos_past_degree_three():
+    model = chaos_model(4)
+    denom, first = verify._normalizer(model, V2, 64)
+    with pytest.raises(DomainError, match="d <= 3"):
+        verify._chunk_maxima(model, denom, first, 64, 1, 0, 8)

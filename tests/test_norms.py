@@ -7,8 +7,8 @@ import pytest
 
 from lilbound import DomainError, Sample, cosh_phi, estimate_norms, phi2
 from lilbound.errors import CenteringError
-from lilbound.norms import (NormEstimate, bphi_norm, gnorm_tail_bound,
-                            gpsi_norm, tail_function)
+from lilbound.norms import (NormEstimate, _logsumexp, bphi_norm,
+                            gnorm_tail_bound, gpsi_norm, tail_function)
 from lilbound.phi import phi_from_table
 
 
@@ -123,3 +123,34 @@ def test_estimate_norms_serialization():
     assert isinstance(est, NormEstimate)
     assert d["phi"] == "cosh"
     assert d["mean_abs"] == 0.0
+
+
+def logsumexp_cases():
+    rng = np.random.default_rng(2026)
+    for _ in range(300):
+        n = int(rng.integers(1, 5000))
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        yield a
+        tied = a.copy()
+        tied[rng.integers(0, n, size=1 + n // 3)] = a.max()
+        yield tied
+        yield np.round(a)
+    inf, nan = math.inf, math.nan
+    for special in ([0.0], [-0.0], [5.0, 5.0, 5.0], [700.0, 700.0],
+                    [1e308, 1e308], [-1e308, 1e308], [-745.0, 0.0],
+                    [inf], [-inf], [nan], [1.0, inf], [1.0, -inf],
+                    [-inf, -inf], [nan, 1.0], [inf, -inf], [inf, inf],
+                    [inf, nan], [2.0, 2.0, -inf, nan]):
+        yield np.array(special)
+
+
+def test_logsumexp_equals_scipy_to_the_bit():
+    from scipy.special import logsumexp
+    for a in logsumexp_cases():
+        ours = _logsumexp(a.copy())
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = float(logsumexp(a))
+        if math.isnan(ref):
+            assert math.isnan(ours), a
+        else:
+            assert np.float64(ours).tobytes() == np.float64(ref).tobytes(), a

@@ -285,6 +285,25 @@ def test_worker_count_env_override(monkeypatch):
     assert worker_count() >= 1
 
 
+def test_worker_count_follows_the_affinity_mask(monkeypatch):
+    # a process pinned to two of a host's 64 CPUs gets two workers
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {3, 5},
+                        raising=False)
+    monkeypatch.delenv("LILBOUND_THREADS", raising=False)
+    assert worker_count() == 2
+    monkeypatch.setenv("LILBOUND_THREADS", "0")
+    assert worker_count() == 2
+    monkeypatch.setenv("LILBOUND_THREADS", "5")
+    assert worker_count() == 5
+    # where the platform has no affinity call, every CPU counts
+    monkeypatch.delattr(verify.os, "sched_getaffinity")
+    monkeypatch.setenv("LILBOUND_THREADS", "0")
+    assert worker_count() == 64
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+    assert worker_count() == 1
+
+
 # ---------------------------------------------------------------------------
 # Wilson intervals
 # ---------------------------------------------------------------------------
@@ -455,6 +474,22 @@ def test_trajectory_stats_matched_seed_monotonicity():
     assert short.q25 <= short.median <= short.q75
     assert short.reference == pytest.approx(math.sqrt(2.0))
     assert lil_trajectory_stats(2, 64, 400, seed=1).reference == 1.0
+
+
+@pytest.mark.parametrize("args,pinned", [
+    ((1, 4096, 2000, 3),
+     (1.7497223225682261, 1.2256063367177727, 2.050047821581424, 0.989)),
+    ((2, 40000, 600, 3),
+     (1.4769327777758365, 1.0506740176926852, 2.0913220469983402, 1.0)),
+    ((3, 1500, 2000, 5),
+     (0.4321096734187755, 0.3264961747123315, 0.4602491571066826, 1.0)),
+])
+def test_trajectory_stats_golden(args, pinned):
+    # recorded with the one-step-at-a-time cumsum kernel; d = 2 at 40000
+    # steps runs past int16 sums, as criterion 11 does at 2^18
+    d, horizon, n_paths, seed = args
+    s = lil_trajectory_stats(d, horizon, n_paths, seed=seed)
+    assert (s.median, s.q25, s.q75, s.positive_fraction) == pinned
 
 
 def test_trajectory_stats_guards():
