@@ -11,10 +11,10 @@ timestamps, so rerunning a fixed (config, seed) is byte-identical.  CSV and
 JSON twins carry the same numbers; CSV floats use %.17g, which round-trips
 float64 exactly.
 
-Exit codes: 0 success, 2 bad configuration, domain error, or a file that
-cannot be read or written, 3 transform nonconvergence, 4 all-divergent
-bound, 5 calibration or dominance failure, 6 censored tail grid (too few
-exceedances to estimate anything).
+Exit codes: 0 success, 2 bad configuration, domain error, a file that
+cannot be read or written, or sizes too large for memory, 3 transform
+nonconvergence, 4 all-divergent bound, 5 calibration or dominance
+failure, 6 censored tail grid (too few exceedances to estimate anything).
 """
 from __future__ import annotations
 
@@ -53,6 +53,9 @@ NORMING_REGISTRY = "vr:R, const:C"
 MODEL_REGISTRY = "chaos:d=D, weightedA:beta=B[,r=R]"
 SIGMA_REGISTRY = "model (exact profile), powerlaw:gamma=G[,m=one|log|invlog]"
 MAX_GRID_POINTS = 10 ** 6
+#: the largest horizon or path count: times are float64, exact to 2^53, and
+#: past it numpy may refuse an array with ValueError, not MemoryError
+MAX_SIZE = 2 ** 53
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +203,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.horizon < 1 or self.paths < 1 or self.seed < 1:
             raise DomainError("horizon, paths, and seed must be positive")
+        if max(self.horizon, self.paths) > MAX_SIZE:
+            raise DomainError("horizon and paths must be at most 2^53")
         if not 0.0 < self.tolerance < 1.0:
             raise DomainError(f"tolerance must lie in (0, 1), got "
                               f"{self.tolerance}")
@@ -272,12 +277,9 @@ def _resolve(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
+    """A CSV cell: every cell written is an integer or a float."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, str):
-        return value
     return "%.17g" % float(value)
 
 
@@ -373,9 +375,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def _tail_files(cfg: RunConfig, estimate) -> None:
     d = estimate.to_dict()
-    rows = list(zip(d["u"], d["w_hat"], d["ci_low"], d["ci_high"])) \
-        if "ci_low" in d else \
-        list(zip(d["u"], d["w_hat"], d["w_hat"], d["w_hat"]))
+    # exact tails are their own interval
+    rows = list(zip(d["u"], d["w_hat"], d.get("ci_low", d["w_hat"]),
+                    d.get("ci_high", d["w_hat"])))
     write_csv(_out(cfg, "tails.csv"), ("u", "w_hat", "ci_low", "ci_high"),
               rows)
     write_json(_out(cfg, "tails.json"), {**d, "config": dataclasses.asdict(cfg)})
@@ -410,28 +412,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _exact_as_estimate(exact, paths_pow: int) -> TailEstimate:
+def _exact_as_estimate(exact) -> TailEstimate:
     """Wrap enumeration output so calibration sees exact degenerate CIs."""
+    total = 1 << exact.horizon
     w = tuple(float(f) for f in exact.w)
     return TailEstimate(
         u_grid=exact.u_grid, w_hat=w,
         w_plus_hat=tuple(float(f) for f in exact.w_plus),
-        ci_low=w, ci_high=w,
-        counts=tuple(f.numerator * (2 ** paths_pow // f.denominator)
-                     for f in exact.w),
-        counts_plus=tuple(f.numerator * (2 ** paths_pow // f.denominator)
-                          for f in exact.w_plus),
-        censored=tuple(False for _ in exact.w),
-        horizon=exact.horizon, paths=2 ** paths_pow, seed=0,
-        model_label=exact.model_label, norming_label=exact.norming_label)
+        ci_low=w, ci_high=w, counts=tuple(int(f * total) for f in exact.w),
+        counts_plus=tuple(int(f * total) for f in exact.w_plus),
+        censored=(False,) * len(w), horizon=exact.horizon, paths=total,
+        seed=0, model_label=exact.model_label,
+        norming_label=exact.norming_label)
 
 
 def _lower_bounds(model, v, horizon: int, u_grid: np.ndarray) -> np.ndarray:
     """Single-time floor at the horizon; zero when no exact tail exists.
 
-    The thresholds u * v(j0) are the ones single_time_lower_bound forms,
-    all passed to one single_time_tail call, which walks the binomial
-    row once.
+    The thresholds are u * v(j0) with j0 = horizon - n_min + 1, the
+    norming index verify pairs with model time horizon.  They are
+    single_time_lower_bound's u * v(n0) for n0 = j0, not for n0 = horizon
+    (the two differ for chaos with d >= 2), and go to one
+    single_time_tail call, which walks the binomial row once.
     """
     j0 = horizon - (model.n_min - 1)
     try:
@@ -448,7 +450,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     u_grid = parse_grid(cfg.u_grid, "u grid")
     if args.exact:
         exact = exact_sup_tail(model, v, cfg.horizon, u_grid)
-        estimate = _exact_as_estimate(exact, cfg.horizon)
+        estimate = _exact_as_estimate(exact)
         _tail_files(cfg, exact)
     else:
         guard = _censor_guard(cfg)
@@ -461,10 +463,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print("every grid point censored; cannot calibrate",
                   file=sys.stderr)
             return EXIT_CENSORED
-    ratios = _ratio_grid(cfg)
     try:
         calibration = calibrate_constant(estimate, v, sigma, phi,
-                                         ratio_grid=ratios,
+                                         ratio_grid=_ratio_grid(cfg),
                                          tol=cfg.tolerance)
     except CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
@@ -472,29 +473,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     write_json(_out(cfg, "calibration.json"),
                {**calibration.to_dict(), "config": dataclasses.asdict(cfg)})
     lower = _lower_bounds(model, v, cfg.horizon, u_grid)
-    bound = np.asarray(calibration.bound_values)
-    rows = []
-    violations = 0
-    for i in range(len(u_grid)):
-        if estimate.censored[i]:
-            continue
-        row = (float(u_grid[i]), float(lower[i]), estimate.w_hat[i],
-               estimate.ci_high[i], float(bound[i]))
-        rows.append(row)
-        if not (row[1] <= row[2] + 1e-15 and row[2] <= row[3] + 1e-15
-                and row[3] <= row[4] * (1 + 1e-12)):
-            violations += 1
-    write_csv(_out(cfg, "sandwich.csv"),
-              ("u", "lower_bound", "w_hat", "ci_high", "bound_at_Chat_u"),
-              rows)
-    write_json(_out(cfg, "sandwich.json"), {
-        "u": [r[0] for r in rows],
-        "lower_bound": [r[1] for r in rows],
-        "w_hat": [r[2] for r in rows],
-        "ci_high": [r[3] for r in rows],
-        "bound_at_Chat_u": [r[4] for r in rows],
-        "config": dataclasses.asdict(cfg),
-    })
+    rows = [(float(u_grid[i]), float(lower[i]), estimate.w_hat[i],
+             estimate.ci_high[i], calibration.bound_values[i])
+            for i in range(len(u_grid)) if not estimate.censored[i]]
+    violations = sum(not (lo <= w + 1e-15 and w <= hi + 1e-15
+                          and hi <= b * (1 + 1e-12))
+                     for _, lo, w, hi, b in rows)
+    header = ("u", "lower_bound", "w_hat", "ci_high", "bound_at_Chat_u")
+    write_csv(_out(cfg, "sandwich.csv"), header, rows)
+    # calibration needs an uncensored cell, so rows is never empty here
+    write_json(_out(cfg, "sandwich.json"),
+               {**{key: list(col) for key, col in zip(header, zip(*rows))},
+                "config": dataclasses.asdict(cfg)})
     if violations or calibration.margin < 1.0:
         print(f"dominance failed on {violations} rows "
               f"(margin {calibration.margin:.4g}); this signals an "
@@ -597,6 +587,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_NONCONVERGENCE
     except (LilboundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'no detail'}); lower "
+              f"--paths or --horizon", file=sys.stderr)
         return EXIT_DOMAIN
 
 

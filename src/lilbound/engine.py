@@ -120,7 +120,6 @@ class NormingSequence:
     deep block sums need when n itself overflows.
     """
     label: str
-    kind: str
     evaluate: Callable
     eval_log: Callable
 
@@ -129,7 +128,6 @@ class NormingSequence:
 class SigmaProfile:
     """Standard-deviation profile sigma(n), positive and nondecreasing."""
     label: str
-    kind: str
     evaluate: Callable
     log_sigma: Callable
 
@@ -152,15 +150,14 @@ def iterated_log_norming(r: float) -> NormingSequence:
         with np.errstate(over="ignore"):
             return np.log(ln3) ** inv_r
 
-    return NormingSequence(label=f"vr:{r:g}", kind="iterated_log",
-                           evaluate=ev, eval_log=ev_log)
+    return NormingSequence(label=f"vr:{r:g}", evaluate=ev, eval_log=ev_log)
 
 
 def constant_norming(c: float = 1.0) -> NormingSequence:
     if c <= 0:
         raise DomainError(f"constant norming must be positive, got {c}")
     return NormingSequence(
-        label=f"const:{c:g}", kind="constant",
+        label=f"const:{c:g}",
         evaluate=lambda n: np.full_like(np.asarray(n, dtype=float), c),
         eval_log=lambda log_n: np.full_like(np.asarray(log_n, dtype=float), c))
 
@@ -408,8 +405,7 @@ def fit_rate_form(phi: PhiFunction, sigma: SigmaProfile, r: float,
                   norming: Optional[NormingSequence] = None,
                   C: float = 1.0,
                   L: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                  ratio_grid: Optional[Sequence[float]] = None,
-                  k_max: int = DEFAULT_KMAX) -> RateFit:
+                  ratio_grid: Optional[Sequence[float]] = None) -> RateFit:
     """Check that the optimized bound follows exp(-c * u^r * L(u)).
 
     The slope c_hat comes from a through-origin least-squares fit of
@@ -423,7 +419,7 @@ def fit_rate_form(phi: PhiFunction, sigma: SigmaProfile, r: float,
         raise DomainError(f"rate exponent must be positive, got {r}")
     v = norming if norming is not None else iterated_log_norming(r)
     report = optimized_bound(v, sigma, phi, u_grid, C=C,
-                             ratio_grid=ratio_grid, k_max=k_max)
+                             ratio_grid=ratio_grid)
     us = np.asarray(report.u_grid)
     q = np.asarray(report.q_sums)
     x = us ** r if L is None else us ** r * np.asarray(L(us), dtype=float)
@@ -444,7 +440,10 @@ def single_time_lower_bound(tail_at_n0: Callable[[float], float], n0: int,
 
     The sup over n of S(n)/(sigma(n) v(n)) exceeds u whenever the single
     time n0 does, so P(S(n0)/sigma(n0) > u * v(n0)) is a certified lower
-    bound on the sup-tail probability.
+    bound on the sup-tail probability.  n0 is the engine's index, the one
+    v is evaluated at; tail_at_n0 is the tail of S/sigma at the model
+    time paired with it, n0 + n_min - 1 for a model whose profile starts
+    at n_min (see MartingaleModel.sigma_profile).
     """
     if n0 < 1:
         raise DomainError(f"n0 must be a positive index, got {n0}")

@@ -23,11 +23,10 @@ d >= 2, where a product could pass 2^53, sums and products run in int64
 over the same buffer and are rounded once, at the final division.
 Weighted models work in float64 throughout, in a fixed order.
 
-The Monte Carlo verifier draws sign chaos without noise_block and
-prefix_values: it reads the bits of the sign stream eight steps at a
-time and applies the same closed forms (verify._sign_chaos_extrema).
-Path-block simulation serves the weighted models, sign-path enumeration
-and the tests' references.
+verify dispatches on sign_sum_degree alone: a model with one (sign
+chaos, d <= 3) is simulated from the bits of the sign stream eight steps
+at a time and counted on the lattice of sign sums; every other model
+goes through noise_block and prefix_values.
 """
 from __future__ import annotations
 
@@ -57,10 +56,10 @@ class MartingaleModel:
     (values, state), where values is out (a float64 array of the block's
     shape, overwritten) or a fresh array, and state shares no memory
     with it.  The values do not depend on whether out is given, nor on
-    how a path is split into blocks.
+    how a path is split into blocks.  sign_sum_degree is d when S(n) is
+    _chaos_closed_form's degree-d value of the sign sum P1(n), else 0.
     """
     label: str
-    kind: str
     noise_kind: str
     n_min: int
     phi: PhiFunction
@@ -68,6 +67,7 @@ class MartingaleModel:
     log_sigma_shifted: Callable
     noise_block: Callable
     prefix_values: Callable
+    sign_sum_degree: int = 0
 
     def sigma_profile(self) -> SigmaProfile:
         """Variance profile re-indexed to start at the first usable time.
@@ -83,8 +83,8 @@ class MartingaleModel:
         def ev(j):
             return sig(np.asarray(j, dtype=float) + off)
 
-        return SigmaProfile(label=f"{self.label}-sigma", kind="model_exact",
-                            evaluate=ev, log_sigma=self.log_sigma_shifted)
+        return SigmaProfile(label=f"{self.label}-sigma", evaluate=ev,
+                            log_sigma=self.log_sigma_shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,11 @@ def _value_buffer(noise_block: np.ndarray,
     return out
 
 
+def _sign_noise(seed, path_lo, path_hi, step_lo, n_steps):
+    # rademacher_block is looked up per call, so it can be wrapped
+    return rademacher_block(seed, path_lo, path_hi, step_lo, n_steps)
+
+
 def chaos_model(d: int) -> MartingaleModel:
     """Degree-d sign chaos with Var S(n) = C(n, d).
 
@@ -146,9 +151,6 @@ def chaos_model(d: int) -> MartingaleModel:
         for i in range(d):
             out = out * np.maximum(n - i, 0.0)
         return np.sqrt(out / fact)
-
-    def noise(seed, path_lo, path_hi, step_lo, n_steps):
-        return rademacher_block(seed, path_lo, path_hi, step_lo, n_steps)
 
     def prefix(noise_block, state=None, out=None):
         if d > 3:
@@ -183,9 +185,10 @@ def chaos_model(d: int) -> MartingaleModel:
 
     phi = chi_square_phi() if d == 2 else phi2()
     return MartingaleModel(
-        label=f"chaos:d={d}", kind="chaos", noise_kind="rademacher",
-        n_min=d, phi=phi, sigma_exact=sigma, log_sigma_shifted=log_sigma,
-        noise_block=noise, prefix_values=prefix)
+        label=f"chaos:d={d}", noise_kind="rademacher", n_min=d, phi=phi,
+        sigma_exact=sigma, log_sigma_shifted=log_sigma,
+        noise_block=_sign_noise, prefix_values=prefix,
+        sign_sum_degree=d if d <= 3 else 0)
 
 
 def chaos_identity_check(signs: np.ndarray) -> bool:
@@ -230,10 +233,7 @@ def weighted_iid_model(beta: float = 1.0,
         phi = phi2()
         noise_kind = "rademacher"
         label = f"weightedA:beta={beta:g}"
-
-        def noise(seed, path_lo, path_hi, step_lo, n_steps):
-            return rademacher_block(seed, path_lo, path_hi, step_lo, n_steps)
-
+        noise = _sign_noise
         unit_scale = beta
     else:
         if weibull_r <= 1:
@@ -275,9 +275,9 @@ def weighted_iid_model(beta: float = 1.0,
         return log_b3 + 0.5 * np.log1p(-np.exp(-n * math.log(4.0)))
 
     return MartingaleModel(
-        label=label, kind="weighted_iid", noise_kind=noise_kind,
-        n_min=1, phi=phi, sigma_exact=sigma, log_sigma_shifted=log_sigma,
-        noise_block=noise, prefix_values=prefix)
+        label=label, noise_kind=noise_kind, n_min=1, phi=phi,
+        sigma_exact=sigma, log_sigma_shifted=log_sigma, noise_block=noise,
+        prefix_values=prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -317,4 +317,4 @@ def power_law_surrogate(gamma: float, m: str = "one") -> SigmaProfile:
         return base + mod if m == "log" else base - mod
 
     return SigmaProfile(label=f"powerlaw:gamma={gamma:g},m={m}",
-                        kind="power_law", evaluate=ev, log_sigma=log_sig)
+                        evaluate=ev, log_sigma=log_sig)

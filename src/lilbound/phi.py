@@ -63,9 +63,6 @@ class PhiFunction:
         if not self.lambda0 > 0:
             raise DomainError(f"lambda0 must be positive, got {self.lambda0}")
 
-    def __call__(self, lam: float) -> float:
-        return self.evaluate(lam)
-
 
 @dataclass(frozen=True)
 class PhiReport:
@@ -298,13 +295,12 @@ def _dphi(phi: PhiFunction, lam: float, cap: float) -> float:
     return num / (hi - lo)
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float,
-                iters: int = 90):
+def _golden_max(f: Callable[[float], float], a: float, b: float):
     inv_gr = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_gr * (b - a)
     d = a + inv_gr * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(90):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_gr * (b - a)
@@ -453,8 +449,7 @@ def _conjugate_numeric_many(phi: PhiFunction, u: np.ndarray,
     return values, residuals
 
 
-def conjugate(phi: PhiFunction, u: float,
-              tol: float = CONJUGATE_TOL, max_iter: int = MAX_ITER) -> float:
+def conjugate(phi: PhiFunction, u: float) -> float:
     """Young-Fenchel conjugate of phi at u >= 0.
 
     Uses the closed form when the family has one, otherwise bisection on
@@ -467,7 +462,7 @@ def conjugate(phi: PhiFunction, u: float,
         return float(phi.analytic_conjugate(u))
     if u == 0.0:
         return 0.0
-    value, _ = _conjugate_numeric(phi, u, tol, max_iter)
+    value, _ = _conjugate_numeric(phi, u, CONJUGATE_TOL, MAX_ITER)
     return value
 
 
@@ -513,8 +508,7 @@ def conjugate_function(phi: PhiFunction) -> PhiFunction:
 # inverse-function companions
 # ---------------------------------------------------------------------------
 
-def phi_inverse(phi: PhiFunction, p: float,
-                max_iter: int = MAX_ITER) -> float:
+def phi_inverse(phi: PhiFunction, p: float) -> float:
     """Inverse of phi on its positive branch: the lambda with phi(lambda) = p.
 
     Raises :class:`UnreachableValueError` when p exceeds the supremum of a
@@ -540,7 +534,7 @@ def phi_inverse(phi: PhiFunction, p: float,
         if expansions > 600:
             raise NonconvergenceError(
                 f"phi_inverse bracketing failed for {phi.label} at p={p:g}")
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         mid = 0.5 * (lo + hi)
         if phi.evaluate(mid) >= p:
             hi = mid

@@ -8,17 +8,18 @@ given a concrete martingale family, how large is
 
 with the max truncated at a stated horizon N?  empirical_sup_tail samples
 paths with the counter-based generator so results are bit-identical for a
-fixed seed no matter how many workers run.  Sign chaos (d <= 3) is
+fixed seed no matter how many workers run.  Models dispatch on
+sign_sum_degree alone.  One with a degree (sign chaos, d <= 3) is
 simulated from the bit planes of the sign stream, eight steps per vector
-operation; the weighted models go through prefix_values on a reused
-value tile.  exact_sup_tail counts all 2^N sign paths for small
-horizons and returns exact rationals, by a dynamic program over the
-sign-sum lattice for chaos and by enumeration for the weighted models.
-single_time_tail gives the single-time floor: exact integer binomial
-sums for chaos up to time FLOOR_MAX_TIME, rounded toward zero, so verify
-imports no scipy.  On top of those sit the calibration of the bound's
-constant, an enumeration check of the Doob maximal-moment step, and
-iterated-logarithm trajectory statistics.
+operation, and exact_sup_tail counts its 2^N sign paths by a dynamic
+program over the sign-sum lattice; every other model goes through
+prefix_values, on a reused value tile or by enumeration.  Exact tails
+are rationals, for small horizons.  single_time_tail gives the
+single-time floor: exact integer binomial sums up to time
+FLOOR_MAX_TIME, rounded toward zero, so verify imports no scipy.  On top
+of those sit the calibration of the bound's constant, an enumeration
+check of the Doob maximal-moment step, and iterated-logarithm trajectory
+statistics.
 
 Normalization matches the bound engine: model time n pairs with norming
 index n - n_min + 1, so the first non-degenerate time gets v(1) and the
@@ -36,7 +37,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import DEFAULT_KMAX, DEFAULT_TOL, NormingSequence, optimized_bound
+from .engine import DEFAULT_TOL, NormingSequence, optimized_bound
 from .errors import CalibrationError, DomainError
 from .models import MartingaleModel, _chaos_closed_form, chaos_model
 from .rng import stream_words
@@ -83,8 +84,8 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def wilson_interval(count: int, total: int, z: float = _Z99) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(count: int, total: int) -> Tuple[float, float]:
+    """99% Wilson score interval for a binomial proportion.
 
     Behaves sanely at zero counts, which is exactly where the tails live;
     a Wald interval would collapse to a point there.
@@ -92,10 +93,10 @@ def wilson_interval(count: int, total: int, z: float = _Z99) -> Tuple[float, flo
     if not 0 <= count <= total or total <= 0:
         raise DomainError(f"need 0 <= count <= total, got {count}/{total}")
     p = count / total
-    z2 = z * z / total
+    z2 = _Z99 * _Z99 / total
     denom = 1.0 + z2
     center = (p + z2 / 2.0) / denom
-    half = z * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total)) / denom
+    half = _Z99 * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total)) / denom
     # the exact interval always contains p; rounding in half can lose
     # that by one ulp at the extreme counts, so clamp through p
     return min(max(center - half, 0.0), p), max(min(center + half, 1.0), p)
@@ -215,33 +216,19 @@ class TrajectoryStats:
     positive_fraction: float
     reference: float
 
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "horizon": self.horizon,
-            "paths": self.paths,
-            "seed": self.seed,
-            "median": self.median,
-            "q25": self.q25,
-            "q75": self.q75,
-            "positive_fraction": self.positive_fraction,
-            "reference": self.reference,
-        }
-
 
 # ---------------------------------------------------------------------------
 # simulation core
 # ---------------------------------------------------------------------------
 
-def _normalizer(model: MartingaleModel, v: Optional[NormingSequence],
+def _normalizer(model: MartingaleModel, v: NormingSequence,
                 horizon: int) -> Tuple[np.ndarray, int]:
     """Denominator over model times 1..horizon plus the first valid step.
 
     denominator[i] = sigma(n) * v(n - n_min + 1) at n = i + 1, with 1.0
     placeholders on the degenerate prefix n < n_min; the returned offset
     is the 0-based step index where the statistic becomes defined, so
-    callers slice columns rather than mask them.  v = None divides by
-    sigma alone.
+    callers slice columns rather than mask them.
     """
     first = model.n_min - 1
     n = np.arange(model.n_min, horizon + 1, dtype=float)
@@ -251,14 +238,11 @@ def _normalizer(model: MartingaleModel, v: Optional[NormingSequence],
         raise DomainError(
             f"sigma of {model.label} degenerates inside [{model.n_min}, "
             f"{horizon}]")
-    if v is None:
-        denom[first:] = sig
-    else:
-        vv = np.asarray(v.evaluate(n - first), dtype=float)
-        if not np.all(np.isfinite(vv)) or np.any(vv <= 0):
-            raise DomainError(f"norming {v.label} is not positive over the "
-                              f"requested horizon {horizon}")
-        denom[first:] = sig * vv
+    vv = np.asarray(v.evaluate(n - first), dtype=float)
+    if not np.all(np.isfinite(vv)) or np.any(vv <= 0):
+        raise DomainError(f"norming {v.label} is not positive over the "
+                          f"requested horizon {horizon}")
+    denom[first:] = sig * vv
     return denom, first
 
 
@@ -267,17 +251,18 @@ def _chunk_maxima(model: MartingaleModel, denom: np.ndarray, first: int,
                   path_hi: int) -> Tuple[np.ndarray, np.ndarray]:
     """Signed and absolute running maxima for paths [path_lo, path_hi).
 
-    Sign chaos goes to the bit-plane kernel.  Other models reuse one
-    float64 tile of (paths x STEP_BLOCK) values for every step block:
-    prefix_values writes into it and the divide, max and min run in
-    place on it, so a block allocates nothing of its size but its noise.
-    Their float64 sums depend on the order of addition, so they keep
-    the one-step-at-a-time cumsum.  The absolute max comes from the
-    signed max and min.
+    A model with a sign_sum_degree goes to the bit-plane kernel.  Other
+    models reuse one float64 tile of (paths x STEP_BLOCK) values for
+    every step block: prefix_values writes into it and the divide, max
+    and min run in place on it, so a block allocates nothing of its size
+    but its noise.  Their float64 sums depend on the order of addition,
+    so they keep the one-step-at-a-time cumsum.  The absolute max comes
+    from the signed max and min.
     """
-    if model.kind == "chaos":
-        best, worst = _sign_chaos_extrema(model.n_min, denom, first, horizon,
-                                          seed, path_lo, path_hi)
+    if model.sign_sum_degree:
+        best, worst = _sign_chaos_extrema(model.sign_sum_degree, denom,
+                                          first, horizon, seed, path_lo,
+                                          path_hi)
         return best, np.maximum(best, -worst)
     n_paths = path_hi - path_lo
     best = np.full(n_paths, -np.inf)
@@ -301,8 +286,9 @@ def _chunk_maxima(model: MartingaleModel, denom: np.ndarray, first: int,
 def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
                         seed: int, path_lo: int,
                         path_hi: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Running max and min of degree-d sign chaos over steps [first,
-    horizon) for paths [path_lo, path_hi), from the bits of the stream.
+    """Running max and min of degree-d sign chaos (d <= 3) over steps
+    [first, horizon) for paths [path_lo, path_hi), from the bits of the
+    stream.
 
     Byte k of a path's stream words holds steps 8k .. 8k+7, bit j being
     step 8k+j: the draws of rademacher_block.  Plane j is the (paths x
@@ -318,8 +304,6 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
     those of prefix_values and the tile path, and max and min are exact,
     so the extrema are the same bit for bit.
     """
-    if d > 3:
-        raise DomainError("closed-form simulation supports d <= 3")
     n_paths = path_hi - path_lo
     # |P1| <= horizon, so int16 holds every sign sum below 2^15 steps
     sums = np.int16 if horizon < 1 << 15 else np.int64
@@ -528,11 +512,11 @@ def exact_sup_tail(model: MartingaleModel, v: NormingSequence, horizon: int,
                    u_grid: Sequence[float]) -> ExactTail:
     """Exact truncated sup-tail over every sign path.
 
-    Only meaningful for sign noise.  Chaos of degree d <= 3 is counted by
-    a dynamic program over the sign-sum lattice (O(horizon^2) per level);
-    weighted models enumerate all 2^horizon paths.  Either way the
-    horizon is capped at ENUM_MAX_HORIZON, and the counts are those of
-    the per-path float test.  Probabilities come back as exact fractions
+    Only meaningful for sign noise.  A model with a sign_sum_degree is
+    counted by a dynamic program over the sign-sum lattice (O(horizon^2)
+    per level); other models enumerate all 2^horizon paths.  Either way
+    the horizon is capped at ENUM_MAX_HORIZON, and the counts are those
+    of the per-path float test.  Probabilities come back as exact fractions
     with denominator 2^horizon.
     """
     if model.noise_kind != "rademacher":
@@ -547,9 +531,9 @@ def exact_sup_tail(model: MartingaleModel, v: NormingSequence, horizon: int,
             f"{model.n_min}")
     grid = [float(u) for u in u_grid]
     denom, first = _normalizer(model, v, horizon)
-    if model.kind == "chaos" and model.n_min <= 3:
-        counts, counts_plus = _lattice_sup_counts(model.n_min, denom, first,
-                                                  horizon, grid)
+    if model.sign_sum_degree:
+        counts, counts_plus = _lattice_sup_counts(
+            model.sign_sum_degree, denom, first, horizon, grid)
     else:
         counts, counts_plus = _enumerated_sup_counts(model, denom, first,
                                                      horizon, grid)
@@ -582,9 +566,9 @@ def single_time_tail(model: MartingaleModel, n0: int,
                      thresholds: Sequence[float]) -> np.ndarray:
     """P(S(n0)/sigma(n0) > x) for each threshold x, never above the truth.
 
-    Degree-d sign chaos (d <= 3) is a function of the sign sum, so the
-    tail is an exact integer sum of binomial coefficients C(n0, k) over
-    the k whose value passes x (the same float test as simulation),
+    A model with a sign_sum_degree d is a function of the sign sum, so
+    the tail is an exact integer sum of binomial coefficients C(n0, k)
+    over the k whose value passes x (the same float test as simulation),
     divided by 2^n0 and rounded toward zero, so it is a certified floor.
     One walk over k carries C(n0, k) by its recurrence and adds it to the
     bucket of how many thresholds its value passes; suffix sums of the
@@ -598,10 +582,8 @@ def single_time_tail(model: MartingaleModel, n0: int,
                           f"{model.n_min}")
     xs = np.asarray(thresholds, dtype=float)
     sig = float(model.sigma_exact(np.array([float(n0)]))[0])
-    if model.kind == "chaos":
-        d = model.n_min
-        if d > 3:
-            raise DomainError("single-time tails support chaos degree <= 3")
+    d = model.sign_sum_degree
+    if d:
         if n0 > FLOOR_MAX_TIME:
             raise DomainError(f"time {n0} exceeds the exact single-time "
                               f"cap {FLOOR_MAX_TIME}")
@@ -639,8 +621,7 @@ def single_time_tail(model: MartingaleModel, n0: int,
 
 def calibrate_constant(estimate: TailEstimate, v: NormingSequence, sigma,
                        phi, *, ratio_grid: Optional[Sequence[float]] = None,
-                       tol: float = DEFAULT_TOL,
-                       k_max: int = DEFAULT_KMAX) -> CalibrationResult:
+                       tol: float = DEFAULT_TOL) -> CalibrationResult:
     """Largest constant whose rescaled bound dominates the tail's upper CI.
 
     The bound is one function B of the scaled level C*u, nonincreasing,
@@ -672,7 +653,7 @@ def calibrate_constant(estimate: TailEstimate, v: NormingSequence, sigma,
 
     def dominates(i: int, c: float) -> bool:
         report = optimized_bound(v, sigma, phi, [estimate.u_grid[i]], C=c,
-                                 ratio_grid=ratio_grid, tol=tol, k_max=k_max)
+                                 ratio_grid=ratio_grid, tol=tol)
         return report.q_sums[0] >= estimate.ci_high[i]
 
     floor, cap = 0.01, 100.0
@@ -695,8 +676,7 @@ def calibrate_constant(estimate: TailEstimate, v: NormingSequence, sigma,
                 hi = mid
         c_hat = min(c_hat, lo)
     full = optimized_bound(v, sigma, phi, np.asarray(estimate.u_grid),
-                           C=c_hat, ratio_grid=ratio_grid, tol=tol,
-                           k_max=k_max)
+                           C=c_hat, ratio_grid=ratio_grid, tol=tol)
     margin = min(full.q_sums[i] / estimate.ci_high[i]
                  if estimate.ci_high[i] > 0 else math.inf for i in active)
     return CalibrationResult(c_hat=c_hat, u_grid=estimate.u_grid,
@@ -750,8 +730,6 @@ def lil_trajectory_stats(d: int, horizon: int, n_paths: int,
     Matched seeds make the median weakly increasing in the horizon, since
     each path's running max can only grow.
     """
-    if d not in (1, 2, 3):
-        raise DomainError(f"trajectory statistics support d in 1..3, got {d}")
     if horizon < 4:
         raise DomainError(f"horizon too short for loglog weights: {horizon}")
     model = chaos_model(d)

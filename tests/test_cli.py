@@ -14,6 +14,7 @@ import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
+from lilbound import verify
 from lilbound.cli import (EXIT_CENSORED, EXIT_DIVERGENT, EXIT_DOMAIN,
                           EXIT_OK, RunConfig, load_config, main, parse_grid)
 from lilbound.errors import DomainError
@@ -397,6 +398,43 @@ def test_chaos_degree_too_large_exits_2(capsys):
     code, _, err = run_cli(capsys, ["bound", "--model", "chaos:d=200"])
     assert code == EXIT_DOMAIN
     assert "chaos degree" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--paths", "1000", "--horizon", "64"],
+    ["verify", "--paths", "1000", "--horizon", "64"],
+    ["verify", "--exact", "--horizon", "8"],
+])
+def test_chaos_degree_four_cannot_be_simulated(tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, argv + ["--model", "chaos:d=4",
+                                           "--out-dir", str(tmp_path)])
+    assert code == EXIT_DOMAIN
+    assert err == "error: closed-form simulation supports d <= 3\n"
+
+
+def test_path_count_beyond_any_array_exits_2(tmp_path, capsys):
+    # rejected with the configuration, before anything is allocated
+    code, _, err = run_cli(capsys, ["simulate", "--paths", str(10 ** 20),
+                                    "--horizon", "64",
+                                    "--out-dir", str(tmp_path)])
+    assert code == EXIT_DOMAIN
+    assert err.startswith("error: horizon and paths must be at most 2^53")
+    assert err.count("\n") == 1
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # what numpy raises when an array of --horizon steps does not fit
+    def no_room(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with "
+                          "shape (1000000000000,) and data type float64")
+
+    monkeypatch.setattr(verify, "_normalizer", no_room)
+    code, _, err = run_cli(capsys, ["verify", "--paths", "1000",
+                                    "--horizon", "64",
+                                    "--out-dir", str(tmp_path)])
+    assert code == EXIT_DOMAIN
+    assert err.startswith("error: out of memory (Unable to allocate 7.28 TiB")
+    assert err.count("\n") == 1
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

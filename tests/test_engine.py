@@ -37,7 +37,7 @@ V2 = iterated_log_norming(2.0)
 # which no built-in norming produces (iterated-log tails decay only
 # polynomially and the constant norming diverges outright)
 SQRT_NORMING = NormingSequence(
-    label="sqrt-growth", kind="synthetic",
+    label="sqrt-growth",
     evaluate=lambda n: np.sqrt(np.asarray(n, dtype=float)),
     eval_log=lambda log_n: np.exp(
         np.minimum(0.5 * np.asarray(log_n, dtype=float), 700.0)))
@@ -78,7 +78,7 @@ def test_geometric_partition_boundaries():
 
 def test_block_term_union_bound_baseline():
     # flat sigma and v == 1 collapse the argument to u itself
-    flat = SigmaProfile(label="flat", kind="synthetic",
+    flat = SigmaProfile(label="flat",
                         evaluate=lambda n: np.full(np.shape(n), 2.0),
                         log_sigma=lambda log_n: np.full(np.shape(log_n),
                                                         math.log(2.0)))
