@@ -205,6 +205,8 @@ class RunConfig:
             raise DomainError("horizon, paths, and seed must be positive")
         if max(self.horizon, self.paths) > MAX_SIZE:
             raise DomainError("horizon and paths must be at most 2^53")
+        if self.seed >= 2 ** 64:
+            raise DomainError("seed must be below 2^64")
         if not 0.0 < self.tolerance < 1.0:
             raise DomainError(f"tolerance must lie in (0, 1), got "
                               f"{self.tolerance}")

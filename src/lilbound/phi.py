@@ -11,8 +11,10 @@ conjugate transform
 
 together with its inverse-function companions.  Built-in families carry
 closed-form conjugates; everything else is solved numerically by bisection
-on the (strictly increasing) derivative, with a golden-section fallback
-near a finite domain edge.
+on the (strictly increasing) derivative, and phi_inverse by bisection on
+phi itself.  Both follow one rule: the bracket's right end doubles until
+it reaches the target or the domain edge, so a finite edge that is never
+reached is the last bracket, and bisection closes in on it.
 
 The solver comes in two forms that take the same steps.  The scalar one
 (:func:`conjugate`) is plain Python, cheapest for a single point.  The
@@ -125,7 +127,7 @@ def cosh_phi() -> PhiFunction:
 
     def conj(u):
         u = np.abs(u)
-        return u * np.arcsinh(u) - np.sqrt(1.0 + u * u) + 1.0
+        return u * np.arcsinh(u) - np.hypot(1.0, u) + 1.0
 
     def inv(p):
         return np.arccosh(np.asarray(p) + 1.0)
@@ -157,7 +159,7 @@ def chi_square_phi() -> PhiFunction:
         u = np.abs(u)
         lam = u / (1.0 + _SQRT2 * u)
         # value of lam*u - phi(lam) with 1 - sqrt2*lam = 1/(1 + sqrt2 u)
-        return lam * u + lam / _SQRT2 + 0.5 * np.log1p(-_SQRT2 * lam)
+        return lam * u + lam / _SQRT2 - 0.5 * np.log1p(_SQRT2 * u)
 
     return PhiFunction(label="chi2", evaluate=ev, lambda0=1.0 / _SQRT2,
                        analytic_conjugate=conj)
@@ -295,23 +297,37 @@ def _dphi(phi: PhiFunction, lam: float, cap: float) -> float:
     return num / (hi - lo)
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float):
-    inv_gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_gr * (b - a)
-    d = a + inv_gr * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(90):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_gr * (b - a)
-            fc = f(c)
+def _bisect(f: Callable[[float], float], target: float, cap: float,
+            rtol: float, max_iter: int, failure: str):
+    """Bracket, then bisect, where the nondecreasing f first reaches target
+    on [0, cap]; returns (lo, hi, reached).
+
+    The right end doubles from min(1, cap) until f reaches target there or
+    it is the domain edge: a finite edge that f never reaches closes the
+    last bracket, and bisection then closes in on the edge.  reached tells
+    whether f reaches target at the bracket's right end.  Halving stops
+    once hi - lo <= rtol * max(1, hi).  If 601 doublings reach neither
+    target nor edge, NonconvergenceError(failure) is raised.
+    """
+    lo, hi = 0.0, min(1.0, cap)
+    reached = f(hi) >= target
+    expansions = 0
+    while not reached and hi < cap:
+        if expansions > 600:
+            raise NonconvergenceError(failure)
+        lo = hi
+        hi = min(hi * 2.0, cap)
+        expansions += 1
+        reached = f(hi) >= target
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if f(mid) >= target:
+            hi = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_gr * (b - a)
-            fd = f(d)
-        if b - a <= 1e-14 * max(1.0, abs(b)):
+            lo = mid
+        if hi - lo <= rtol * max(1.0, hi):
             break
-    return (c, fc) if fc > fd else (d, fd)
+    return lo, hi, reached
 
 
 def _conjugate_numeric(phi: PhiFunction, u: float,
@@ -322,37 +338,10 @@ def _conjugate_numeric(phi: PhiFunction, u: float,
     def objective(lam):
         return lam * u - phi.evaluate(lam)
 
-    # bracket the stationary point: dphi is 0 at the origin and increases
-    lo, hi = 0.0, min(1.0, cap)
-    bracketed = _dphi(phi, hi, cap) >= u
-    expansions = 0
-    while not bracketed:
-        if hi >= cap or expansions > 600:
-            break
-        lo = hi
-        hi = min(hi * 2.0, cap)
-        expansions += 1
-        bracketed = _dphi(phi, hi, cap) >= u
-    if not bracketed:
-        if math.isinf(cap):
-            raise NonconvergenceError(
-                f"conjugate bracketing failed for {phi.label} at u={u:g}")
-        # derivative never reaches u inside a finite domain: the supremum
-        # sits at the edge; polish with golden section near it
-        lam, val = _golden_max(objective, lo, cap)
-        edge = objective(cap)
-        if edge > val:
-            lam, val = cap, edge
-        return max(val, 0.0), 0.0
-
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if _dphi(phi, mid, cap) >= u:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
+    # dphi is 0 at the origin and increases
+    lo, hi, _ = _bisect(
+        lambda lam: _dphi(phi, lam, cap), u, cap, 1e-13, max_iter,
+        f"conjugate bracketing failed for {phi.label} at u={u:g}")
     lam = 0.5 * (lo + hi)
     f_lo, f_mid, f_hi = objective(lo), objective(lam), objective(hi)
     value = max(f_lo, f_mid, f_hi, 0.0)
@@ -383,9 +372,9 @@ def _conjugate_numeric_many(phi: PhiFunction, u: np.ndarray,
     Returns (values, residuals).  u = 0 gives exactly 0.  Every point
     takes the scalar solver's steps: the bracket doublings from
     min(1, cap) are the same for all points, so they are evaluated once;
-    the bisection then runs on all points together, each point leaving
-    when it meets the scalar stop rule.  Points the doublings cannot
-    bracket go through the scalar solver one at a time.
+    a point whose slope the doublings never reach takes the last bracket,
+    which ends at the domain edge.  The bisection then runs on all points
+    together, each point leaving when it meets the scalar stop rule.
     """
     cap = _domain_cap(phi)
     values = np.zeros(len(u))
@@ -406,14 +395,12 @@ def _conjugate_numeric_many(phi: PhiFunction, u: np.ndarray,
                and len(slopes) <= 601):
             edges.append(min(edges[-1] * 2.0, cap))
             slopes.append(_dphi_many(phi, np.array(edges[-1:]), cap)[0])
-    first = np.full(len(ut), -1)
-    for j, slope in enumerate(slopes):
-        first[(first < 0) & (slope >= ut)] = j
-    for i in np.nonzero(first < 0)[0]:
-        values[todo[i]], residuals[todo[i]] = _conjugate_numeric(
-            phi, float(ut[i]), tol, max_iter)
-    ok = first >= 0
-    todo, ut, first = todo[ok], ut[ok], first[ok]
+    if not slopes[-1] >= u_max and edges[-1] < cap:
+        raise NonconvergenceError(
+            f"conjugate bracketing failed for {phi.label} at u={u_max:g}")
+    first = np.full(len(ut), len(slopes) - 1)
+    for j in reversed(range(len(slopes) - 1)):
+        first[slopes[j] >= ut] = j
     edges = np.array(edges)
     lo, hi = edges[first], edges[first + 1]
 
@@ -453,8 +440,9 @@ def conjugate(phi: PhiFunction, u: float) -> float:
     """Young-Fenchel conjugate of phi at u >= 0.
 
     Uses the closed form when the family has one, otherwise bisection on
-    the difference-quotient derivative (golden-section fallback at a finite
-    domain edge).  u = 0 returns exactly 0 since phi >= 0 with phi(0) = 0.
+    the difference-quotient derivative, which closes in on a finite domain
+    edge when the derivative never reaches u.  u = 0 returns exactly 0
+    since phi >= 0 with phi(0) = 0.
     """
     if u < 0:
         raise DomainError(f"conjugate argument must be >= 0, got {u}")
@@ -488,18 +476,11 @@ def conjugate_function(phi: PhiFunction) -> PhiFunction:
     every generator without a closed-form conjugate, it evaluates numpy
     arrays elementwise.
     """
-    inner = phi.analytic_conjugate
 
     def ev(u):
         if np.ndim(u) > 0:
-            x = np.abs(u)
-            if inner is not None:
-                return np.asarray(inner(x), dtype=float)
-            return conjugate_many(phi, x)
-        x = abs(u)
-        if inner is not None:
-            return float(inner(x))
-        return conjugate(phi, x)
+            return conjugate_many(phi, np.abs(u))
+        return conjugate(phi, abs(u))
 
     return PhiFunction(label=f"conj({phi.label})", evaluate=ev)
 
@@ -521,27 +502,13 @@ def phi_inverse(phi: PhiFunction, p: float) -> float:
     if phi.analytic_inverse is not None:
         return float(phi.analytic_inverse(p))
     cap = _domain_cap(phi)
-    lo, hi = 0.0, min(1.0, cap)
-    expansions = 0
-    while phi.evaluate(hi) < p:
-        if hi >= cap:
-            raise UnreachableValueError(
-                f"{phi.label}: p = {p:g} exceeds sup phi = "
-                f"{phi.evaluate(cap):g} on the open domain")
-        lo = hi
-        hi = min(hi * 2.0, cap)
-        expansions += 1
-        if expansions > 600:
-            raise NonconvergenceError(
-                f"phi_inverse bracketing failed for {phi.label} at p={p:g}")
-    for _ in range(MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if phi.evaluate(mid) >= p:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
+    lo, hi, reached = _bisect(
+        phi.evaluate, p, cap, 1e-14, MAX_ITER,
+        f"phi_inverse bracketing failed for {phi.label} at p={p:g}")
+    if not reached:
+        raise UnreachableValueError(
+            f"{phi.label}: p = {p:g} exceeds sup phi = "
+            f"{phi.evaluate(cap):g} on the open domain")
     return 0.5 * (lo + hi)
 
 

@@ -70,6 +70,22 @@ def test_conjugate_out_dir_twins(tmp_path, capsys):
         assert row == [u, val]  # %.17g round-trips float64 exactly
 
 
+def test_chi2_conjugate_and_bound_stay_finite_at_huge_levels(tmp_path,
+                                                              capsys):
+    code, out, _ = run_cli(capsys, ["conjugate", "--phi", "chi2",
+                                    "--u", "1e308"])
+    assert code == EXIT_OK
+    assert out == "u,phi_star\n1e+308,7.0710678118654747e+307\n"
+    code, out, _ = run_cli(capsys, [
+        "bound", "--model", "chaos:d=2", "--norming", "vr:1",
+        "--u-grid", "1e15,1e16,1e17", "--ratio-grid", "4",
+        "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    assert "nan" not in out
+    _, rows = read_csv(tmp_path / "bound.csv")
+    assert [row[1] for row in rows] == [0.0, 0.0, 0.0]
+
+
 def test_conjugate_rejects_negative_point(capsys):
     code, _, err = run_cli(capsys, ["conjugate", "--phi", "phi2",
                                     "--u", "1,-2"])
@@ -256,6 +272,23 @@ def test_invalid_seed_rejected(capsys):
     code, _, err = run_cli(capsys, ["simulate", "--seed", "0"])
     assert code == EXIT_DOMAIN
     assert "seed" in err
+
+
+def test_seed_past_uint64_exits_2_before_writing(tmp_path, capsys):
+    # 2^64 + 1 would draw seed 1's paths if it were reduced mod 2^64
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, ["simulate", "--seed", str(2 ** 64 + 1),
+                                    "--paths", "2000", "--horizon", "64",
+                                    "--out-dir", str(out)])
+    assert code == EXIT_DOMAIN
+    assert err == "error: seed must be below 2^64\n"
+    assert not out.exists()
+    code, _, _ = run_cli(capsys, ["simulate", "--seed", str(2 ** 64 - 1),
+                                  "--paths", "2000", "--horizon", "64",
+                                  "--u-grid", "0.8,1.2",
+                                  "--out-dir", str(out)])
+    assert code == EXIT_OK
+    assert (out / "tails.csv").exists()
 
 
 # ---------------------------------------------------------------------------

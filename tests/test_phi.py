@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lilbound import (
     power_phi,
     standard_grid,
 )
+from lilbound import phi as phi_module
 from lilbound.errors import UnreachableValueError
 from lilbound.phi import (CONJUGATE_TOL, _conjugate_numeric,
                           _conjugate_numeric_many, conjugate_many,
@@ -72,6 +74,23 @@ def test_chi_square_solver_handles_finite_domain_edge():
             float(closed.analytic_conjugate(u)), rel=1e-8)
 
 
+@pytest.mark.parametrize("u", [1e17, 1e308])
+def test_chi_square_closed_form_stays_finite_at_huge_u(u):
+    # u/sqrt2 - log(sqrt2 u)/2 + O(1/u); log1p(-sqrt2 * lam) once
+    # rounded lam to 1/sqrt2 and gave -inf, then NaN
+    expected = u / math.sqrt(2.0) - 0.5 * math.log(math.sqrt(2.0) * u)
+    phi = chi_square_phi()
+    assert conjugate(phi, u) == pytest.approx(expected, rel=1e-15)
+    assert conjugate_many(phi, np.array([u]))[0] == conjugate(phi, u)
+
+
+@pytest.mark.parametrize("u", [1e155, 1e300])
+def test_cosh_closed_form_stays_finite_at_huge_u(u):
+    # sqrt(1 + u^2) is u to the last bit here, but 1 + u*u overflowed
+    expected = u * math.asinh(u) - u + 1.0
+    assert conjugate(cosh_phi(), u) == pytest.approx(expected, rel=1e-15)
+
+
 def test_chi_square_generator_undefined_past_edge():
     phi = chi_square_phi()
     with pytest.raises(DomainError):
@@ -105,6 +124,42 @@ def test_conjugate_many_bit_identical_to_scalar_on_table():
     expected = [conjugate(table, float(u)) for u in us]
     np.testing.assert_array_equal(conjugate_many(table, us), expected)
     assert conjugate_many(table, us)[0] == 0.0
+
+
+def test_points_past_the_last_slope_join_the_lockstep_solve(monkeypatch):
+    # the domain edge is their last bracket: no point goes through the
+    # scalar solver on its own
+    table = quadratic_table()
+    us = np.array([10.0, 40.0, 45.0, 1e3])
+    expected = [conjugate(table, float(u)) for u in us]
+
+    def no_scalar_solve(*args):
+        raise AssertionError("the array solver fell back to the scalar one")
+
+    monkeypatch.setattr(phi_module, "_conjugate_numeric", no_scalar_solve)
+    np.testing.assert_array_equal(conjugate_many(table, us), expected)
+
+
+def test_conjugate_at_the_domain_edge_never_exceeds_the_exact_value():
+    # lambda^2/2 on [0, 40): for u >= 40 the supremum is the edge value
+    # 40u - 800, approached from below inside the open domain
+    table = quadratic_table()
+    us = np.array([40.0, 40.01, 41.0, 45.0, 100.0, 1e3, 1e6])
+    for value, u in zip(conjugate_many(table, us), us):
+        exact = 40 * Fraction(float(u)) - 800
+        assert Fraction(float(value)) <= exact
+        assert Fraction(conjugate(table, float(u))) <= exact
+        assert value == pytest.approx(float(exact), rel=1e-10)
+
+
+def test_unbounded_slope_search_without_an_edge_fails_cleanly():
+    # slope 1 everywhere on an infinite domain never reaches u = 2
+    from lilbound.phi import PhiFunction
+    linear = PhiFunction(label="linear", evaluate=np.abs)
+    with pytest.raises(NonconvergenceError, match="bracketing"):
+        conjugate(linear, 2.0)
+    with pytest.raises(NonconvergenceError, match="bracketing"):
+        conjugate_many(linear, np.array([0.5, 2.0]))
 
 
 @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 4.0])

@@ -30,6 +30,16 @@ def test_stream_words_slices_are_position_stable():
     assert np.array_equal(part, whole[2:5, 3:7])
 
 
+def test_stream_words_rejects_seeds_outside_uint64():
+    # a seed is not reduced mod 2^64, so seeds 2^64 apart cannot alias
+    for seed in (-1, 2 ** 64, 2 ** 64 + 1):
+        with pytest.raises(DomainError, match="seed"):
+            stream_words(seed, 0, 2, 0, 4)
+    top = stream_words(2 ** 64 - 1, 0, 2, 0, 4)
+    assert top.shape == (2, 4)
+    assert not np.array_equal(top, stream_words(0, 0, 2, 0, 4))
+
+
 def test_mix64_avalanche_on_single_bit():
     x = mix64(np.uint64(0x123456789))
     y = mix64(np.uint64(0x123456788))
