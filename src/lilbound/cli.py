@@ -38,6 +38,7 @@ from .models import (MartingaleModel, chaos_model, power_law_surrogate,
 from .norms import Sample, estimate_norms
 from .phi import (PhiFunction, chi_square_phi, conjugate, cosh_phi,
                   phi_from_csv, phi2, power_phi)
+from .rng import check_seed
 from .verify import (CENSOR_COUNT, TailEstimate, calibrate_constant,
                      empirical_sup_tail, exact_sup_tail, single_time_tail)
 
@@ -205,8 +206,7 @@ class RunConfig:
             raise DomainError("horizon, paths, and seed must be positive")
         if max(self.horizon, self.paths) > MAX_SIZE:
             raise DomainError("horizon and paths must be at most 2^53")
-        if self.seed >= 2 ** 64:
-            raise DomainError("seed must be below 2^64")
+        check_seed(self.seed)
         if not 0.0 < self.tolerance < 1.0:
             raise DomainError(f"tolerance must lie in (0, 1), got "
                               f"{self.tolerance}")

@@ -13,8 +13,9 @@ together with its inverse-function companions.  Built-in families carry
 closed-form conjugates; everything else is solved numerically by bisection
 on the (strictly increasing) derivative, and phi_inverse by bisection on
 phi itself.  Both follow one rule: the bracket's right end doubles until
-it reaches the target or the domain edge, so a finite edge that is never
-reached is the last bracket, and bisection closes in on it.
+it reaches the target or a finite domain edge.  An edge never reached
+ends the search: the conjugate's supremum is then the edge value, and
+phi_inverse's target lies beyond sup phi.
 
 The solver comes in two forms that take the same steps.  The scalar one
 (:func:`conjugate`) is plain Python, cheapest for a single point.  The
@@ -157,9 +158,15 @@ def chi_square_phi() -> PhiFunction:
 
     def conj(u):
         u = np.abs(u)
-        lam = u / (1.0 + _SQRT2 * u)
-        # value of lam*u - phi(lam) with 1 - sqrt2*lam = 1/(1 + sqrt2 u)
-        return lam * u + lam / _SQRT2 - 0.5 * np.log1p(_SQRT2 * u)
+        with np.errstate(over="ignore", divide="ignore"):
+            s = _SQRT2 * u
+            lam = u / (1.0 + s)
+            # value of lam*u - phi(lam) with 1 - sqrt2*lam = 1/(1 + sqrt2 u)
+            value = lam * u + lam / _SQRT2 - 0.5 * np.log1p(s)
+            if np.isinf(s).any():  # u past 2^1024/sqrt2: the limit form
+                value = np.where(np.isinf(s), u / _SQRT2 - 0.5 * np.log(u)
+                                 - 0.25 * math.log(2.0), value)
+        return value
 
     return PhiFunction(label="chi2", evaluate=ev, lambda0=1.0 / _SQRT2,
                        analytic_conjugate=conj)
@@ -302,23 +309,20 @@ def _bisect(f: Callable[[float], float], target: float, cap: float,
     """Bracket, then bisect, where the nondecreasing f first reaches target
     on [0, cap]; returns (lo, hi, reached).
 
-    The right end doubles from min(1, cap) until f reaches target there or
-    it is the domain edge: a finite edge that f never reaches closes the
-    last bracket, and bisection then closes in on the edge.  reached tells
-    whether f reaches target at the bracket's right end.  Halving stops
-    once hi - lo <= rtol * max(1, hi).  If 601 doublings reach neither
-    target nor edge, NonconvergenceError(failure) is raised.
+    The right end doubles from min(1, cap) until f reaches target there;
+    at a finite edge f never reaches, (lo, cap, False) returns with no
+    halving.  Halving stops once hi - lo <= rtol * max(1, hi); 601
+    doublings short of target and edge raise NonconvergenceError(failure).
     """
     lo, hi = 0.0, min(1.0, cap)
-    reached = f(hi) >= target
-    expansions = 0
-    while not reached and hi < cap:
-        if expansions > 600:
-            raise NonconvergenceError(failure)
-        lo = hi
-        hi = min(hi * 2.0, cap)
-        expansions += 1
-        reached = f(hi) >= target
+    for _ in range(602):
+        if f(hi) >= target:
+            break
+        if hi >= cap:
+            return lo, hi, False
+        lo, hi = hi, min(hi * 2.0, cap)
+    else:
+        raise NonconvergenceError(failure)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if f(mid) >= target:
@@ -327,7 +331,7 @@ def _bisect(f: Callable[[float], float], target: float, cap: float,
             lo = mid
         if hi - lo <= rtol * max(1.0, hi):
             break
-    return lo, hi, reached
+    return lo, hi, True
 
 
 def _conjugate_numeric(phi: PhiFunction, u: float,
@@ -339,9 +343,11 @@ def _conjugate_numeric(phi: PhiFunction, u: float,
         return lam * u - phi.evaluate(lam)
 
     # dphi is 0 at the origin and increases
-    lo, hi, _ = _bisect(
+    lo, hi, reached = _bisect(
         lambda lam: _dphi(phi, lam, cap), u, cap, 1e-13, max_iter,
         f"conjugate bracketing failed for {phi.label} at u={u:g}")
+    if not reached:  # the objective rises up to the domain edge
+        return max(objective(cap), 0.0), 0.0
     lam = 0.5 * (lo + hi)
     f_lo, f_mid, f_hi = objective(lo), objective(lam), objective(hi)
     value = max(f_lo, f_mid, f_hi, 0.0)
@@ -372,9 +378,9 @@ def _conjugate_numeric_many(phi: PhiFunction, u: np.ndarray,
     Returns (values, residuals).  u = 0 gives exactly 0.  Every point
     takes the scalar solver's steps: the bracket doublings from
     min(1, cap) are the same for all points, so they are evaluated once;
-    a point whose slope the doublings never reach takes the last bracket,
-    which ends at the domain edge.  The bisection then runs on all points
-    together, each point leaving when it meets the scalar stop rule.
+    a point past every slope takes the edge value.  The bisection then
+    runs on the other points together, each leaving when it meets the
+    scalar stop rule.
     """
     cap = _domain_cap(phi)
     values = np.zeros(len(u))
@@ -398,15 +404,17 @@ def _conjugate_numeric_many(phi: PhiFunction, u: np.ndarray,
     if not slopes[-1] >= u_max and edges[-1] < cap:
         raise NonconvergenceError(
             f"conjugate bracketing failed for {phi.label} at u={u_max:g}")
-    first = np.full(len(ut), len(slopes) - 1)
-    for j in reversed(range(len(slopes) - 1)):
+    # a point past every slope gets the bracket [cap, cap]
+    first = np.full(len(ut), len(slopes))
+    for j in reversed(range(len(slopes))):
         first[slopes[j] >= ut] = j
-    edges = np.array(edges)
+    edges = np.array(edges + [cap])
     lo, hi = edges[first], edges[first + 1]
 
     # the points still in play, packed: their indices, brackets and
     # targets; a point's bracket goes back to lo, hi when it leaves
-    live, l, h, ul = np.arange(len(ut)), lo, hi, ut
+    live = np.flatnonzero(first < len(slopes))
+    l, h, ul = lo[live], hi[live], ut[live]
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
             if not len(live):
@@ -440,9 +448,8 @@ def conjugate(phi: PhiFunction, u: float) -> float:
     """Young-Fenchel conjugate of phi at u >= 0.
 
     Uses the closed form when the family has one, otherwise bisection on
-    the difference-quotient derivative, which closes in on a finite domain
-    edge when the derivative never reaches u.  u = 0 returns exactly 0
-    since phi >= 0 with phi(0) = 0.
+    the difference-quotient derivative (the edge value where it never
+    reaches u).  u = 0 returns exactly 0 since phi >= 0 with phi(0) = 0.
     """
     if u < 0:
         raise DomainError(f"conjugate argument must be >= 0, got {u}")

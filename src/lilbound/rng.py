@@ -38,18 +38,24 @@ def mix64(z: np.ndarray | int) -> np.ndarray:
     return z
 
 
+def check_seed(seed: int) -> None:
+    """A seed is a uint64 stream key: one outside [0, 2^64) is a
+    DomainError, not reduced, so that no two seeds draw the same paths."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    if seed >= 2 ** 64:
+        raise DomainError("seed must be below 2^64")
+
+
 def stream_words(seed: int, path_lo: int, path_hi: int,
                  word_lo: int, n_words: int) -> np.ndarray:
     """uint64 words (paths x n_words) for paths [path_lo, path_hi).
 
     Row p holds words word_lo .. word_lo+n_words-1 of path path_lo+p.
-    The seed is a uint64: one outside [0, 2^64) is a DomainError, not
-    reduced, so that no two seeds draw the same paths.
     """
     if path_hi <= path_lo or n_words <= 0:
         raise DomainError("empty stream request")
-    if not 0 <= seed < 2 ** 64:
-        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
+    check_seed(seed)
     idx = np.arange(path_lo, path_hi, dtype=np.uint64)
     with np.errstate(over="ignore"):
         keys = mix64(np.uint64(seed) + idx * GOLDEN)

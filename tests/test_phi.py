@@ -74,11 +74,13 @@ def test_chi_square_solver_handles_finite_domain_edge():
             float(closed.analytic_conjugate(u)), rel=1e-8)
 
 
-@pytest.mark.parametrize("u", [1e17, 1e308])
+@pytest.mark.parametrize("u", [1e17, 1e308, 1.5e308, 1.79e308])
 def test_chi_square_closed_form_stays_finite_at_huge_u(u):
     # u/sqrt2 - log(sqrt2 u)/2 + O(1/u); log1p(-sqrt2 * lam) once
-    # rounded lam to 1/sqrt2 and gave -inf, then NaN
-    expected = u / math.sqrt(2.0) - 0.5 * math.log(math.sqrt(2.0) * u)
+    # rounded lam to 1/sqrt2 and gave -inf, then NaN, and past
+    # 2^1024/sqrt2 the product sqrt2*u itself overflows
+    expected = (u / math.sqrt(2.0)
+                - 0.5 * (math.log(u) + math.log(math.sqrt(2.0))))
     phi = chi_square_phi()
     assert conjugate(phi, u) == pytest.approx(expected, rel=1e-15)
     assert conjugate_many(phi, np.array([u]))[0] == conjugate(phi, u)
@@ -127,8 +129,8 @@ def test_conjugate_many_bit_identical_to_scalar_on_table():
 
 
 def test_points_past_the_last_slope_join_the_lockstep_solve(monkeypatch):
-    # the domain edge is their last bracket: no point goes through the
-    # scalar solver on its own
+    # they take the edge value inside the array solve: no point goes
+    # through the scalar solver on its own
     table = quadratic_table()
     us = np.array([10.0, 40.0, 45.0, 1e3])
     expected = [conjugate(table, float(u)) for u in us]
@@ -149,6 +151,23 @@ def test_conjugate_at_the_domain_edge_never_exceeds_the_exact_value():
         exact = 40 * Fraction(float(u)) - 800
         assert Fraction(float(value)) <= exact
         assert Fraction(conjugate(table, float(u))) <= exact
+        assert value == pytest.approx(float(exact), rel=1e-10)
+
+
+def test_small_range_table_takes_the_edge_value_far_past_its_slope():
+    # lambda^2/2 on [0, 0.04): at u = 1e4 the supremum is the edge value
+    # 0.04u - 0.0008; closing in on an edge the slope never reaches
+    # stalled here, since the objective still rises at rate u there
+    lams = np.linspace(0.0, 0.04, 81)
+    table = phi_from_table(lams, lams * lams / 2.0)
+    us = np.array([0.01, 0.05, 1.0, 1e4])
+    values = conjugate_many(table, us)
+    np.testing.assert_array_equal(
+        values, [conjugate(table, float(u)) for u in us])
+    for value, u in zip(values[1:], us[1:]):
+        exact = (Fraction(lams[-1]) * Fraction(float(u))
+                 - Fraction(lams[-1] * lams[-1] / 2.0))
+        assert Fraction(float(value)) <= exact
         assert value == pytest.approx(float(exact), rel=1e-10)
 
 
