@@ -24,8 +24,9 @@ over the same buffer and are rounded once, at the final division.
 Weighted models work in float64 throughout, in a fixed order.
 
 verify dispatches on sign_sum_degree alone: a model with one (sign
-chaos, d <= 3) is simulated from the bits of the sign stream eight steps
-at a time and counted on the lattice of sign sums; every other model
+chaos, d <= 3) is simulated from the words of the sign stream, bounded
+by popcounts and evaluated only where a bound can move a path's
+extremum, and counted on the lattice of sign sums; every other model
 goes through noise_block and prefix_values.
 """
 from __future__ import annotations

@@ -127,8 +127,10 @@ def cosh_phi() -> PhiFunction:
         return np.cosh(lam) - 1.0
 
     def conj(u):
+        # sqrt(1+u^2) - 1 = u^2 / (1 + sqrt(1+u^2)): no cancellation at
+        # small u, where the conjugate is u^2/2 + O(u^4)
         u = np.abs(u)
-        return u * np.arcsinh(u) - np.hypot(1.0, u) + 1.0
+        return u * np.arcsinh(u) - u * (u / (1.0 + np.hypot(1.0, u)))
 
     def inv(p):
         return np.arccosh(np.asarray(p) + 1.0)
@@ -138,6 +140,20 @@ def cosh_phi() -> PhiFunction:
 
 
 _SQRT2 = math.sqrt(2.0)
+# below s = 0.1, s - log1p(s) loses up to four digits to cancellation;
+# there 0.5 (s - log1p(s)) = u^2/2 * sum_k (-s)^k 2/(k+2), whose first
+# 17 terms leave a remainder under 10^-17 of the sum
+_CHI2_SERIES_BELOW = 0.1
+_CHI2_SERIES = tuple((-1) ** k * 2.0 / (k + 2) for k in range(17))
+
+
+def _chi2_series(s):
+    """sum_k (-s)^k 2/(k+2) over the first 17 k, by Horner."""
+    total = np.full_like(s, _CHI2_SERIES[-1])
+    for c in _CHI2_SERIES[-2::-1]:
+        total *= s
+        total += c
+    return total
 
 
 def chi_square_phi() -> PhiFunction:
@@ -157,15 +173,21 @@ def chi_square_phi() -> PhiFunction:
         return -x / _SQRT2 - 0.5 * np.log1p(-_SQRT2 * x)
 
     def conj(u):
-        u = np.abs(u)
-        with np.errstate(over="ignore", divide="ignore"):
+        # lam*u - phi(lam) at the maximizer lam = u/(1 + s), s = sqrt2 u
+        u = np.abs(np.asarray(u, dtype=float))
+        with np.errstate(over="ignore", invalid="ignore"):
             s = _SQRT2 * u
-            lam = u / (1.0 + s)
-            # value of lam*u - phi(lam) with 1 - sqrt2*lam = 1/(1 + sqrt2 u)
-            value = lam * u + lam / _SQRT2 - 0.5 * np.log1p(s)
-            if np.isinf(s).any():  # u past 2^1024/sqrt2: the limit form
-                value = np.where(np.isinf(s), u / _SQRT2 - 0.5 * np.log(u)
-                                 - 0.25 * math.log(2.0), value)
+            value = np.asarray(s - np.log1p(s))
+            value *= 0.5
+            if np.min(s, initial=np.inf) < _CHI2_SERIES_BELOW:
+                small = s < _CHI2_SERIES_BELOW
+                value[small] = (0.5 * u[small] ** 2
+                                * _chi2_series(s[small]))
+            if np.max(s, initial=0.0) == np.inf:
+                # u past 2^1024/sqrt2: the limit form
+                huge = np.isinf(s)
+                value[huge] = (u[huge] / _SQRT2 - 0.5 * np.log(u[huge])
+                               - 0.25 * math.log(2.0))
         return value
 
     return PhiFunction(label="chi2", evaluate=ev, lambda0=1.0 / _SQRT2,

@@ -8,18 +8,22 @@ given a concrete martingale family, how large is
 
 with the max truncated at a stated horizon N?  empirical_sup_tail samples
 paths with the counter-based generator so results are bit-identical for a
-fixed seed no matter how many workers run.  Models dispatch on
-sign_sum_degree alone.  One with a degree (sign chaos, d <= 3) is
-simulated from the bit planes of the sign stream, eight steps per vector
-operation, and exact_sup_tail counts its 2^N sign paths by a dynamic
-program over the sign-sum lattice; every other model goes through
-prefix_values, on a reused value tile or by enumeration.  Exact tails
-are rationals, for small horizons.  single_time_tail gives the
-single-time floor: exact integer binomial sums up to time
-FLOOR_MAX_TIME, rounded toward zero, so verify imports no scipy.  On top
-of those sit the calibration of the bound's constant, an enumeration
-check of the Doob maximal-moment step, and iterated-logarithm trajectory
-statistics.
+fixed seed no matter how many workers run.  It only counts maxima past
+levels u >= min(grid), so it asks for maxima raised to that level, which
+the sign-chaos kernel gets while evaluating few steps exactly.  Models
+dispatch on sign_sum_degree alone.  One with a degree (sign chaos, d <=
+3) is simulated from the words of the sign stream: popcounts bound the
+sign sum over each word and each byte of 8 steps, and only the bytes
+whose bound can move a path's running max or min are evaluated, step by
+step, with the arithmetic of prefix_values.  exact_sup_tail counts its
+2^N sign paths by a dynamic program over the sign-sum lattice; every
+other model goes through prefix_values, on a reused value tile or by
+enumeration.  Exact tails are rationals, for small horizons.
+single_time_tail gives the single-time floor: exact integer binomial
+sums up to time FLOOR_MAX_TIME, rounded toward zero, so verify imports
+no scipy.  On top of those sit the calibration of the bound's constant,
+an enumeration check of the Doob maximal-moment step, and
+iterated-logarithm trajectory statistics.
 
 Normalization matches the bound engine: model time n pairs with norming
 index n - n_min + 1, so the first non-degenerate time gets v(1) and the
@@ -45,13 +49,12 @@ from .rng import stream_words
 # 99% two-sided normal quantile, frozen so intervals never drift with scipy
 _Z99 = 2.5758293035489004
 
-# a path chunk reuses its buffers for all its step blocks: for sign chaos
-# the bit-plane kernel's, about 3 MiB (eight int16 planes and three
-# float64 arrays of PATH_CHUNK x STEP_BLOCK/8), for the weighted models
-# one float64 value tile of PATH_CHUNK x STEP_BLOCK (4 MiB).  Of steps x
-# paths 512x512, 1024x256, 1024x512, 1024x1024, 2048x256, 2048x512 and
-# 4096x128, 1024x512 and 1024x1024 ran 2^15 chaos paths x 2^14 steps
-# fastest on two threads of a 2-core Xeon; 1024x512 holds half as much
+# a path chunk of the weighted models reuses one float64 value tile of
+# PATH_CHUNK x STEP_BLOCK (4 MiB) for all its step blocks.  The sign
+# kernel works on the chunk's PATH_CHUNK x STEP_BLOCK/64 stream words, a
+# block at a time, so its word arrays are 64 KiB each.  On one core of a
+# 2-core Xeon it ran 2^15 chaos paths x 2^14 steps in 0.68 s at 512 x
+# 1024, and in 0.81 s at 512 x 2048 and at 1024 x 1024
 PATH_CHUNK = 512
 STEP_BLOCK = 1024  # multiple of 64 so sign blocks tile the word stream
 CENSOR_COUNT = 10
@@ -247,26 +250,30 @@ def _normalizer(model: MartingaleModel, v: NormingSequence,
 
 
 def _chunk_maxima(model: MartingaleModel, denom: np.ndarray, first: int,
-                  horizon: int, seed: int, path_lo: int,
-                  path_hi: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Signed and absolute running maxima for paths [path_lo, path_hi).
+                  horizon: int, seed: int, path_lo: int, path_hi: int,
+                  u_min: float = -math.inf
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Signed and absolute running maxima for paths [path_lo, path_hi),
+    raised to u_min: max(max, u_min) and max(max |.|, u_min), bit for bit.
 
-    A model with a sign_sum_degree goes to the bit-plane kernel.  Other
-    models reuse one float64 tile of (paths x STEP_BLOCK) values for
-    every step block: prefix_values writes into it and the divide, max
-    and min run in place on it, so a block allocates nothing of its size
-    but its noise.  Their float64 sums depend on the order of addition,
-    so they keep the one-step-at-a-time cumsum.  The absolute max comes
-    from the signed max and min.
+    A test "> u" with u >= u_min cannot tell these from the true maxima,
+    and they let the sign-chaos kernel skip every byte of steps that
+    cannot move them.  A model with a sign_sum_degree goes to that
+    kernel.  Other models reuse one float64 tile of (paths x STEP_BLOCK)
+    values for every step block: prefix_values writes into it and the
+    divide, max and min run in place on it, so a block allocates
+    nothing of its size but its noise.  Their float64 sums depend on
+    the order of addition, so they keep the one-step-at-a-time cumsum.
+    The absolute max comes from the signed max and min.
     """
     if model.sign_sum_degree:
         best, worst = _sign_chaos_extrema(model.sign_sum_degree, denom,
                                           first, horizon, seed, path_lo,
-                                          path_hi)
+                                          path_hi, u_min)
         return best, np.maximum(best, -worst)
     n_paths = path_hi - path_lo
-    best = np.full(n_paths, -np.inf)
-    worst = np.full(n_paths, np.inf)
+    best = np.full(n_paths, u_min, dtype=float)
+    worst = -best
     tile = np.empty((n_paths, min(STEP_BLOCK, horizon)))
     state = None
     for s0 in range(0, horizon, STEP_BLOCK):
@@ -283,95 +290,262 @@ def _chunk_maxima(model: MartingaleModel, denom: np.ndarray, first: int,
     return best, np.maximum(best, -worst)
 
 
+def _numerator_bounds(d: int, top: np.ndarray, n0: np.ndarray, width: int
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Upper and lower bounds on the integer numerator N of S_d = N / (1,
+    2, 6)[d-1] over a run of width steps: sign sums P1 in [top - width,
+    top], times n in [n0, n0 + width - 1].  int64 in, int64 out.
+
+    N_1 = P1.  N_2 = P1^2 - n, so with h = width/2 and c = |top - h| the
+    box gives (c + h)^2 - n0 above and max(c - h, 0)^2 - n0 - width + 1
+    below.  N_3 = P1 (P1^2 - 3n + 2) is linear in n, so its max over the
+    times is taken at n0 for P1 >= 0 and at the last time (3 (width - 1)
+    |P1| more) for P1 < 0; over P1 it is taken at an end of the range or
+    at the local max -sqrt(n - 2/3), worth 2 (n - 2/3)^(3/2) <= 2 r^3
+    with r = isqrt(n0 + width - 1) + 1.  N_3 is odd in P1, so its min
+    over the box is minus its max over [-top, width - top].
+    """
+    if d == 1:
+        return top, top - width
+    half = width // 2
+    last = n0 + (width - 1)
+    if d == 2:
+        c = np.abs(top - half)
+        low = np.maximum(c - half, 0)
+        low *= low
+        low -= last
+        c += half
+        c *= c
+        c -= n0
+        return c, low
+    root_lo = np.sqrt(n0).astype(np.int64) - 1
+    root_hi = np.sqrt(last).astype(np.int64) + 1
+    local_max = 2 * root_hi ** 3
+
+    def cubic_max(upper):
+        out = None
+        for p in (upper - width, upper):
+            value = p * p
+            value -= 3 * n0 - 2
+            value *= p
+            value -= 3 * (width - 1) * np.minimum(p, 0)
+            out = value if out is None else np.maximum(out, value, out=out)
+        inside = (upper - width <= -root_lo) & (upper >= -root_hi)
+        np.maximum(out, local_max, out=out, where=inside)
+        return out
+
+    return cubic_max(top), -cubic_max(width - top)
+
+
+def _may_move(d: int, upper: np.ndarray, lower: np.ndarray, lo: np.ndarray,
+              hi: np.ndarray, best: np.ndarray, worst: np.ndarray
+              ) -> np.ndarray:
+    """Where a run of steps with numerator bounds [lower, upper] and
+    denominators in [lo, hi] may raise best or lower worst.
+
+    A step's value is fl(fl(N) / scale) / denom, the operations of
+    prefix_values, and correctly rounded arithmetic is monotone: the
+    value is nondecreasing in N, and in denom it falls for N >= 0 and
+    rises for N < 0.  So the same operations on upper, over lo or hi
+    whichever gives more, bound every value from above, exactly, and on
+    lower, over whichever gives less, from below.  A value equal to
+    best or worst moves neither.
+    """
+    scale = (1.0, 2.0, 6.0)[d - 1]
+    top = np.divide(upper, scale)
+    top /= np.where(top >= 0, lo, hi)
+    alive = top > best
+    bottom = np.divide(lower, scale)
+    bottom /= np.where(bottom < 0, lo, hi)
+    alive |= bottom < worst
+    return alive
+
+
+# per-byte popcounts of a uint64 word by SWAR (bit pairs, nibbles, bytes);
+# a multiply by _BYTE_PREFIX then sums bytes 0..q into byte q
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_BYTE_PREFIX = np.uint64(0x0101010101010101)
+# _GAINS[j, b]: the sign sum of bits 0..j of byte value b (bit j, step j)
+_GAINS = np.cumsum(2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                                     axis=1, bitorder="little").T
+                   .astype(np.int64) - 1, axis=0)
+_PLANES = np.arange(8, dtype=np.int64)[:, None]
+# bytes of surviving words taken at a time by the byte stage, which
+# bounds its (8 x bytes) arrays at 1 MiB a piece; only a short horizon,
+# where most bytes survive, comes near that
+BYTE_SLICE = 16384
+
+
+def _byte_extrema(d: int, byte: np.ndarray, before: np.ndarray,
+                  k: np.ndarray, per_plane: np.ndarray, first: int,
+                  horizon: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Max and min of the statistic over the steps in [first, horizon) of
+    bytes k of the sign stream, given their bits and P1 before each;
+    per_plane[j, k] is denom at step 8k + j.
+
+    All eight steps of every byte at once, as (8 x bytes) planes: P1 at
+    step 8k+j is before + _GAINS[j, byte], the closed form runs on it in
+    int64, and the quotient by denom is taken once, as in prefix_values.
+    A step outside [first, horizon) (only the first and the last byte
+    have them) takes the value of the nearest valid step of its byte,
+    which moves neither extremum.
+    """
+    p1 = np.take(_GAINS, byte, axis=1)
+    p1 += before
+    value = np.take(per_plane, k, axis=1)
+    if d == 1:  # float64 holds P1 exactly
+        np.divide(p1, value, out=value)
+    else:
+        n = 8 * k + _PLANES + 1
+        np.divide(_chaos_closed_form(d, p1, n, out=p1.view(float)), value,
+                  out=value)
+    if first and k.min() == 0:
+        at = np.flatnonzero(k == 0)
+        value[:first, at] = value[first, at]
+    last_byte, last_plane = divmod(horizon - 1, 8)
+    if last_plane < 7 and k.max() == last_byte:
+        at = np.flatnonzero(k == last_byte)
+        value[last_plane + 1:, at] = value[last_plane, at]
+    return value.max(axis=0), value.min(axis=0)
+
+
 def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
-                        seed: int, path_lo: int,
-                        path_hi: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Running max and min of degree-d sign chaos (d <= 3) over steps
-    [first, horizon) for paths [path_lo, path_hi), from the bits of the
-    stream.
+                        seed: int, path_lo: int, path_hi: int, u_min: float
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """max(max, u_min) and min(min, -u_min) of degree-d sign chaos (d <=
+    3) over steps [first, horizon) for paths [path_lo, path_hi), from
+    the bits of the stream.
 
     Byte k of a path's stream words holds steps 8k .. 8k+7, bit j being
-    step 8k+j: the draws of rademacher_block.  Plane j is the (paths x
-    bytes) array of the sign sum P1 at steps 8k+j, for every byte k at
-    once.  It is the gain g_j of bits 0..j of the byte, g_j = g_(j-1) +
-    2 bit_j - 1 (one vector add per plane), plus P1 before the byte,
-    which one cumsum of g_7 over the bytes gives: an eighth of the
-    serial work of a cumsum over steps.  The closed form turns P1 into S
-    in int64 (float64 holds d = 1's sums exactly), and each plane is
-    divided by denom at its own steps and folded into running (paths x
-    bytes) max and min arrays; a plane skips the bytes whose step falls
-    before first or at or past the horizon.  Values and quotients are
-    those of prefix_values and the tile path, and max and min are exact,
-    so the extrema are the same bit for bit.
+    step 8k+j: the draws of rademacher_block.  SWAR popcounts give the
+    ones in each word, hence (by a cumsum over words) the sign sum P1 at
+    every word end and a range of width 64 for P1 inside each word; the
+    exact values at word ends raise the running max and lower the
+    running min.  Then the work narrows twice.  A word, and within it a
+    byte (P1 range of width 8, from the ones in each byte and in bytes
+    0..q of the word), goes on only if _may_move finds that its
+    _numerator_bounds can beat the running max or min; no other step can
+    move either.  _byte_extrema evaluates the surviving bytes exactly.
+    The words of a block lie as (words x paths), so the cumsum over
+    words and the per-path extrema of the word ends are one vector
+    operation per word.  Each block of STEP_BLOCK steps runs in its own
+    call, so its temporaries are freed before the next block allocates
+    its own; at PATH_CHUNK paths each word array is 64 KiB.
     """
     n_paths = path_hi - path_lo
-    # |P1| <= horizon, so int16 holds every sign sum below 2^15 steps
-    sums = np.int16 if horizon < 1 << 15 else np.int64
+    word_starts = np.arange(0, horizon, 64)
+    lo_den = np.minimum.reduceat(denom, word_starts)
+    hi_den = np.maximum.reduceat(denom, word_starts)
+    # per_plane[j, k] = denom at step 8k + j, past the horizon a pad
     n_bytes = -(-horizon // 8)
-    # per_plane[j, k] = denom at step 8k + j; the pad past the horizon is
-    # never read, since every plane stops at the horizon
-    padded = np.ones(8 * n_bytes)
-    padded[:horizon] = denom
-    per_plane = padded.reshape(n_bytes, 8).T.copy()
-    width = min(STEP_BLOCK // 8, n_bytes)
-    top = np.full((n_paths, width), -np.inf)
-    bottom = np.full((n_paths, width), np.inf)
-    plane = np.empty((n_paths, width))
-    gains = np.empty((8, n_paths, width), dtype=sums)
-    byte = np.empty((n_paths, width), dtype=sums)
-    sign = np.empty((n_paths, width), dtype=sums)
-    p1 = np.zeros((n_paths, 1), dtype=sums)
-    for s0 in range(0, horizon, STEP_BLOCK):
-        nb = -(-min(STEP_BLOCK, horizon - s0) // 8)
-        words = stream_words(seed, path_lo, path_hi, s0 // 64, -(-nb // 8))
-        b, s, g = byte[:, :nb], sign[:, :nb], gains[:, :, :nb]
-        np.copyto(b, words.view(np.uint8)[:, :nb])
-        for j in range(8):
-            np.right_shift(b, j, out=s)
-            s &= 1
-            s += s
-            s -= 1  # the sign of step 8k + j
-            if j:
-                np.add(g[j - 1], s, out=g[j])
-            else:
-                g[0] = s
-        # P1 before each byte, then P1 after the block for the next one
-        before = np.cumsum(g[7], axis=1, dtype=sums)
-        before -= g[7]
-        before += p1
-        p1 = before[:, -1:] + g[7, :, -1:]
-        k0 = s0 // 8
-        for j in range(8):
-            # the bytes whose step s0 + 8k + j lies in [first, horizon)
-            k_lo = max(0, -(-(first - s0 - j) // 8))
-            k_hi = min(nb, -(-(horizon - s0 - j) // 8))
-            if k_lo >= k_hi:
+    per_plane = np.ones(8 * n_bytes)
+    per_plane[:horizon] = denom
+    per_plane = per_plane.reshape(n_bytes, 8).T.copy()
+    best = np.full(n_paths, u_min, dtype=float)
+    worst = -best
+
+    carry = np.zeros(n_paths, dtype=np.int64)  # P1 before each block
+
+    def block(s0: int) -> None:
+        w0 = s0 // 64
+        nw = -(-min(STEP_BLOCK, horizon - s0) // 64)
+        # words x paths: sums over words and extrema per path run down
+        # the columns, one vector operation per word
+        words = stream_words(seed, path_lo, path_hi, w0, nw).T.copy()
+        ones = words >> 1
+        ones &= _M1
+        np.subtract(words, ones, out=ones)
+        prefix = ones >> 2
+        prefix &= _M2
+        ones &= _M2
+        ones += prefix
+        np.right_shift(ones, 4, out=prefix)
+        ones += prefix
+        ones &= _M4  # byte q: ones in byte q
+        np.multiply(ones, _BYTE_PREFIX, out=prefix)  # byte q: ones in 0..q
+        count = (prefix >> 56).view(np.int64)
+        top = count * 2  # P1 at each word end, by a cumsum of the gains
+        top -= 64
+        top[0] += carry
+        np.cumsum(top, axis=0, out=top)
+        carry[:] = top[-1]
+        full = min(nw, (horizon - s0) // 64)
+        if full:  # the exact values at word ends inside the horizon
+            n_end = 64 * np.arange(w0 + 1, w0 + full + 1, dtype=np.int64)
+            value = _chaos_closed_form(d, top[:full].copy(), n_end[:, None])
+            value /= denom[n_end - 1, None]
+            np.maximum(best, value.max(axis=0), out=best)
+            np.minimum(worst, value.min(axis=0), out=worst)
+        # a word's P1 stays in [top - 64, top], top being P1 before it
+        # plus its ones
+        top -= count
+        top += 64
+        lo, hi = lo_den[w0:w0 + nw, None], hi_den[w0:w0 + nw, None]
+        n0 = 64 * np.arange(w0, w0 + nw, dtype=np.int64)[:, None] + 1
+        upper, lower = _numerator_bounds(d, top, n0, 64)
+        hit = np.flatnonzero(_may_move(d, upper, lower, lo, hi, best,
+                                       worst))
+        # the bytes of the surviving words, BYTE_SLICE at a time:
+        # top of byte q = P1 before the word + 2 (ones in 0..q) - (ones
+        # in q) - 8q, the SWAR byte arithmetic being borrow-free.  A
+        # block of one word may end inside it: its bytes from nq on lie
+        # past the horizon
+        nq = min(8, n_bytes - 8 * w0) if nw == 1 else 8
+        q8 = 8 * np.arange(nq)
+        step = BYTE_SLICE // nq
+        for start in range(0, hit.size, step):
+            part = hit[start:start + step]
+            w, rows = np.divmod(part, n_paths)
+            ones_w = ones.reshape(-1)[part]
+            top_b = prefix.reshape(-1)[part]
+            top_b <<= 1
+            top_b -= ones_w
+            top_b = (top_b.view(np.uint8).reshape(-1, 8)[:, :nq]
+                     .astype(np.int64))
+            top_b -= q8
+            top_b += (top.reshape(-1)[part]
+                      - count.reshape(-1)[part])[:, None]
+            n0 = 64 * (w0 + w)[:, None] + (q8 + 1)
+            upper, lower = _numerator_bounds(d, top_b, n0, 8)
+            alive = _may_move(d, upper, lower, lo[w], hi[w],
+                              best[rows, None], worst[rows, None])
+            if s0 + STEP_BLOCK >= horizon:  # bytes past the horizon
+                alive &= n0 <= horizon
+            at = np.flatnonzero(alive)
+            if not at.size:
                 continue
-            cols = slice(k_lo, k_hi)
-            out = plane[:, cols]
-            if d == 1:
-                np.add(before[:, cols], g[j, :, cols], out=out)
-            else:
-                ints = out.view(np.int64)
-                np.add(before[:, cols], g[j, :, cols], out=ints)
-                n = s0 + j + 1 + 8 * np.arange(k_lo, k_hi, dtype=np.int64)
-                _chaos_closed_form(d, ints, n, out=out)
-            out /= per_plane[j, k0 + k_lo:k0 + k_hi]
-            np.maximum(top[:, cols], out, out=top[:, cols])
-            np.minimum(bottom[:, cols], out, out=bottom[:, cols])
-    return top.max(axis=1), bottom.min(axis=1)
+            word, q = np.divmod(at, nq)
+            byte = words.view(np.uint8).reshape(-1, 8)[part[word], q]
+            before = top_b.reshape(-1)[at]
+            before -= ones_w.view(np.uint8).reshape(-1, 8)[word, q]
+            high, low = _byte_extrema(d, byte, before,
+                                      8 * (w0 + w[word]) + q, per_plane,
+                                      first, horizon)
+            np.maximum.at(best, rows[word], high)
+            np.minimum.at(worst, rows[word], low)
+
+    for s0 in range(0, horizon, STEP_BLOCK):
+        block(s0)
+    return best, worst
 
 
 def _over_path_chunks(model: MartingaleModel, denom: np.ndarray, first: int,
-                      horizon: int, seed: int,
-                      n_paths: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Signed and absolute running maxima of paths [0, n_paths).
+                      horizon: int, seed: int, n_paths: int,
+                      u_min: float = -math.inf
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Signed and absolute running maxima of paths [0, n_paths), raised
+    to u_min as _chunk_maxima raises them (exact at the default -inf).
 
     Runs _chunk_maxima over spans of PATH_CHUNK paths (more when the
-    horizon is shorter than a step block), threaded when it pays off.
-    Each span's paths depend only on (seed, path index) and land in
-    their own slice of the outputs, so the result is identical for any
-    worker count.
+    horizon is shorter than a step block), threaded when it pays off:
+    not for the sign kernel on spans of PATH_CHUNK paths, whose vector
+    operations are too short to overlap under the GIL (on two cores of
+    a Xeon, 2^15 paths x 2^14 steps took 0.9 s on two threads and
+    0.65 s on one).  Each span's paths depend only on (seed, path
+    index) and land in their own slice of the outputs, so the result is
+    identical for any worker count.
     """
     signed = np.empty(n_paths)
     absed = np.empty(n_paths)
@@ -379,7 +553,7 @@ def _over_path_chunks(model: MartingaleModel, denom: np.ndarray, first: int,
     def run(span):
         lo, hi = span
         signed[lo:hi], absed[lo:hi] = _chunk_maxima(
-            model, denom, first, horizon, seed, lo, hi)
+            model, denom, first, horizon, seed, lo, hi, u_min)
 
     # a tile holds PATH_CHUNK x STEP_BLOCK values at most; a horizon
     # shorter than one block gets proportionally more paths per chunk,
@@ -388,6 +562,11 @@ def _over_path_chunks(model: MartingaleModel, denom: np.ndarray, first: int,
     spans = [(lo, min(lo + chunk, n_paths))
              for lo in range(0, n_paths, chunk)]
     workers = min(worker_count(), len(spans))
+    if model.sign_sum_degree and chunk == PATH_CHUNK:
+        # the sign kernel works on words: on a PATH_CHUNK x STEP_BLOCK
+        # tile its vector operations last a few microseconds, too short
+        # to overlap under the GIL, and a second thread only slows it
+        workers = 1
     if workers <= 1:
         for span in spans:
             run(span)
@@ -416,8 +595,10 @@ def empirical_sup_tail(model: MartingaleModel, v: NormingSequence,
     if not grid or not all(math.isfinite(u) for u in grid):
         raise DomainError("u grid must be nonempty and finite")
     denom, first = _normalizer(model, v, horizon)
+    # no count at a level u >= min(grid) can tell the true maxima from
+    # maxima raised to min(grid), which spare the kernel most of its work
     signed, absed = _over_path_chunks(model, denom, first, horizon, seed,
-                                      n_paths)
+                                      n_paths, min(grid))
     counts = tuple(int(np.count_nonzero(signed > u)) for u in grid)
     counts_plus = tuple(int(np.count_nonzero(absed > u)) for u in grid)
     intervals = [wilson_interval(c, n_paths) for c in counts]

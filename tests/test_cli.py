@@ -47,6 +47,15 @@ def test_conjugate_stdout_exact(capsys):
     assert out == "u,phi_star\n0,0\n1,0.5\n2,2\n"
 
 
+def test_cosh_conjugate_at_small_u_keeps_its_digits(capsys):
+    # u asinh(u) - sqrt(1 + u^2) + 1 = u^2/2 - u^4/24 + O(u^6)
+    code, out, _ = run_cli(capsys, ["conjugate", "--phi", "cosh",
+                                    "--u", "1e-6"])
+    assert code == EXIT_OK
+    u, value = (float(c) for c in out.split("\n")[1].split(","))
+    assert value == pytest.approx(u * u / 2 - u ** 4 / 24, rel=4e-16)
+
+
 def test_conjugate_json_flag(capsys):
     code, out, _ = run_cli(capsys, ["conjugate", "--phi", "phi2",
                                     "--u", "0,1,2", "--json"])
@@ -75,7 +84,9 @@ def test_chi2_conjugate_and_bound_stay_finite_at_huge_levels(tmp_path,
     code, out, _ = run_cli(capsys, ["conjugate", "--phi", "chi2",
                                     "--u", "1e308"])
     assert code == EXIT_OK
-    assert out == "u,phi_star\n1e+308,7.0710678118654747e+307\n"
+    # the correctly rounded value of (s - log1p(s))/2, s = sqrt2 * 1e308,
+    # by 50-digit arithmetic
+    assert out == "u,phi_star\n1e+308,7.0710678118654757e+307\n"
     code, out, _ = run_cli(capsys, [
         "bound", "--model", "chaos:d=2", "--norming", "vr:1",
         "--u-grid", "1e15,1e16,1e17", "--ratio-grid", "4",

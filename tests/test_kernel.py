@@ -224,3 +224,135 @@ def test_bit_planes_reject_chaos_past_degree_three():
     denom, first = verify._normalizer(model, V2, 64)
     with pytest.raises(DomainError, match="d <= 3"):
         verify._chunk_maxima(model, denom, first, 64, 1, 0, 8)
+
+
+# maxima raised to u_min: what empirical_sup_tail asks for with u_min =
+# min(grid), and the exact maxima at -inf
+RAISES = [-math.inf, 0.0, 1.5]
+
+
+@pytest.mark.parametrize("u_min", RAISES)
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("horizon", [300, STEP_BLOCK + 300, 4 * STEP_BLOCK])
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_raised_maxima_bit_identical_to_reference(label, horizon, threads,
+                                                  u_min, monkeypatch):
+    model, prefix = CASES[label]
+    n_paths = 2 * PATH_CHUNK + 17
+    denom, first = verify._normalizer(model, V2, horizon)
+    monkeypatch.setenv("LILBOUND_THREADS", threads)
+    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
+                                             77, n_paths, u_min)
+    ref_signed, ref_absed = reference_maxima(model, prefix, denom, first,
+                                             horizon, 77, n_paths)
+    assert np.array_equal(signed, np.maximum(ref_signed, u_min))
+    assert np.array_equal(absed, np.maximum(ref_absed, u_min))
+
+
+@pytest.mark.parametrize("u_min", RAISES)
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("horizon", ["d", 7, 8, 9, 63, 65, 1023, 1025])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_raised_maxima_match_reference_on_ragged_bytes(d, horizon, threads,
+                                                       u_min, monkeypatch):
+    horizon = d if horizon == "d" else horizon
+    model, prefix = CASES[f"chaos:d={d}"]
+    n_paths = 2 * PATH_CHUNK + 5
+    denom, first = verify._normalizer(model, V2, horizon)
+    monkeypatch.setenv("LILBOUND_THREADS", threads)
+    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
+                                             101, n_paths, u_min)
+    ref_signed, ref_absed = reference_maxima(model, prefix, denom, first,
+                                             horizon, 101, n_paths)
+    assert np.array_equal(signed, np.maximum(ref_signed, u_min))
+    assert np.array_equal(absed, np.maximum(ref_absed, u_min))
+
+
+@pytest.mark.parametrize("u_min", RAISES)
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_raised_maxima_match_reference_past_int16_sums(d, threads, u_min,
+                                                       monkeypatch):
+    # even paths draw only +1 signs, so their sign sum reaches the horizon,
+    # 2^15 + 300; odd paths keep their random draws
+    def drifting_words(seed, path_lo, path_hi, word_lo, n_words):
+        words = stream_words(seed, path_lo, path_hi, word_lo, n_words)
+        words[np.arange(path_lo, path_hi) % 2 == 0] = ~np.uint64(0)
+        return words
+
+    monkeypatch.setattr(rng, "stream_words", drifting_words)
+    monkeypatch.setattr(verify, "stream_words", drifting_words)
+    model, prefix = CASES[f"chaos:d={d}"]
+    horizon = (1 << 15) + 300
+    denom, first = verify._normalizer(model, V2, horizon)
+    monkeypatch.setenv("LILBOUND_THREADS", threads)
+    monkeypatch.setattr(verify, "PATH_CHUNK", 200)
+    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
+                                             9, 600, u_min)
+    ref_signed, ref_absed = reference_maxima(model, prefix, denom, first,
+                                             horizon, 9, 600)
+    assert np.array_equal(signed, np.maximum(ref_signed, u_min))
+    assert np.array_equal(absed, np.maximum(ref_absed, u_min))
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_tail_counts_equal_counts_of_exact_maxima(label):
+    # the grid is unsorted, repeats a level and reaches below zero, so
+    # min(grid) raises the maxima at a level that is not the first
+    model, _ = CASES[label]
+    grid = [1.25, -0.5, 2.0, 0.75, 1.25, 3.0]
+    horizon, n_paths = 3000, 2000
+    est = empirical_sup_tail(model, V2, horizon, n_paths, grid, seed=31)
+    denom, first = verify._normalizer(model, V2, horizon)
+    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
+                                             31, n_paths, u_min=-math.inf)
+    assert est.counts == tuple(int(np.count_nonzero(signed > u))
+                               for u in grid)
+    assert est.counts_plus == tuple(int(np.count_nonzero(absed > u))
+                                    for u in grid)
+
+
+@pytest.mark.parametrize("width", [8, 64])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_numerator_bounds_hold_over_their_box(d, width):
+    # every (P1, n) of the box, against the closed form's numerator
+    rs = np.random.default_rng(d * width)
+    n0 = np.concatenate([[1, 2, 3, 9, 63, 64, 65],
+                         rs.integers(1, 5000, 60)]).astype(np.int64)
+    top = np.concatenate([[0, 4, -4, width, -width, width // 2],
+                          rs.integers(-200, 200, n0.size - 6)])
+    top = top.astype(np.int64)
+    upper, lower = verify._numerator_bounds(d, top.copy(), n0, width)
+    p1 = top[:, None, None] - np.arange(width + 1)[None, :, None]
+    n = n0[:, None, None] + np.arange(width)[None, None, :]
+    numerator = (p1, p1 * p1 - n, p1 * (p1 * p1 - 3 * n + 2))[d - 1]
+    assert np.all(upper >= numerator.max(axis=(1, 2)))
+    assert np.all(lower <= numerator.min(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_may_move_flags_every_run_holding_a_value_past_the_extrema(d):
+    # each run holds numerators in [lower, upper] over denominators in
+    # [lo, hi]; its values, computed as the kernel computes them, are
+    # checked against the runs flagged
+    scale = (1.0, 2.0, 6.0)[d - 1]
+    rs = np.random.default_rng(d)
+    lower = rs.integers(-10 ** 6, 10 ** 6, 400)
+    upper = lower + rs.integers(0, 50, 400)
+    lo = rs.uniform(0.5, 50.0, 400)
+    hi = lo * rs.uniform(1.0, 1.5, 400)
+    dens = lo + np.linspace(0.0, 1.0, 7)[:, None] * (hi - lo)
+    nums = lower + np.arange(50)[:, None, None] * 0 + np.minimum(
+        np.arange(50)[:, None, None], upper - lower)
+    values = np.divide(nums, scale) / dens
+    most, least = values.max(axis=(0, 1)), values.min(axis=(0, 1))
+    # levels at, just below and just above the extreme values
+    for best in (most, np.nextafter(most, -np.inf), np.nextafter(most, 0)):
+        for worst in (least, np.nextafter(least, np.inf)):
+            alive = verify._may_move(d, upper, lower, lo, hi, best, worst)
+            assert np.all(alive[(most > best) | (least < worst)])
+    # a value equal to best or worst moves neither
+    assert not verify._may_move(d, np.array([6]), np.array([6]),
+                                np.array([3.0]), np.array([3.0]),
+                                np.array([2.0 / scale]),
+                                np.array([2.0 / scale])).any()

@@ -35,6 +35,24 @@ def numeric_only(phi):
 # closed forms and the solver against them
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("u", [1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e300])
+@pytest.mark.parametrize("family", ["chi2", "cosh"])
+def test_closed_form_conjugates_match_50_digits(family, u):
+    # at small u both conjugates are O(u^2) built from terms of order 1
+    # or u: a form that subtracts those loses every digit at 1e-8
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    x = mpmath.mpf(u)
+    if family == "chi2":
+        phi = chi_square_phi()
+        exact = (mpmath.sqrt(2) * x - mpmath.log1p(mpmath.sqrt(2) * x)) / 2
+    else:
+        phi = cosh_phi()
+        exact = x * mpmath.asinh(x) - mpmath.sqrt(1 + x * x) + 1
+    for value in (conjugate(phi, u), conjugate_many(phi, [u, 2.0])[0]):
+        assert abs(mpmath.mpf(value) - exact) <= 4e-16 * exact
+
+
 @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 4.0])
 def test_power_conjugate_matches_closed_form(q):
     qp = q / (q - 1.0)
