@@ -24,17 +24,36 @@ from .errors import DomainError
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+# words mixed at a time: 128 KiB, so a block and its temporary stay in
+# a core's L2 cache
+MIX_BLOCK = 16384
 
 
 def mix64(z: np.ndarray | int) -> np.ndarray:
     """splitmix64 finalizer, vectorized over uint64 arrays."""
-    z = np.asarray(z, dtype=np.uint64).copy()
+    return _mix64_in_place(np.array(z, dtype=np.uint64))
+
+
+def _mix64_in_place(z: np.ndarray) -> np.ndarray:
+    """mix64 of a C-contiguous uint64 array, written over it.
+
+    The array is mixed MIX_BLOCK words at a time, each shift going to
+    one reused temporary, so a block stays in cache for all eight passes.
+    """
+    flat = z.reshape(-1)
+    shifted = np.empty(min(MIX_BLOCK, flat.size), dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(30)
-        z *= _MIX1
-        z ^= z >> np.uint64(27)
-        z *= _MIX2
-        z ^= z >> np.uint64(31)
+        for start in range(0, flat.size, MIX_BLOCK):
+            block = flat[start:start + MIX_BLOCK]
+            tmp = shifted[:block.size]
+            np.right_shift(block, 30, out=tmp)
+            block ^= tmp
+            block *= _MIX1
+            np.right_shift(block, 27, out=tmp)
+            block ^= tmp
+            block *= _MIX2
+            np.right_shift(block, 31, out=tmp)
+            block ^= tmp
     return z
 
 
@@ -61,7 +80,7 @@ def stream_words(seed: int, path_lo: int, path_hi: int,
         keys = mix64(np.uint64(seed) + idx * GOLDEN)
         j = (np.arange(word_lo, word_lo + n_words, dtype=np.uint64)
              + np.uint64(1)) * GOLDEN
-        return mix64(keys[:, None] + j[None, :])
+        return _mix64_in_place(keys[:, None] + j[None, :])
 
 
 def rademacher_block(seed: int, path_lo: int, path_hi: int,

@@ -12,13 +12,15 @@ fixed seed no matter how many workers run.  It only counts maxima past
 levels u >= min(grid), so it asks for maxima raised to that level, which
 the sign-chaos kernel gets while evaluating few steps exactly.  Models
 dispatch on sign_sum_degree alone.  One with a degree (sign chaos, d <=
-3) is simulated from the words of the sign stream: popcounts bound the
-sign sum over each word and each byte of 8 steps, and only the bytes
-whose bound can move a path's running max or min are evaluated, step by
-step, with the arithmetic of prefix_values.  exact_sup_tail counts its
-2^N sign paths by a dynamic program over the sign-sum lattice; every
-other model goes through prefix_values, on a reused value tile or by
-enumeration.  Exact tails are rationals, for small horizons.
+3) is simulated from the words of the sign stream, in tiles of paths x
+words: popcounts give the sign sum at every word boundary, which bounds
+it over each group of 16 words, each word and each byte of 8 steps, and
+only the bytes whose bound can move a path's running max or min are
+evaluated, step by step, with the arithmetic of prefix_values.
+exact_sup_tail counts its 2^N sign paths by a dynamic program over the
+sign-sum lattice; every other model goes through prefix_values, on a
+reused value tile or by enumeration.  Exact tails are rationals, for
+small horizons.
 single_time_tail gives the single-time floor: exact integer binomial
 sums up to time FLOOR_MAX_TIME, rounded toward zero, so verify imports
 no scipy.  On top of those sit the calibration of the bound's constant,
@@ -51,12 +53,15 @@ _Z99 = 2.5758293035489004
 
 # a path chunk of the weighted models reuses one float64 value tile of
 # PATH_CHUNK x STEP_BLOCK (4 MiB) for all its step blocks.  The sign
-# kernel works on the chunk's PATH_CHUNK x STEP_BLOCK/64 stream words, a
-# block at a time, so its word arrays are 64 KiB each.  On one core of a
-# 2-core Xeon it ran 2^15 chaos paths x 2^14 steps in 0.68 s at 512 x
-# 1024, and in 0.81 s at 512 x 2048 and at 1024 x 1024
+# kernel reads stream words in tiles of PATH_CHUNK paths x TILE_WORDS
+# words (8192 steps, 512 KiB a word array) and tests them in groups of
+# GROUP_WORDS words.  On one core of a 2-core Xeon it ran 2^15 chaos
+# paths x 2^14 steps in 0.31-0.37 s, where the blocks of 512 x 1024
+# steps it replaced took 0.64-0.69 s
 PATH_CHUNK = 512
-STEP_BLOCK = 1024  # multiple of 64 so sign blocks tile the word stream
+STEP_BLOCK = 1024
+TILE_WORDS = 128
+GROUP_WORDS = 16
 CENSOR_COUNT = 10
 ENUM_MAX_HORIZON = 20
 ENUM_BLOCK = 1 << 16  # sign paths per enumerated block
@@ -290,51 +295,53 @@ def _chunk_maxima(model: MartingaleModel, denom: np.ndarray, first: int,
     return best, np.maximum(best, -worst)
 
 
-def _numerator_bounds(d: int, top: np.ndarray, n0: np.ndarray, width: int
-                      ) -> Tuple[np.ndarray, np.ndarray]:
+def _numerator_bounds(d: int, top: np.ndarray, n0: np.ndarray, width,
+                      times=None) -> Tuple[np.ndarray, np.ndarray]:
     """Upper and lower bounds on the integer numerator N of S_d = N / (1,
-    2, 6)[d-1] over a run of width steps: sign sums P1 in [top - width,
-    top], times n in [n0, n0 + width - 1].  int64 in, int64 out.
+    2, 6)[d-1] over a box: sign sums P1 in [top - width, top], times n
+    in [n0, n0 + times - 1], times being width unless given.  int64 in,
+    int64 out; width and times may be arrays.
 
-    N_1 = P1.  N_2 = P1^2 - n, so with h = width/2 and c = |top - h| the
-    box gives (c + h)^2 - n0 above and max(c - h, 0)^2 - n0 - width + 1
-    below.  N_3 = P1 (P1^2 - 3n + 2) is linear in n, so its max over the
-    times is taken at n0 for P1 >= 0 and at the last time (3 (width - 1)
-    |P1| more) for P1 < 0; over P1 it is taken at an end of the range or
-    at the local max -sqrt(n - 2/3), worth 2 (n - 2/3)^(3/2) <= 2 r^3
-    with r = isqrt(n0 + width - 1) + 1.  N_3 is odd in P1, so its min
+    N_1 = P1.  N_2 = P1^2 - n: the largest |P1| of the range at n0
+    above, the smallest (0 if the range holds 0) at the last time
+    below.  N_3 = P1 (P1^2 - 3n + 2) is linear in n, so its max over
+    the times is taken at n0 for P1 >= 0 and at the last time (3 (times
+    - 1) |P1| more) for P1 < 0; over P1 it is taken at an end of the
+    range or at the local max -sqrt(n - 2/3), worth 2 (n - 2/3)^(3/2) <=
+    2 r^3 with r = isqrt(last time) + 1.  N_3 is odd in P1, so its min
     over the box is minus its max over [-top, width - top].
     """
+    bottom = top - width
     if d == 1:
-        return top, top - width
-    half = width // 2
-    last = n0 + (width - 1)
+        return top, bottom
+    last = n0 + ((width if times is None else times) - 1)
     if d == 2:
-        c = np.abs(top - half)
-        low = np.maximum(c - half, 0)
+        high = np.maximum(np.abs(top), np.abs(bottom))
+        high *= high
+        high -= n0
+        low = np.maximum(bottom, -top)
+        np.maximum(low, 0, out=low)
         low *= low
         low -= last
-        c += half
-        c *= c
-        c -= n0
-        return c, low
+        return high, low
     root_lo = np.sqrt(n0).astype(np.int64) - 1
     root_hi = np.sqrt(last).astype(np.int64) + 1
     local_max = 2 * root_hi ** 3
+    slope = 3 * (last - n0)
 
-    def cubic_max(upper):
+    def cubic_max(lo, hi):
         out = None
-        for p in (upper - width, upper):
+        for p in (lo, hi):
             value = p * p
             value -= 3 * n0 - 2
             value *= p
-            value -= 3 * (width - 1) * np.minimum(p, 0)
+            value -= slope * np.minimum(p, 0)
             out = value if out is None else np.maximum(out, value, out=out)
-        inside = (upper - width <= -root_lo) & (upper >= -root_hi)
+        inside = (lo <= -root_lo) & (hi >= -root_hi)
         np.maximum(out, local_max, out=out, where=inside)
         return out
 
-    return cubic_max(top), -cubic_max(width - top)
+    return cubic_max(bottom, top), -cubic_max(-top, -bottom)
 
 
 def _may_move(d: int, upper: np.ndarray, lower: np.ndarray, lo: np.ndarray,
@@ -348,67 +355,115 @@ def _may_move(d: int, upper: np.ndarray, lower: np.ndarray, lo: np.ndarray,
     value is nondecreasing in N, and in denom it falls for N >= 0 and
     rises for N < 0.  So the same operations on upper, over lo or hi
     whichever gives more, bound every value from above, exactly, and on
-    lower, over whichever gives less, from below.  A value equal to
-    best or worst moves neither.
+    lower, over whichever gives less, from below; a test over both
+    denominators asks the same.  A value equal to best or worst moves
+    neither.
     """
     scale = (1.0, 2.0, 6.0)[d - 1]
     top = np.divide(upper, scale)
-    top /= np.where(top >= 0, lo, hi)
-    alive = top > best
+    alive = np.divide(top, lo) > best
+    alive |= np.divide(top, hi) > best
     bottom = np.divide(lower, scale)
-    bottom /= np.where(bottom < 0, lo, hi)
-    alive |= bottom < worst
+    alive |= np.divide(bottom, lo) < worst
+    alive |= np.divide(bottom, hi) < worst
     return alive
 
 
-# per-byte popcounts of a uint64 word by SWAR (bit pairs, nibbles, bytes);
-# a multiply by _BYTE_PREFIX then sums bytes 0..q into byte q
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+# a multiply by _BYTE_PREFIX sums bytes 0..q of a uint64 word into byte q
 _BYTE_PREFIX = np.uint64(0x0101010101010101)
 # _GAINS[j, b]: the sign sum of bits 0..j of byte value b (bit j, step j)
 _GAINS = np.cumsum(2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
                                      axis=1, bitorder="little").T
                    .astype(np.int64) - 1, axis=0)
+_GAINS_FLOAT = _GAINS.astype(float)
 _PLANES = np.arange(8, dtype=np.int64)[:, None]
-# bytes of surviving words taken at a time by the byte stage, which
-# bounds its (8 x bytes) arrays at 1 MiB a piece; only a short horizon,
-# where most bytes survive, comes near that
-BYTE_SLICE = 16384
+# words, and bytes, taken at a time by the word and the byte stage, so
+# that their temporaries stay at 64 KiB; the byte stage's two (8 x
+# bytes) planes, reused from slice to slice, take 512 KiB each
+SLICE = 8192
 
 
 def _byte_extrema(d: int, byte: np.ndarray, before: np.ndarray,
-                  k: np.ndarray, per_plane: np.ndarray, first: int,
-                  horizon: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Max and min of the statistic over the steps in [first, horizon) of
-    bytes k of the sign stream, given their bits and P1 before each;
-    per_plane[j, k] is denom at step 8k + j.
+                  k: np.ndarray, per_plane: np.ndarray, ints: np.ndarray,
+                  floats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Max and min of the statistic over the steps of bytes k of the sign
+    stream, given their bits and P1 before each; per_plane[j, k] is
+    denom at step 8k + j, NaN at the steps outside [first, horizon).
 
     All eight steps of every byte at once, as (8 x bytes) planes: P1 at
     step 8k+j is before + _GAINS[j, byte], the closed form runs on it in
     int64, and the quotient by denom is taken once, as in prefix_values.
-    A step outside [first, horizon) (only the first and the last byte
-    have them) takes the value of the nearest valid step of its byte,
-    which moves neither extremum.
+    The planes are written into the int64 and float64 buffers ints and
+    floats, reused from call to call.
     """
-    p1 = np.take(_GAINS, byte, axis=1)
-    p1 += before
-    value = np.take(per_plane, k, axis=1)
+    size = 8 * byte.size
+    value = floats[:size].reshape(8, -1)
     if d == 1:  # float64 holds P1 exactly
-        np.divide(p1, value, out=value)
+        p1 = np.take(_GAINS_FLOAT, byte, axis=1,
+                     out=ints.view(float)[:size].reshape(8, -1))
+        p1 += before.astype(float)
     else:
-        n = 8 * k + _PLANES + 1
-        np.divide(_chaos_closed_form(d, p1, n, out=p1.view(float)), value,
-                  out=value)
-    if first and k.min() == 0:
-        at = np.flatnonzero(k == 0)
-        value[:first, at] = value[first, at]
-    last_byte, last_plane = divmod(horizon - 1, 8)
-    if last_plane < 7 and k.max() == last_byte:
-        at = np.flatnonzero(k == last_byte)
-        value[last_plane + 1:, at] = value[last_plane, at]
-    return value.max(axis=0), value.min(axis=0)
+        p1 = np.take(_GAINS, byte, axis=1, out=ints[:size].reshape(8, -1))
+        p1 += before
+        n = np.add(_PLANES, 8 * k + 1, out=value.view(np.int64))
+        p1 = _chaos_closed_form(d, p1, n, out=p1.view(float))
+    np.take(per_plane, k, axis=1, out=value, mode="clip")
+    np.divide(p1, value, out=value)
+    # a step outside [first, horizon) has a NaN denominator, which fmax
+    # and fmin pass over
+    return np.fmax.reduce(value, axis=0), np.fmin.reduce(value, axis=0)
+
+
+def _byte_stage(d: int, bits: np.ndarray, w: np.ndarray, path: np.ndarray,
+                before: np.ndarray, lo_den: np.ndarray, hi_den: np.ndarray,
+                per_plane: np.ndarray, horizon: int, best: np.ndarray,
+                worst: np.ndarray, planes: Tuple[np.ndarray, np.ndarray]
+                ) -> None:
+    """Raise best[path] and lower worst[path] by the bytes of stream
+    words w of those paths that pass the byte test, given each word's
+    bits and P1 before it; planes are _byte_extrema's buffers.
+
+    SLICE bytes at a time, laid out as (bytes x words) so that the
+    tests run along the words.  From per-byte popcounts, the top of byte
+    q (P1 if its ones came first) is P1 before the word + 2 (ones in
+    bytes 0..q) - (ones in byte q) - 8q, the byte arithmetic of a
+    multiply by _BYTE_PREFIX being borrow-free.  A horizon inside the
+    first word leaves no byte past it, and one inside a later word is
+    masked by time.
+    """
+    nq = min(8, per_plane.shape[1])
+    q8 = 8 * np.arange(nq)[:, None]
+    step = SLICE // nq
+    for start in range(0, w.size, step):
+        part = slice(start, start + step)
+        word_bits = bits[part]
+        ones = np.bitwise_count(word_bits.view(np.uint8)).view(np.uint64)
+        top = ones * _BYTE_PREFIX
+        top <<= 1
+        top -= ones
+        top = top.view(np.uint8).reshape(-1, 8).T[:nq].astype(np.int64,
+                                                                order="C")
+        top -= q8
+        top += before[part]
+        at_w = w[part]
+        n0 = (64 * at_w + 1) + q8
+        upper, lower = _numerator_bounds(d, top, n0, 8)
+        rows = path[part]
+        alive = _may_move(d, upper, lower, lo_den[at_w], hi_den[at_w],
+                          best[rows], worst[rows])
+        if horizon % 64:  # bytes past the horizon
+            alive &= n0 <= horizon
+        at = np.flatnonzero(alive)
+        if not at.size:
+            continue
+        q, word = np.divmod(at, at_w.size)
+        byte = word_bits.view(np.uint8).reshape(-1, 8)[word, q]
+        p1 = top.reshape(-1)[at]
+        p1 -= ones.view(np.uint8).reshape(-1, 8)[word, q]
+        high, low = _byte_extrema(d, byte, p1, 8 * at_w[word] + q, per_plane,
+                                  *planes)
+        np.maximum.at(best, rows[word], high)
+        np.minimum.at(worst, rows[word], low)
 
 
 def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
@@ -419,115 +474,135 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
     the bits of the stream.
 
     Byte k of a path's stream words holds steps 8k .. 8k+7, bit j being
-    step 8k+j: the draws of rademacher_block.  SWAR popcounts give the
-    ones in each word, hence (by a cumsum over words) the sign sum P1 at
-    every word end and a range of width 64 for P1 inside each word; the
-    exact values at word ends raise the running max and lower the
-    running min.  Then the work narrows twice.  A word, and within it a
-    byte (P1 range of width 8, from the ones in each byte and in bytes
-    0..q of the word), goes on only if _may_move finds that its
-    _numerator_bounds can beat the running max or min; no other step can
-    move either.  _byte_extrema evaluates the surviving bytes exactly.
-    The words of a block lie as (words x paths), so the cumsum over
-    words and the per-path extrema of the word ends are one vector
-    operation per word.  Each block of STEP_BLOCK steps runs in its own
-    call, so its temporaries are freed before the next block allocates
-    its own; at PATH_CHUNK paths each word array is 64 KiB.
+    step 8k+j: the draws of rademacher_block.  The words come in tiles
+    of PATH_CHUNK paths x TILE_WORDS words (more paths of fewer words
+    when the horizon is shorter), as stream_words lays them out, and one
+    set of buffers serves every tile.  Popcounts give the ones in each
+    word, and a cumsum along the words the sign sum P1 at every word
+    boundary, carried from tile to tile; the exact values at word ends
+    raise the running max and lower the running min.  Then the work
+    narrows three times, each level going on only where _may_move finds
+    that its _numerator_bounds can beat the running max or min; no
+    other step can move either.  A word from P1 = b to P1 = e never
+    leaves [(b + e - 64)/2, (b + e + 64)/2], so P1 inside a group of
+    GROUP_WORDS words lies within 32 of the range of its boundary sums:
+    the group test.  The words of surviving groups get the word test on
+    their own range, and the bytes of surviving words the byte test;
+    _byte_extrema evaluates the bytes that pass it exactly.  A tile of
+    one word goes straight to the byte test, which prunes all the other
+    two would.
     """
     n_paths = path_hi - path_lo
+    n_words = -(-horizon // 64)
     word_starts = np.arange(0, horizon, 64)
     lo_den = np.minimum.reduceat(denom, word_starts)
     hi_den = np.maximum.reduceat(denom, word_starts)
-    # per_plane[j, k] = denom at step 8k + j, past the horizon a pad
+    # groups of GROUP_WORDS words: first time, times, denominator range
+    group_starts = np.arange(0, n_words, GROUP_WORDS)
+    group_n0 = 64 * group_starts + 1
+    group_times = 64 * (np.minimum(group_starts + GROUP_WORDS, n_words)
+                        - group_starts)
+    group_lo = np.minimum.reduceat(lo_den, group_starts)
+    group_hi = np.maximum.reduceat(hi_den, group_starts)
+    # per_plane[j, k] = denom at step 8k + j, NaN outside [first, horizon)
     n_bytes = -(-horizon // 8)
-    per_plane = np.ones(8 * n_bytes)
-    per_plane[:horizon] = denom
+    per_plane = np.full(8 * n_bytes, np.nan)
+    per_plane[first:horizon] = denom[first:]
     per_plane = per_plane.reshape(n_bytes, 8).T.copy()
     best = np.full(n_paths, u_min, dtype=float)
     worst = -best
+    tile_paths = min(n_paths, PATH_CHUNK * max(1, TILE_WORDS // n_words))
+    size = tile_paths * min(TILE_WORDS, n_words)
+    edges = np.empty(size + tile_paths, dtype=np.int64)
+    # the byte planes; the float one holds the word-end values first
+    plane_size = 8 * min(SLICE, 8 * size)
+    planes = (np.empty(plane_size, dtype=np.int64),
+              np.empty(max(plane_size, size)))
 
-    carry = np.zeros(n_paths, dtype=np.int64)  # P1 before each block
-
-    def block(s0: int) -> None:
-        w0 = s0 // 64
-        nw = -(-min(STEP_BLOCK, horizon - s0) // 64)
-        # words x paths: sums over words and extrema per path run down
-        # the columns, one vector operation per word
-        words = stream_words(seed, path_lo, path_hi, w0, nw).T.copy()
-        ones = words >> 1
-        ones &= _M1
-        np.subtract(words, ones, out=ones)
-        prefix = ones >> 2
-        prefix &= _M2
-        ones &= _M2
-        ones += prefix
-        np.right_shift(ones, 4, out=prefix)
-        ones += prefix
-        ones &= _M4  # byte q: ones in byte q
-        np.multiply(ones, _BYTE_PREFIX, out=prefix)  # byte q: ones in 0..q
-        count = (prefix >> 56).view(np.int64)
-        top = count * 2  # P1 at each word end, by a cumsum of the gains
-        top -= 64
-        top[0] += carry
-        np.cumsum(top, axis=0, out=top)
-        carry[:] = top[-1]
-        full = min(nw, (horizon - s0) // 64)
-        if full:  # the exact values at word ends inside the horizon
-            n_end = 64 * np.arange(w0 + 1, w0 + full + 1, dtype=np.int64)
-            value = _chaos_closed_form(d, top[:full].copy(), n_end[:, None])
-            value /= denom[n_end - 1, None]
-            np.maximum(best, value.max(axis=0), out=best)
-            np.minimum(worst, value.min(axis=0), out=worst)
-        # a word's P1 stays in [top - 64, top], top being P1 before it
-        # plus its ones
-        top -= count
-        top += 64
-        lo, hi = lo_den[w0:w0 + nw, None], hi_den[w0:w0 + nw, None]
-        n0 = 64 * np.arange(w0, w0 + nw, dtype=np.int64)[:, None] + 1
-        upper, lower = _numerator_bounds(d, top, n0, 64)
-        hit = np.flatnonzero(_may_move(d, upper, lower, lo, hi, best,
-                                       worst))
-        # the bytes of the surviving words, BYTE_SLICE at a time:
-        # top of byte q = P1 before the word + 2 (ones in 0..q) - (ones
-        # in q) - 8q, the SWAR byte arithmetic being borrow-free.  A
-        # block of one word may end inside it: its bytes from nq on lie
-        # past the horizon
-        nq = min(8, n_bytes - 8 * w0) if nw == 1 else 8
-        q8 = 8 * np.arange(nq)
-        step = BYTE_SLICE // nq
-        for start in range(0, hit.size, step):
-            part = hit[start:start + step]
-            w, rows = np.divmod(part, n_paths)
-            ones_w = ones.reshape(-1)[part]
-            top_b = prefix.reshape(-1)[part]
-            top_b <<= 1
-            top_b -= ones_w
-            top_b = (top_b.view(np.uint8).reshape(-1, 8)[:, :nq]
-                     .astype(np.int64))
-            top_b -= q8
-            top_b += (top.reshape(-1)[part]
-                      - count.reshape(-1)[part])[:, None]
-            n0 = 64 * (w0 + w)[:, None] + (q8 + 1)
-            upper, lower = _numerator_bounds(d, top_b, n0, 8)
-            alive = _may_move(d, upper, lower, lo[w], hi[w],
-                              best[rows, None], worst[rows, None])
-            if s0 + STEP_BLOCK >= horizon:  # bytes past the horizon
-                alive &= n0 <= horizon
-            at = np.flatnonzero(alive)
-            if not at.size:
+    for t0 in range(0, n_paths, tile_paths):
+        # the tile's paths: their maxima and minima, P1 before each tile
+        high, low = best[t0:t0 + tile_paths], worst[t0:t0 + tile_paths]
+        n = high.size
+        carry = np.zeros(n, dtype=np.int64)
+        for w0 in range(0, n_words, TILE_WORDS):
+            nw = min(TILE_WORDS, n_words - w0)
+            words = stream_words(seed, path_lo + t0, path_lo + t0 + n, w0,
+                                 nw)
+            # edge[:, w]: P1 before word w0 + w, for w = 0 .. nw
+            edge = edges[:n * (nw + 1)].reshape(n, nw + 1)
+            edge[:, 0] = carry
+            gain = np.bitwise_count(words).view(np.int8)
+            gain -= 32
+            np.multiply(gain, 2, out=edge[:, 1:])  # 2 (ones) - 64
+            # one cumsum along the tile's rows, each row then less the
+            # sum of the rows before it
+            np.cumsum(edge.reshape(-1), out=edge.reshape(-1))
+            edge[1:] -= edge[:-1, nw:].copy()
+            carry[:] = edge[:, nw]
+            full = min(nw, horizon // 64 - w0)
+            if full > 0:  # the exact values at word ends inside the horizon
+                n_end = 64 * np.arange(w0 + 1, w0 + full + 1)
+                value = planes[1][:n * full].reshape(n, full)
+                if d == 1:
+                    np.divide(edge[:, 1:full + 1], denom[n_end - 1],
+                              out=value)
+                else:
+                    sums = value.view(np.int64)
+                    np.copyto(sums, edge[:, 1:full + 1])
+                    _chaos_closed_form(d, sums, n_end, out=value)
+                    value /= denom[n_end - 1]
+                np.maximum(high, value.max(axis=1), out=high)
+                np.minimum(low, value.min(axis=1), out=low)
+            if nw == 1:  # the byte test is the finest of the three
+                _byte_stage(d, words.reshape(-1), np.broadcast_to(w0, n),
+                            np.arange(n), edge[:, 0], lo_den, hi_den,
+                            per_plane, horizon, high, low, planes)
                 continue
-            word, q = np.divmod(at, nq)
-            byte = words.view(np.uint8).reshape(-1, 8)[part[word], q]
-            before = top_b.reshape(-1)[at]
-            before -= ones_w.view(np.uint8).reshape(-1, 8)[word, q]
-            high, low = _byte_extrema(d, byte, before,
-                                      8 * (w0 + w[word]) + q, per_plane,
-                                      first, horizon)
-            np.maximum.at(best, rows[word], high)
-            np.minimum.at(worst, rows[word], low)
-
-    for s0 in range(0, horizon, STEP_BLOCK):
-        block(s0)
+            # the group test: P1 in [min edge - 32, max edge + 32] over
+            # the group's boundaries, at its lowest and highest
+            # denominators; column g of edge[:, j::GROUP_WORDS] is
+            # boundary j of group g
+            top = edge[:, :nw:GROUP_WORDS].copy()
+            width = top.copy()
+            for j in range(1, min(GROUP_WORDS, nw) + 1):
+                sums = edge[:, j::GROUP_WORDS]
+                ng = sums.shape[1]
+                np.maximum(top[:, :ng], sums, out=top[:, :ng])
+                np.minimum(width[:, :ng], sums, out=width[:, :ng])
+            np.subtract(top, width, out=width)
+            top += 32
+            width += 64
+            g = slice(w0 // GROUP_WORDS, w0 // GROUP_WORDS + top.shape[1])
+            upper, lower = _numerator_bounds(d, top, group_n0[g], width,
+                                             group_times[g])
+            alive = _may_move(d, upper, lower, group_lo[g], group_hi[g],
+                              high[:, None], low[:, None])
+            # the words of surviving groups, SLICE at a time
+            groups = np.flatnonzero(alive)
+            span = min(GROUP_WORDS, nw)
+            for start in range(0, groups.size, SLICE // span):
+                path, w = np.divmod(groups[start:start + SLICE // span],
+                                    alive.shape[1])
+                w = ((GROUP_WORDS * w)[:, None] + np.arange(span)).reshape(-1)
+                inside = w < nw  # a ragged last group is short
+                w, path = w[inside], np.repeat(path, span)[inside]
+                # the word test: P1 in [(b + e - 64)/2, (b + e + 64)/2], b
+                # and e being even
+                at = path * (nw + 1) + w
+                before = edge.reshape(-1)[at]
+                top = edge.reshape(-1)[at + 1]
+                top += before
+                top += 64
+                top >>= 1
+                bits = words.reshape(-1)[path * nw + w]
+                w += w0
+                upper, lower = _numerator_bounds(d, top, 64 * w + 1, 64)
+                hit = np.flatnonzero(_may_move(d, upper, lower, lo_den[w],
+                                               hi_den[w], high[path],
+                                               low[path]))
+                _byte_stage(d, bits[hit], w[hit], path[hit], before[hit],
+                            lo_den, hi_den, per_plane, horizon, high, low,
+                            planes)
     return best, worst
 
 
@@ -538,14 +613,17 @@ def _over_path_chunks(model: MartingaleModel, denom: np.ndarray, first: int,
     """Signed and absolute running maxima of paths [0, n_paths), raised
     to u_min as _chunk_maxima raises them (exact at the default -inf).
 
-    Runs _chunk_maxima over spans of PATH_CHUNK paths (more when the
-    horizon is shorter than a step block), threaded when it pays off:
-    not for the sign kernel on spans of PATH_CHUNK paths, whose vector
-    operations are too short to overlap under the GIL (on two cores of
-    a Xeon, 2^15 paths x 2^14 steps took 0.9 s on two threads and
-    0.65 s on one).  Each span's paths depend only on (seed, path
-    index) and land in their own slice of the outputs, so the result is
-    identical for any worker count.
+    Runs _chunk_maxima over spans of paths, threaded when it pays off.
+    The weighted models get spans of PATH_CHUNK paths (more when the
+    horizon is shorter than a step block).  The sign kernel tiles its
+    span itself, with one set of buffers for all of it, so it gets one
+    span per worker; on a horizon of a step block or more, one worker:
+    its vector operations are too short to overlap under the GIL (on
+    two cores of a Xeon, 2^15 paths x 2^14 steps took 0.34-0.35 s on
+    two threads and 0.31-0.33 s on one, and the CLI's peak RSS rose from
+    39 to 43 MB).  Each span's paths depend only on (seed, path index) and
+    land in their own slice of the outputs, so the result is identical
+    for any worker count.
     """
     signed = np.empty(n_paths)
     absed = np.empty(n_paths)
@@ -559,14 +637,14 @@ def _over_path_chunks(model: MartingaleModel, denom: np.ndarray, first: int,
     # shorter than one block gets proportionally more paths per chunk,
     # so short runs are not made of chunks too small to pay their way
     chunk = PATH_CHUNK * (STEP_BLOCK // min(horizon, STEP_BLOCK))
+    workers = worker_count()
+    if model.sign_sum_degree:
+        if horizon >= STEP_BLOCK:
+            workers = 1
+        chunk = -(-n_paths // workers)
     spans = [(lo, min(lo + chunk, n_paths))
              for lo in range(0, n_paths, chunk)]
-    workers = min(worker_count(), len(spans))
-    if model.sign_sum_degree and chunk == PATH_CHUNK:
-        # the sign kernel works on words: on a PATH_CHUNK x STEP_BLOCK
-        # tile its vector operations last a few microseconds, too short
-        # to overlap under the GIL, and a second thread only slows it
-        workers = 1
+    workers = min(workers, len(spans))
     if workers <= 1:
         for span in spans:
             run(span)

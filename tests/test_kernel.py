@@ -8,7 +8,9 @@ kernel must reproduce it bit for bit, whatever the tiling, the worker
 count or the split of a path into blocks.
 """
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,3 +358,87 @@ def test_may_move_flags_every_run_holding_a_value_past_the_extrema(d):
                                 np.array([3.0]), np.array([3.0]),
                                 np.array([2.0 / scale]),
                                 np.array([2.0 / scale])).any()
+
+
+# the sign kernel's tiles: horizons that end just before, on and just
+# after a group of words and a tile of words, and one whose last tile
+# ends inside a word of its ragged second group
+GROUP_STEPS = 64 * verify.GROUP_WORDS
+TILE_STEPS = 64 * verify.TILE_WORDS
+TILE_HORIZONS = [GROUP_STEPS - 1, GROUP_STEPS, GROUP_STEPS + 1,
+                 TILE_STEPS - 1, TILE_STEPS, TILE_STEPS + 1,
+                 TILE_STEPS + GROUP_STEPS + 5 * 64 - 27]
+
+
+# shared by the cases that differ only in threads and u_min; callers
+# must not write to the arrays
+@functools.lru_cache(maxsize=None)
+def chaos_reference(d, horizon, n_paths, seed):
+    model, prefix = CASES[f"chaos:d={d}"]
+    denom, first = verify._normalizer(model, V2, horizon)
+    return reference_maxima(model, prefix, denom, first, horizon, seed,
+                            n_paths)
+
+
+@pytest.mark.parametrize("u_min", RAISES)
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("horizon", TILE_HORIZONS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sign_tiles_match_reference_across_group_and_tile_edges(
+        d, horizon, threads, u_min, monkeypatch):
+    # on the horizons of a tile or more, tiles hold PATH_CHUNK paths, so
+    # these paths end in a ragged tile of five
+    n_paths = 2 * PATH_CHUNK + 5
+    model = chaos_model(d)
+    denom, first = verify._normalizer(model, V2, horizon)
+    monkeypatch.setenv("LILBOUND_THREADS", threads)
+    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
+                                             55, n_paths, u_min)
+    ref_signed, ref_absed = chaos_reference(d, horizon, n_paths, 55)
+    assert np.array_equal(signed, np.maximum(ref_signed, u_min))
+    assert np.array_equal(absed, np.maximum(ref_absed, u_min))
+
+
+@pytest.mark.parametrize("times", [8, 64, 1024])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_numerator_bounds_hold_over_boxes_of_any_shape(d, times):
+    # P1 in [top - width, top] for widths 0 to 1088 (a group's 1024 steps
+    # plus its slack of 64), n in [n0, n0 + times - 1]: every (P1, n) of
+    # each box against the bounds, computed for all boxes at once
+    rs = np.random.default_rng(10 * d + times)
+    width = np.array([0, 1, 2, 7, 8, 63, 64, 65, 500, 1087, 1088]
+                     + list(rs.integers(0, 1089, 13)), dtype=np.int64)
+    n0 = np.concatenate([[1, 2, 3, 1000, 2000, 4000],
+                         rs.integers(1, 6000, width.size - 6)])
+    # tops at and around the degree-3 local max -sqrt(n), and far out
+    top = np.concatenate([np.zeros(6, dtype=np.int64),
+                          rs.integers(-1500, 1500, width.size - 6)])
+    top[1::4] = -np.sqrt(n0[1::4]).astype(np.int64) + width[1::4] // 2
+    upper, lower = verify._numerator_bounds(d, top.copy(), n0, width,
+                                            times)
+    for i in range(width.size):
+        p1 = np.arange(top[i] - width[i], top[i] + 1)[:, None]
+        n = n0[i] + np.arange(times)[None, :]
+        numerator = (p1, p1 * p1 - n, p1 * (p1 * p1 - 3 * n + 2))[d - 1]
+        assert upper[i] >= numerator.max(), (i, top[i], width[i], n0[i])
+        assert lower[i] <= numerator.min(), (i, top[i], width[i], n0[i])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sign_kernel_memory_is_a_tile_and_a_few_values_per_step(d):
+    # tracemalloc sees numpy's buffers: one call on PATH_CHUNK paths
+    # peaks at a few tile buffers, and a longer horizon adds only its
+    # per-step denominators
+    model = chaos_model(d)
+    peaks = {}
+    for horizon in (1 << 14, 1 << 16):
+        denom, first = verify._normalizer(model, V2, horizon)
+        tracemalloc.start()
+        try:
+            verify._chunk_maxima(model, denom, first, horizon, 5, 0,
+                                 PATH_CHUNK)
+            peaks[horizon] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1 << 14] <= 6 * 2 ** 20
+    assert peaks[1 << 16] - peaks[1 << 14] <= 16 * 3 * (1 << 14)
