@@ -20,11 +20,12 @@ Deep sums need care on two fronts, both handled here:
     cannot);
 
   * for iterated-logarithm normings the terms decay polynomially in k,
-    not geometrically, so a last/(1-ratio) residual is certified only
-    when the observed term ratios are below 1 *and* non-increasing
-    (true geometric domination).  Otherwise the sum runs to k_max, is
-    flagged, and reports residual_bound = +inf: a finite residual is
-    always a certified one, never an extrapolation.
+    not geometrically.  A sum stops early when three consecutive term
+    ratios are below 1 and non-increasing and the geometric tail they
+    imply, last*rho/(1-rho), is below tol.  That residual rests on those
+    three observed ratios alone: weightedA:beta=1,r=3 stops at k = 5 on
+    ratios near 0.0015, and its ratios later climb to 0.995.  A sum that
+    never stops runs to k_max, is flagged, and reports residual_bound = +inf.
 
 Reported sums are always the plain partial sums: a truncated series is a
 certified lower estimate of the infinite one, which is the safe direction
@@ -102,10 +103,17 @@ def _log_boundaries(ratio: float, k_max: int):
 @lru_cache(maxsize=256)
 def _block_arguments(v: "NormingSequence", sigma: "SigmaProfile",
                      ratio: float, k_max: int) -> np.ndarray:
-    """x_k = sigma(A(k)) v(A(k)) / sigma(B(k)) for k = 1..k_max."""
+    """x_k = sigma(A(k)) v(A(k)) / sigma(B(k)) for k = 1..k_max; an x_k
+    of +inf is legal (its term is 0), a NaN one a DomainError."""
     log_a, log_b = _log_boundaries(ratio, k_max)
-    return np.exp(sigma.log_sigma(log_a) - sigma.log_sigma(log_b)) \
-        * v.eval_log(log_a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        args = np.exp(sigma.log_sigma(log_a) - sigma.log_sigma(log_b)) \
+            * v.eval_log(log_a)
+    undefined = np.flatnonzero(np.isnan(args))
+    if len(undefined):
+        raise DomainError(f"sigma profile {sigma.label} overflows float64 "
+                          f"at block {undefined[0] + 1}, ratio {ratio:g}")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +178,14 @@ def constant_norming(c: float = 1.0) -> NormingSequence:
 class BlockSumResult:
     """One geometric-family series evaluation with its truncation status.
 
-    value is the partial sum through k_used terms.  converged means
-    residual_bound is certified by geometric domination; diverged means
-    the terms stopped decaying and value is the +inf sentinel (a vacuous
-    but valid probability bound).  A result with neither flag ran into
-    k_max.  residual_bound is finite only for a converged result: every
-    other result reports +inf, since nothing but geometric domination
-    certifies what lies past the last term summed.
+    value is the partial sum through k_used terms.  converged means the
+    last three term ratios passed the stop rule, and residual_bound is
+    the geometric tail those observed ratios imply, not a proven bound
+    (see the module docstring); diverged means the terms stopped
+    decaying and value is the +inf sentinel (a vacuous but valid
+    probability bound).  A result with neither flag ran into k_max.
+    residual_bound is finite only for a converged result: every other
+    result reports +inf.
     """
     value: float
     k_used: int
@@ -263,9 +272,8 @@ def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
     """Series over the geometric partition with the given ratio.
 
     Evaluated fully vectorized for analytic-conjugate phi, otherwise in
-    chunks of 256, 512, 1024, ... terms until the series is certified or
-    diverges.  See the module docstring for the certification and
-    divergence rules.
+    chunks of 256, 512, 1024, ... terms until the series stops early or
+    diverges.  See the module docstring for the stop and divergence rules.
     """
     if not 0 < u < math.inf:
         raise DomainError(f"block_sum needs finite u > 0, got {u}")
@@ -282,7 +290,9 @@ def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
             terms = np.negative(conjugate_many(phi, u * args))
             np.exp(terms, out=terms)
         return _finish_sum(terms, tol)
-    # the first certified stop and the first divergence point do not
+    # the numeric conjugate bisects once per distinct level, so a series
+    # that stops or diverges in its first chunk solves 256 levels, not
+    # k_max; the first early stop and the first divergence point do not
     # depend on where chunks end, so growing the chunks only saves work
     terms = np.empty(k_max)
     lo, chunk = 0, _CHUNK

@@ -19,9 +19,9 @@ phi_inverse's target lies beyond sup phi.
 
 The solver comes in two forms that take the same steps.  The scalar one
 (:func:`conjugate`) is plain Python, cheapest for a single point.  The
-array one (:func:`conjugate_many`) runs every point in lockstep: the
-bracket doublings are shared, and each bisection step evaluates phi once
-on all points still in play, each point stopping under the scalar rule.
+array one (:func:`conjugate_many`) solves each distinct point once, in
+lockstep: bracket doublings are shared, and each bisection step evaluates
+phi once on all points in play, each stopping under the scalar rule.
 For table generators the two give bit-identical values.
 
 Numerical contract: the numeric conjugate targets 1e-10 absolute accuracy
@@ -484,16 +484,25 @@ def conjugate(phi: PhiFunction, u: float) -> float:
 
 
 def conjugate_many(phi: PhiFunction, u: np.ndarray) -> np.ndarray:
-    """Vectorized conjugate: the closed form when available, else the
-    lockstep array solver (same values as :func:`conjugate` per point)."""
+    """Vectorized conjugate: the closed form when available, else one
+    lockstep solve per distinct u (same values as :func:`conjugate`)."""
     u = np.asarray(u, dtype=float)
+    # one reduction, which skips NaN as u < 0 does, at half the cost of
+    # np.any(u < 0) on the closed-form path
+    lowest = np.fmin.reduce(u.ravel(), initial=0.0)
+    if lowest < 0:
+        raise DomainError(f"conjugate argument must be >= 0, got {lowest}")
     if phi.analytic_conjugate is not None:
         return np.asarray(phi.analytic_conjugate(u), dtype=float)
-    if np.any(u < 0):
-        raise DomainError(f"conjugate argument must be >= 0, got {u.min()}")
-    values, _ = _conjugate_numeric_many(phi, u.ravel(), CONJUGATE_TOL,
-                                        MAX_ITER)
-    return values.reshape(u.shape)
+    # the sorted distinct levels by hand: np.unique imports numpy.ma on
+    # its first call, which costs more than a small bound's whole solve,
+    # and its return_inverse argsort more than the searchsorted lookup
+    levels = np.sort(u, axis=None)
+    keep = np.ones(levels.shape, dtype=bool)
+    np.not_equal(levels[1:], levels[:-1], out=keep[1:])
+    levels = levels[keep]
+    values, _ = _conjugate_numeric_many(phi, levels, CONJUGATE_TOL, MAX_ITER)
+    return values[np.searchsorted(levels, u.ravel())].reshape(u.shape)
 
 
 def conjugate_function(phi: PhiFunction) -> PhiFunction:

@@ -253,6 +253,20 @@ def test_bound_with_overflowing_norming_is_silent(tmp_path, capsys):
     assert err == ""
 
 
+def test_bound_with_overflowing_sigma_profile_exits_2(tmp_path, capsys):
+    """log sigma overflows to +inf at both ends of the deep blocks, so
+    their arguments are inf/inf: exit 2 with one line, not a NaN bound."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, [
+            "bound", "--sigma", "powerlaw:gamma=1e308", "--u-grid", "2,3",
+            "--out-dir", str(tmp_path)])
+    assert code == EXIT_DOMAIN
+    assert len(err.splitlines()) == 1
+    assert "powerlaw" in err
+    assert not (tmp_path / "bound.json").exists()
+
+
 def test_bound_on_tabulated_generator(tmp_path, capsys):
     """--phi csv:PATH with a lambda^2/2 table tracks --phi phi2."""
     table = tmp_path / "phi.csv"

@@ -22,6 +22,7 @@ from lilbound import (
     single_time_lower_bound,
     weighted_iid_model,
 )
+from lilbound import phi as phi_module
 from lilbound.cli import model_from_id, norming_from_id, phi_from_id
 from lilbound.engine import (_DIVERGENCE_RUN, DEFAULT_KMAX, DEFAULT_TOL,
                              BoundReport, _block_arguments, _finish_sum,
@@ -132,6 +133,44 @@ def test_block_sum_divergence_sentinel():
     assert res.value == math.inf
     assert res.residual_bound == math.inf
     assert res.k_used >= 64   # at least 64 consecutive non-decaying ratios
+
+
+def _count_solved(monkeypatch):
+    """A list that records how many points each numeric solve gets."""
+    solved = []
+    solver = phi_module._conjugate_numeric_many
+
+    def counting(phi, u, tol, max_iter):
+        solved.append(len(u))
+        return solver(phi, u, tol, max_iter)
+
+    monkeypatch.setattr(phi_module, "_conjugate_numeric_many", counting)
+    return solved
+
+
+def test_numeric_block_sum_solves_each_distinct_level_once(monkeypatch):
+    # with constant norming and sigma(n) = sqrt(n), block k's argument is
+    # sqrt(A(k)/B(k)): past the exact boundaries (k > 53 at ratio 2) it
+    # is sqrt(1/2) for every block, so the series has few distinct levels
+    lams = np.arange(801) / 20.0
+    table = phi_from_table(lams, lams * lams / 2.0)
+    solved = _count_solved(monkeypatch)
+    res = block_sum(2.0, constant_norming(1.0), SQRT_SIGMA, table, 3.0)
+    assert sum(solved) <= 64
+    assert res.diverged and res.k_used == 66
+
+
+def test_numeric_block_sum_that_stops_early_solves_one_chunk(monkeypatch):
+    # a |lambda|^1.5 table under vr:2 norming: every block argument is a
+    # distinct level, and the series stops at k = 4, so only the first
+    # chunk of 256 terms may reach the solver, not all k_max levels
+    lams = np.arange(801) * 2.5
+    table = phi_from_table(lams, lams ** 1.5)
+    sigma = weighted_iid_model(1.0, weibull_r=3.0).sigma_profile()
+    solved = _count_solved(monkeypatch)
+    res = block_sum(4.0, V2, sigma, table, 8.0)
+    assert res.converged and res.k_used == 4
+    assert sum(solved) <= 256
 
 
 @pytest.mark.parametrize("v", [V2, constant_norming(1.0)],

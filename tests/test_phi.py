@@ -138,9 +138,11 @@ def quadratic_table():
 def test_conjugate_many_bit_identical_to_scalar_on_table():
     table = quadratic_table()
     # 0, interior points, the slope 40 at the edge and past it (where the
-    # supremum sits at the domain edge), and large u
+    # supremum sits at the domain edge), and large u; then repeated and
+    # unsorted levels, which the array solver solves once each
     us = np.concatenate([[0.0], np.linspace(0.01, 39.9, 97),
-                         [39.99, 40.0, 40.01, 45.0, 1e3, 1e6]])
+                         [39.99, 40.0, 40.01, 45.0, 1e3, 1e6],
+                         [3.0, 0.5, 3.0, 1e6, 0.0, 45.0, 0.5, 3.0]])
     expected = [conjugate(table, float(u)) for u in us]
     np.testing.assert_array_equal(conjugate_many(table, us), expected)
     assert conjugate_many(table, us)[0] == 0.0
@@ -229,11 +231,12 @@ def test_chi_square_generator_rejects_an_array_past_its_edge():
 
 
 def test_conjugate_many_keeps_shape_and_rejects_negative():
-    phi = numeric_only(phi2())
-    us = np.array([[0.5, 1.0], [2.0, 0.0]])
-    assert conjugate_many(phi, us).shape == (2, 2)
-    with pytest.raises(DomainError):
-        conjugate_many(phi, np.array([1.0, -0.5]))
+    for phi in (numeric_only(phi2()), phi2()):
+        us = np.array([[0.5, 1.0], [2.0, 0.0]])
+        assert conjugate_many(phi, us).shape == (2, 2)
+        assert conjugate_many(phi, np.array([])).shape == (0,)
+        with pytest.raises(DomainError):
+            conjugate_many(phi, np.array([1.0, -0.5]))
 
 
 def test_array_solver_stall_reports_scalar_residual():
