@@ -30,6 +30,15 @@ Deep sums need care on two fronts, both handled here:
 Reported sums are always the plain partial sums: a truncated series is a
 certified lower estimate of the infinite one, which is the safe direction
 for every dominance comparison made downstream.
+
+Only the minimum over ratios is reported, so a series is summed in full
+only for a ratio that can still win.  One stacked pass per level makes
+the first 64 terms of every series, the same bits block_sum makes.
+Terms are >= 0, so their sum less a rounding slack that depends on k_max
+alone is at most the value the full series reports, unless the series
+stops or diverges inside them.  A ratio whose lower bound is above a
+full sum already made can neither be the minimum nor tie it, so skipping
+it changes no bit of the report.
 """
 from __future__ import annotations
 
@@ -52,6 +61,8 @@ _DIVERGENCE_RUN = 64
 #: exact integer boundaries are kept while ratio^(k-1) stays below this
 _EXACT_CAP = 2.0 ** 52
 _CHUNK = 256
+#: leading terms of every series that optimized_bound sums up front
+_PREFIX = 64
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +340,39 @@ def _finish_sum(terms: np.ndarray, tol: float,
 # the optimized bound
 # ---------------------------------------------------------------------------
 
+def _prefix_lower_bounds(phi: PhiFunction, args: np.ndarray, tol: float,
+                         k_max: int) -> list:
+    """Per row of leading block arguments (already times the level), a
+    number no larger than the value block_sum reports for that series.
+
+    The terms made here are bit for bit block_sum's leading terms, since
+    conjugate_many works point by point.  A series that stops or diverges
+    inside them may report less than their sum, so it gets -inf.  Any
+    other series sums every one of them: a converged sum stops past
+    them, a truncated one runs to k_max, and a divergent one is +inf.
+    """
+    # the overflow that saturates a deep term to 0, as in block_sum
+    with np.errstate(over="ignore"):
+        terms = np.negative(conjugate_many(phi, args))
+        np.exp(terms, out=terms)
+    # Terms are >= 0, and a float sum of n of them lies within a factor
+    # 1 -+ gamma_n of its exact sum in any order (gamma_n = n*eps/(1 -
+    # n*eps), eps = 2^-53).  A full sum holds every prefix term and at
+    # most k_max terms, so it is at least (1 - gamma_k_max) times the
+    # exact prefix sum, and the computed prefix sum times keep, rounded
+    # twice, at most (1 + gamma_m)(1 + eps)^2 (1 - slack) times it, with
+    # m <= k_max terms in the prefix.  The slack 4*k_max*eps covers
+    # gamma_m + gamma_k_max + 2*eps, and makes keep <= 0 (no series is
+    # skipped) long before k_max is large enough for it not to.
+    keep = 1.0 - 4.0 * k_max * 2.0 ** -53
+    lows = []
+    for row in terms:
+        stop, _, div = _scan_terms(row, tol)
+        lows.append(-math.inf if stop is not None or div is not None
+                    else float(row.sum()) * keep)
+    return lows
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Per-u optimized series values with full truncation diagnostics."""
@@ -368,6 +412,12 @@ def optimized_bound(v: NormingSequence, sigma: SigmaProfile, phi: PhiFunction,
     on the scaled level C*u, never on the other levels in the grid.  Each
     series is nonincreasing in its level, so q_sums are nonincreasing in
     u; ties go to the smallest ratio.
+
+    Ratios are visited in order of a lower bound from their first 64
+    terms (see _prefix_lower_bounds), and block_sum runs only for a ratio
+    whose lower bound is not above the smallest sum so far.  A skipped
+    ratio's value is strictly above that sum, so the report is the one
+    block_sum over every ratio gives, bit for bit.
     """
     if not 0 < C < math.inf:
         raise DomainError(f"theorem constant must be positive and finite, "
@@ -375,18 +425,32 @@ def optimized_bound(v: NormingSequence, sigma: SigmaProfile, phi: PhiFunction,
     us = [float(u) for u in u_grid]
     if not us or not all(0 < u < math.inf for u in us):
         raise DomainError("u grid must be nonempty, finite and positive")
-    ratios = sorted(float(r) for r in
-                    (DEFAULT_RATIOS if ratio_grid is None else ratio_grid))
+    ratios = sorted({float(r) for r in
+                     (DEFAULT_RATIOS if ratio_grid is None else ratio_grid)})
     if not ratios or not all(2 <= r < math.inf for r in ratios):
         raise DomainError("candidate ratios must be a nonempty set of "
                           "finite values >= 2")
+    if not 0 < tol < 1:
+        raise DomainError(f"tolerance must be in (0, 1), got {tol}")
 
+    heads = np.stack([_block_arguments(v, sigma, r, k_max)[:_PREFIX]
+                      for r in ratios])
     q_sums, chosen, k_used, residuals, flags = [], [], [], [], []
     for u in us:
-        ratio, res = min(((r, block_sum(r, v, sigma, phi, C * u, tol, k_max))
-                          for r in ratios), key=lambda pair: pair[1].value)
+        x = C * u
+        lows = _prefix_lower_bounds(phi, x * heads, tol, k_max)
+        results, best = {}, math.inf
+        for i in sorted(range(len(ratios)), key=lows.__getitem__):
+            # this series cannot be below, nor tie, a sum already made
+            if lows[i] > best:
+                continue
+            res = results[i] = block_sum(ratios[i], v, sigma, phi, x, tol,
+                                         k_max)
+            best = min(best, res.value)
+        i = min(sorted(results), key=lambda j: results[j].value)
+        res = results[i]
         q_sums.append(res.value)
-        chosen.append(ratio)
+        chosen.append(ratios[i])
         k_used.append(res.k_used)
         residuals.append(res.residual_bound)
         flags.append("divergent" if res.diverged

@@ -1,7 +1,7 @@
 """Exact test oracles: partitions materialized block by block, the
-exhaustive partition optimum, the whole-array series scan, exact
-single-path steppers, and single-time tail counts by enumerating every
-sign path.
+exhaustive partition optimum, the whole-array series scan, the optimized
+bound with every ratio's series summed, exact single-path steppers, and
+single-time tail counts by enumerating every sign path.
 
 The library evaluates the bound through log-space boundaries and
 simulates paths in float64 blocks; the oracles here compute the same
@@ -19,8 +19,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from lilbound.engine import (_DIVERGENCE_RUN, NormingSequence, SigmaProfile,
-                             _integer_boundaries)
+from lilbound.engine import (_DIVERGENCE_RUN, DEFAULT_KMAX, DEFAULT_RATIOS,
+                             DEFAULT_TOL, BoundReport, NormingSequence,
+                             SigmaProfile, _integer_boundaries, block_sum)
 from lilbound.errors import DomainError
 from lilbound.phi import PhiFunction, conjugate, conjugate_many
 from lilbound.verify import _sign_matrix
@@ -191,6 +192,36 @@ def scan_terms(terms: np.ndarray, tol: float):
     if div_idx is not None and (stop is None or div_idx < stop):
         return None, math.nan, div_idx
     return stop, residual, None
+
+
+# ---------------------------------------------------------------------------
+# optimized bound
+# ---------------------------------------------------------------------------
+
+def optimized_bound_oracle(v: NormingSequence, sigma: SigmaProfile,
+                           phi: PhiFunction, u_grid, C: float = 1.0,
+                           ratio_grid=None, tol: float = DEFAULT_TOL,
+                           k_max: int = DEFAULT_KMAX) -> BoundReport:
+    """engine.optimized_bound on valid inputs with no ratio skipped: the
+    full block_sum of every ratio at every level C*u, and the first
+    ratio in sorted order with the smallest value."""
+    ratios = sorted(float(r) for r in
+                    (DEFAULT_RATIOS if ratio_grid is None else ratio_grid))
+    us = [float(u) for u in u_grid]
+    q_sums, chosen, k_used, residuals, flags = [], [], [], [], []
+    for u in us:
+        ratio, res = min(((r, block_sum(r, v, sigma, phi, C * u, tol, k_max))
+                          for r in ratios), key=lambda pair: pair[1].value)
+        q_sums.append(res.value)
+        chosen.append(ratio)
+        k_used.append(res.k_used)
+        residuals.append(res.residual_bound)
+        flags.append("divergent" if res.diverged
+                     else "converged" if res.converged else "truncated")
+    return BoundReport(u_grid=tuple(us), q_sums=tuple(q_sums),
+                       chosen_ratios=tuple(chosen), k_used=tuple(k_used),
+                       residual_bounds=tuple(residuals), flags=tuple(flags),
+                       c_used=C)
 
 
 # ---------------------------------------------------------------------------

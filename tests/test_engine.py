@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lilbound import (
     DomainError,
@@ -23,13 +23,15 @@ from lilbound import (
     weighted_iid_model,
 )
 from lilbound import phi as phi_module
-from lilbound.cli import model_from_id, norming_from_id, phi_from_id
+from lilbound.cli import (model_from_id, norming_from_id, phi_from_id,
+                          profile_from_id)
 from lilbound.engine import (_DIVERGENCE_RUN, DEFAULT_KMAX, DEFAULT_TOL,
                              BoundReport, _block_arguments, _finish_sum,
                              _scan_terms)
 from lilbound.phi import conjugate, conjugate_many, phi_from_table
 from oracles import (Partition, block_term, dp_partition_oracle,
-                     geometric_partition, geometric_prefix_sum, scan_terms)
+                     geometric_partition, geometric_prefix_sum,
+                     optimized_bound_oracle, scan_terms)
 
 SQRT_SIGMA = power_law_surrogate(0.5)   # sigma(n) = sqrt(n)
 V2 = iterated_log_norming(2.0)
@@ -367,6 +369,77 @@ def test_reported_residual_is_the_chosen_series_residual(model, us, flags):
             assert residual == math.inf
         else:
             assert math.isfinite(residual)
+
+
+def _bits(report):
+    """Every BoundReport field, each float in its exact hex form."""
+    def hexes(xs):
+        return tuple(float(x).hex() for x in xs)
+    return (hexes(report.u_grid), hexes(report.q_sums),
+            hexes(report.chosen_ratios), report.k_used,
+            hexes(report.residual_bounds), report.flags,
+            float(report.c_used).hex())
+
+
+_LAMS = np.arange(801) / 20.0
+#: lambda^2/2 tabulated on [0, 40]: phi2 through the numeric conjugate
+LAM2_TABLE = phi_from_table(_LAMS, _LAMS * _LAMS / 2.0)
+
+
+@settings(max_examples=60)
+@given(phi=st.sampled_from(["phi2", "chi2", "cosh", "power:q=3", "table"]),
+       norming=st.sampled_from(["vr:1", "vr:2", "const:1"]),
+       profile=st.sampled_from(["chaos:d=1", "chaos:d=2", "weightedA:beta=1",
+                                "weightedA:beta=1,r=3", "powerlaw:gamma=0.5",
+                                "powerlaw:gamma=1,m=log"]),
+       us=st.lists(st.floats(0.25, 8.0), min_size=1, max_size=3),
+       c=st.one_of(st.just(1.0), st.floats(0.3, 3.0)),
+       ratios=st.lists(st.sampled_from([2.0, 2.5, 3.0, 4.0, 7.0, 32.0]),
+                       min_size=1, max_size=6),
+       k_max=st.sampled_from([1, 3, 63, 64, 65, 512]),
+       tol=st.sampled_from([DEFAULT_TOL, 1e-4, 0.3]))
+# ratio 2 stops inside the prefix and wins, though its 64-term prefix sum
+# is above ratio 2.5's full value
+@example(phi="phi2", norming="vr:1", profile="chaos:d=1", us=[2.0], c=1.0,
+         ratios=[2.0, 2.5], k_max=65, tol=0.3)
+def test_optimized_bound_equals_every_ratio_summed(phi, norming, profile, us,
+                                                   c, ratios, k_max, tol):
+    """Skipping the ratios that a 64-term prefix rules out changes no bit
+    of the report, including with duplicate ratios (ties), k_max on
+    either side of the prefix length, and a loose tol, under which many
+    series stop inside the prefix with a sizeable sum still after it."""
+    f = LAM2_TABLE if phi == "table" else phi_from_id(phi)
+    v = norming_from_id(norming)
+    sigma = (profile_from_id(profile) if profile.startswith("powerlaw")
+             else model_from_id(profile).sigma_profile())
+    got = optimized_bound(v, sigma, f, us, C=c, ratio_grid=ratios, tol=tol,
+                          k_max=k_max)
+    want = optimized_bound_oracle(v, sigma, f, us, C=c, ratio_grid=ratios,
+                                  tol=tol, k_max=k_max)
+    assert _bits(got) == _bits(want)
+
+
+def test_optimized_bound_keeps_a_series_that_stops_inside_the_prefix():
+    """weightedA:beta=1,r=3 at u = 5: ratio 2 stops at k = 5, so its
+    prefix gives no lower bound, and it wins against ratios that stop
+    at k = 4 and ratios that stop hundreds of terms later."""
+    model = model_from_id("weightedA:beta=1,r=3")
+    sigma, phi = model.sigma_profile(), model.phi
+    got = optimized_bound(V2, sigma, phi, [5.0])
+    assert _bits(got) == _bits(optimized_bound_oracle(V2, sigma, phi, [5.0]))
+    assert (got.chosen_ratios, got.k_used, got.flags) == \
+        ((2.0,), (5,), ("converged",))
+
+
+def test_optimized_bound_on_a_series_that_diverges_past_the_prefix():
+    """The table under constant norming: every ratio diverges, ratio 2 at
+    k_used = 66, past the 64-term prefix, and ties go to ratio 2."""
+    v = constant_norming(1.0)
+    got = optimized_bound(v, SQRT_SIGMA, LAM2_TABLE, [3.0])
+    assert _bits(got) == _bits(
+        optimized_bound_oracle(v, SQRT_SIGMA, LAM2_TABLE, [3.0]))
+    assert (got.q_sums, got.chosen_ratios, got.k_used, got.flags) == \
+        ((math.inf,), (2.0,), (66,), ("divergent",))
 
 
 def test_optimized_bound_ratio_superset_never_increases():

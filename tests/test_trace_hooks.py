@@ -53,4 +53,5 @@ def test_bench_tracer_sees_every_layer(tmp_path):
     codes, names = json.loads(proc.stdout.strip().splitlines()[-1])
     assert codes == [0, 0, 0], proc.stderr
     assert {"engine.block_sum", "verify.chunk", "models.prefix_values",
-            "rng.block"} <= set(names)
+            "rng.block", "engine.optimized_bound", "verify.calibrate_constant",
+            "phi.conjugate_many"} <= set(names)

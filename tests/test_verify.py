@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lilbound import verify
+from lilbound import engine, verify
 from lilbound import (
     CalibrationError,
     DomainError,
@@ -419,6 +419,25 @@ def test_calibrate_constant_settles_later_cells_in_one_call(
     assert per[0] == 12           # cap, floor and ten bisection steps
     assert per[binding + 1:] == [1] * (len(per) - binding - 1)
     assert calls[-1] == est.u_grid and len(calls) == sum(per) + 1
+
+
+def test_calibrate_constant_sums_few_full_series(later_binding_case,
+                                                 monkeypatch):
+    """A work count, not a time.  On this case calibration made 660
+    block_sum calls when optimized_bound summed every ratio's series in
+    full; it makes 156 once a 64-term prefix rules out the ratios that
+    cannot win."""
+    est, sigma, phi, _ = later_binding_case
+    calls = []
+    real = engine.block_sum
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(engine, "block_sum", counted)
+    calibrate_constant(est, V2, sigma, phi)
+    assert len(calls) < 660 // 2
 
 
 def test_calibrate_constant_error_when_floor_fails():
