@@ -277,6 +277,18 @@ def _scan_terms(terms: np.ndarray, tol: float):
     return stop, residual, None
 
 
+def _terms(phi: PhiFunction, x: np.ndarray) -> np.ndarray:
+    """The block terms exp(-phi*(x)), 0 where the conjugate overflows to
+    +inf at deep blocks; x, the caller's temporary, is freed before the
+    terms are allocated, so at most two series arrays live at once."""
+    with np.errstate(over="ignore"):
+        conj = conjugate_many(phi, x)
+        del x
+        terms = np.negative(conj)
+        np.exp(terms, out=terms)
+    return terms
+
+
 def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
               phi: PhiFunction, u: float, tol: float = DEFAULT_TOL,
               k_max: int = DEFAULT_KMAX) -> BlockSumResult:
@@ -295,12 +307,7 @@ def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
         raise DomainError(f"tolerance must be in (0, 1), got {tol}")
     args = _block_arguments(v, sigma, ratio, k_max)
     if phi.analytic_conjugate is not None:
-        # overflow of the conjugate at deep blocks saturates to +inf and
-        # the term to exactly 0, which is the intended limit
-        with np.errstate(over="ignore"):
-            terms = np.negative(conjugate_many(phi, u * args))
-            np.exp(terms, out=terms)
-        return _finish_sum(terms, tol)
+        return _finish_sum(_terms(phi, u * args), tol)
     # the numeric conjugate bisects once per distinct level, so a series
     # that stops or diverges in its first chunk solves 256 levels, not
     # k_max; the first early stop and the first divergence point do not
@@ -309,9 +316,7 @@ def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
     lo, chunk = 0, _CHUNK
     while True:
         hi = min(lo + chunk, k_max)
-        new = terms[lo:hi]
-        np.negative(conjugate_many(phi, u * args[lo:hi]), out=new)
-        np.exp(new, out=new)
+        terms[lo:hi] = _terms(phi, u * args[lo:hi])
         scan = _scan_terms(terms[:hi], tol)
         if scan[0] is not None or scan[2] is not None or hi == k_max:
             return _finish_sum(terms[:hi], tol, scan)
@@ -351,10 +356,7 @@ def _prefix_lower_bounds(phi: PhiFunction, args: np.ndarray, tol: float,
     other series sums every one of them: a converged sum stops past
     them, a truncated one runs to k_max, and a divergent one is +inf.
     """
-    # the overflow that saturates a deep term to 0, as in block_sum
-    with np.errstate(over="ignore"):
-        terms = np.negative(conjugate_many(phi, args))
-        np.exp(terms, out=terms)
+    terms = _terms(phi, args)
     # Terms are >= 0, and a float sum of n of them lies within a factor
     # 1 -+ gamma_n of its exact sum in any order (gamma_n = n*eps/(1 -
     # n*eps), eps = 2^-53).  A full sum holds every prefix term and at

@@ -130,7 +130,9 @@ def cosh_phi() -> PhiFunction:
         # sqrt(1+u^2) - 1 = u^2 / (1 + sqrt(1+u^2)): no cancellation at
         # small u, where the conjugate is u^2/2 + O(u^4)
         u = np.abs(u)
-        return u * np.arcsinh(u) - u * (u / (1.0 + np.hypot(1.0, u)))
+        with np.errstate(invalid="ignore"):  # inf - inf at u = inf
+            value = u * np.arcsinh(u) - u * (u / (1.0 + np.hypot(1.0, u)))
+        return np.where(u == np.inf, np.inf, value)
 
     def inv(p):
         return np.arccosh(np.asarray(p) + 1.0)
@@ -184,10 +186,11 @@ def chi_square_phi() -> PhiFunction:
                 value[small] = (0.5 * u[small] ** 2
                                 * _chi2_series(s[small]))
             if np.max(s, initial=0.0) == np.inf:
-                # u past 2^1024/sqrt2: the limit form
+                # u past 2^1024/sqrt2: the limit form, and inf at inf
                 huge = np.isinf(s)
-                value[huge] = (u[huge] / _SQRT2 - 0.5 * np.log(u[huge])
-                               - 0.25 * math.log(2.0))
+                big = u[huge]
+                limit = big / _SQRT2 - 0.5 * np.log(big) - 0.25 * math.log(2.0)
+                value[huge] = np.where(big == np.inf, np.inf, limit)
         return value
 
     return PhiFunction(label="chi2", evaluate=ev, lambda0=1.0 / _SQRT2,

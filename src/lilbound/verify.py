@@ -13,10 +13,11 @@ levels u >= min(grid), so it asks for maxima raised to that level, which
 the sign-chaos kernel gets while evaluating few steps exactly.  Models
 dispatch on sign_sum_degree alone.  One with a degree (sign chaos, d <=
 3) is simulated from the words of the sign stream, in tiles of paths x
-words: popcounts give the sign sum at every word boundary, which bounds
-it over each group of 16 words, each word and each byte of 8 steps, and
-only the bytes whose bound can move a path's running max or min are
-evaluated, step by step, with the arithmetic of prefix_values.
+words: popcounts give the sign sum at every word boundary, a walk from b
+to e over L steps stays in [(b + e - L)/2, (b + e + L)/2], and that one
+rule bounds it over each byte, word and group of 16 words.  Only the
+bytes that can move a path's running max or min are evaluated, step by
+step, with the arithmetic of prefix_values.
 exact_sup_tail counts its 2^N sign paths by a dynamic program over the
 sign-sum lattice; every other model goes through prefix_values, on a
 reused value tile or by enumeration.  Exact tails are rationals, for
@@ -483,14 +484,14 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
     raise the running max and lower the running min.  Then the work
     narrows three times, each level going on only where _may_move finds
     that its _numerator_bounds can beat the running max or min; no
-    other step can move either.  A word from P1 = b to P1 = e never
-    leaves [(b + e - 64)/2, (b + e + 64)/2], so P1 inside a group of
-    GROUP_WORDS words lies within 32 of the range of its boundary sums:
-    the group test.  The words of surviving groups get the word test on
-    their own range, and the bytes of surviving words the byte test;
-    _byte_extrema evaluates the bytes that pass it exactly.  A tile of
-    one word goes straight to the byte test, which prunes all the other
-    two would.
+    other step can move either.  All three bound P1 by one rule: over
+    L steps from P1 = b to P1 = e, P1 stays in [(b + e - L)/2,
+    (b + e + L)/2].  A word's range comes from its pair sum b + e (even,
+    so the halving is exact), a group's of GROUP_WORDS words is the
+    union of its words', and a byte's top is P1 before it plus its ones
+    (L = 8).  _byte_extrema evaluates the bytes that pass exactly.  A
+    tile of one word goes straight to the byte test, which prunes all
+    the other two would.
     """
     n_paths = path_hi - path_lo
     n_words = -(-horizon // 64)
@@ -514,6 +515,7 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
     tile_paths = min(n_paths, PATH_CHUNK * max(1, TILE_WORDS // n_words))
     size = tile_paths * min(TILE_WORDS, n_words)
     edges = np.empty(size + tile_paths, dtype=np.int64)
+    pairs = np.empty(size, dtype=np.int64)
     # the byte planes; the float one holds the word-end values first
     plane_size = 8 * min(SLICE, 8 * size)
     planes = (np.empty(plane_size, dtype=np.int64),
@@ -558,21 +560,16 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
                             np.arange(n), edge[:, 0], lo_den, hi_den,
                             per_plane, horizon, high, low, planes)
                 continue
-            # the group test: P1 in [min edge - 32, max edge + 32] over
-            # the group's boundaries, at its lowest and highest
-            # denominators; column g of edge[:, j::GROUP_WORDS] is
-            # boundary j of group g
-            top = edge[:, :nw:GROUP_WORDS].copy()
-            width = top.copy()
-            for j in range(1, min(GROUP_WORDS, nw) + 1):
-                sums = edge[:, j::GROUP_WORDS]
-                ng = sums.shape[1]
-                np.maximum(top[:, :ng], sums, out=top[:, :ng])
-                np.minimum(width[:, :ng], sums, out=width[:, :ng])
-            np.subtract(top, width, out=width)
-            top += 32
-            width += 64
-            g = slice(w0 // GROUP_WORDS, w0 // GROUP_WORDS + top.shape[1])
+            # pair[:, w] = b + e, the boundary sums around word w0 + w
+            pair = pairs[:n * nw].reshape(n, nw)
+            np.add(edge[:, :nw], edge[:, 1:], out=pair)
+            # the group test: the union of its words' ranges, at the
+            # group's lowest and highest denominators
+            group = np.arange(0, nw, GROUP_WORDS)
+            top = np.maximum.reduceat(pair, group, axis=1)
+            width = (top - np.minimum.reduceat(pair, group, axis=1)) // 2 + 64
+            top = (top + 64) // 2
+            g = slice(w0 // GROUP_WORDS, w0 // GROUP_WORDS + group.size)
             upper, lower = _numerator_bounds(d, top, group_n0[g], width,
                                              group_times[g])
             alive = _may_move(d, upper, lower, group_lo[g], group_hi[g],
@@ -582,19 +579,15 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
             span = min(GROUP_WORDS, nw)
             for start in range(0, groups.size, SLICE // span):
                 path, w = np.divmod(groups[start:start + SLICE // span],
-                                    alive.shape[1])
+                                    group.size)
                 w = ((GROUP_WORDS * w)[:, None] + np.arange(span)).reshape(-1)
                 inside = w < nw  # a ragged last group is short
                 w, path = w[inside], np.repeat(path, span)[inside]
-                # the word test: P1 in [(b + e - 64)/2, (b + e + 64)/2], b
-                # and e being even
-                at = path * (nw + 1) + w
-                before = edge.reshape(-1)[at]
-                top = edge.reshape(-1)[at + 1]
-                top += before
-                top += 64
-                top >>= 1
-                bits = words.reshape(-1)[path * nw + w]
+                # the word test, on the word's own range
+                at = path * nw + w
+                before = edge.reshape(-1)[at + path]  # rows of nw + 1
+                top = (pair.reshape(-1)[at] + 64) // 2
+                bits = words.reshape(-1)[at]
                 w += w0
                 upper, lower = _numerator_bounds(d, top, 64 * w + 1, 64)
                 hit = np.flatnonzero(_may_move(d, upper, lower, lo_den[w],

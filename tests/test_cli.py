@@ -267,6 +267,21 @@ def test_bound_with_overflowing_sigma_profile_exits_2(tmp_path, capsys):
     assert not (tmp_path / "bound.json").exists()
 
 
+def test_bound_with_cosh_at_subnormal_levels_exits_4_in_one_line(
+        tmp_path, capsys):
+    """Deep blocks of vr:0.003 reach the cosh conjugate at u = +inf,
+    whose term is 0: the bound diverges with exit 4 and one stderr
+    line, and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, [
+            "bound", "--phi", "cosh", "--norming", "vr:0.003",
+            "--u-grid", "5e-324,1e-300", "--out-dir", str(tmp_path)])
+    assert code == EXIT_DIVERGENT
+    assert len(err.splitlines()) == 1
+    assert "diverges" in err
+
+
 def test_bound_on_tabulated_generator(tmp_path, capsys):
     """--phi csv:PATH with a lambda^2/2 table tracks --phi phi2."""
     table = tmp_path / "phi.csv"

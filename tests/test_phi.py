@@ -1,6 +1,7 @@
 """Tests for the generator families and the numeric conjugate solver."""
 
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -109,6 +110,19 @@ def test_cosh_closed_form_stays_finite_at_huge_u(u):
     # sqrt(1 + u^2) is u to the last bit here, but 1 + u*u overflowed
     expected = u * math.asinh(u) - u + 1.0
     assert conjugate(cosh_phi(), u) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("phi", [phi2(), power_phi(3.0), cosh_phi(),
+                                 chi_square_phi()], ids=lambda f: f.label)
+def test_closed_form_conjugates_are_inf_at_inf(phi):
+    # u = +inf is a legal block argument whose term is 0: the closed
+    # forms must give +inf there, not inf - inf = NaN, and warn nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert conjugate(phi, math.inf) == math.inf
+        values = conjugate_many(phi, np.array([math.inf, 1.0, math.inf]))
+    assert values[0] == values[2] == math.inf
+    assert values[1] == conjugate(phi, 1.0)
 
 
 def test_chi_square_generator_undefined_past_edge():
