@@ -103,7 +103,8 @@ def power_phi(q: float) -> PhiFunction:
 
     def conj(u):
         u = np.abs(u, dtype=float)  # a copy, so the rest runs in place
-        u **= qp
+        with np.errstate(over="ignore"):  # inf past float range
+            u **= qp
         u /= qp
         return u
 

@@ -35,12 +35,15 @@ empirical tail and the block-sum bound divide by identical arrays.
 from __future__ import annotations
 
 import math
+import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence, Tuple
+from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,9 +59,9 @@ _Z99 = 2.5758293035489004
 # PATH_CHUNK x STEP_BLOCK (4 MiB) for all its step blocks.  The sign
 # kernel reads stream words in tiles of PATH_CHUNK paths x TILE_WORDS
 # words (8192 steps, 512 KiB a word array) and tests them in groups of
-# GROUP_WORDS words.  On one core of a 2-core Xeon it ran 2^15 chaos
-# paths x 2^14 steps in 0.31-0.37 s, where the blocks of 512 x 1024
-# steps it replaced took 0.64-0.69 s
+# GROUP_WORDS words.  On a 2-core Xeon, 2^15 paths x 2^14 steps of
+# chaos:d=1 with the maxima raised to 2 (verify's u-grid lin:2:4:8)
+# took 0.31-0.33 s in one process and 0.16-0.18 s in two
 PATH_CHUNK = 512
 STEP_BLOCK = 1024
 TILE_WORDS = 128
@@ -86,8 +89,11 @@ def worker_count() -> int:
         raise DomainError(f"LILBOUND_THREADS must be an integer, got {raw!r}")
     if k < 0:
         raise DomainError(f"LILBOUND_THREADS must be >= 0, got {k}")
-    if k > 0:
-        return k
+    return k if k > 0 else _cpu_count()
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -599,6 +605,98 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
     return best, worst
 
 
+def _path_blocks(sign_kernel: bool, horizon: int, n_paths: int
+                 ) -> List[List[Tuple[int, int]]]:
+    """The spans of paths [0, n_paths) that _chunk_maxima runs, as one
+    contiguous block of spans per worker process.
+
+    Workers: LILBOUND_THREADS's cap, never more than the CPUs this
+    process may run on nor than there are spans, and one where the
+    platform has no os.fork.  The weighted models get spans of
+    PATH_CHUNK paths (more when the horizon is shorter than a step
+    block).  The sign kernel tiles its span itself, with one set of
+    buffers for all of it, so it gets one span per worker.
+    """
+    workers = min(worker_count(), _cpu_count() if hasattr(os, "fork") else 1)
+    # a tile holds PATH_CHUNK x STEP_BLOCK values at most; a horizon
+    # shorter than one block gets proportionally more paths per chunk,
+    # so short runs are not made of chunks too small to pay their way
+    chunk = PATH_CHUNK * (STEP_BLOCK // min(horizon, STEP_BLOCK))
+    if sign_kernel:
+        chunk = -(-n_paths // workers)
+    spans = [(lo, min(lo + chunk, n_paths))
+             for lo in range(0, n_paths, chunk)]
+    workers = max(1, min(workers, len(spans)))
+    return [spans[len(spans) * i // workers:len(spans) * (i + 1) // workers]
+            for i in range(workers)]
+
+
+def _run_forked(run: Callable, blocks: Sequence) -> None:
+    """run(block) for every block: the first in this process, each other
+    in a child made by os.fork, so no argument or result is pickled.
+
+    The children write their results into memory shared with this
+    process.  A child that fails pickles its exception into a pipe and
+    this process raises it once its own block is done.  On any
+    exception here, KeyboardInterrupt included, every child still
+    running is killed; every child is reaped before this returns or
+    raises.  A child runs numpy's vector code only: it takes no lock
+    that another thread of this process (such as OpenBLAS's pool, which
+    it never calls) could have held at the fork.
+    """
+    children = []  # (pid, read end of its pipe), not yet reaped
+    try:
+        for block in blocks[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _child(run, block, write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        run(blocks[0])
+        while children:
+            pid, pipe = children[-1]
+            report = pipe.read()  # empty unless the child failed
+            status = os.waitpid(pid, 0)[1]
+            children.pop()
+            pipe.close()
+            if report:
+                raise pickle.loads(report)
+            if status:
+                raise ChildProcessError(
+                    f"a worker process ended with exit code "
+                    f"{os.waitstatus_to_exitcode(status)}")
+    finally:
+        # a child reaped just before an interrupt may still be listed
+        for pid, pipe in children:
+            pipe.close()
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        for pid, _ in children:
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def _child(run: Callable, block, write: int) -> NoReturn:
+    """A forked child's whole life: run(block), writing its exception,
+    pickled, to the pipe end write if it fails, then _exit."""
+    code = 1
+    try:
+        run(block)
+        code = 0
+    except BaseException as exc:
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(exc))
+    finally:
+        os._exit(code)
+
+
 def _over_path_chunks(model: MartingaleModel, denom: np.ndarray, first: int,
                       horizon: int, seed: int, n_paths: int,
                       u_min: float = -math.inf
@@ -606,45 +704,27 @@ def _over_path_chunks(model: MartingaleModel, denom: np.ndarray, first: int,
     """Signed and absolute running maxima of paths [0, n_paths), raised
     to u_min as _chunk_maxima raises them (exact at the default -inf).
 
-    Runs _chunk_maxima over spans of paths, threaded when it pays off.
-    The weighted models get spans of PATH_CHUNK paths (more when the
-    horizon is shorter than a step block).  The sign kernel tiles its
-    span itself, with one set of buffers for all of it, so it gets one
-    span per worker; on a horizon of a step block or more, one worker:
-    its vector operations are too short to overlap under the GIL (on
-    two cores of a Xeon, 2^15 paths x 2^14 steps took 0.34-0.35 s on
-    two threads and 0.31-0.33 s on one, and the CLI's peak RSS rose from
-    39 to 43 MB).  Each span's paths depend only on (seed, path index) and
-    land in their own slice of the outputs, so the result is identical
-    for any worker count.
+    Runs _chunk_maxima over the spans of _path_blocks, each block of
+    spans in its own process (_run_forked), writing into one anonymous
+    shared mapping.  Processes, not threads: the sign kernel's vector
+    operations are too short to overlap under the GIL.  Each span's
+    paths depend only on (seed, path index) and land in their own slice
+    of the outputs, so the result is identical for any worker count.
     """
-    signed = np.empty(n_paths)
-    absed = np.empty(n_paths)
-
-    def run(span):
-        lo, hi = span
-        signed[lo:hi], absed[lo:hi] = _chunk_maxima(
-            model, denom, first, horizon, seed, lo, hi, u_min)
-
-    # a tile holds PATH_CHUNK x STEP_BLOCK values at most; a horizon
-    # shorter than one block gets proportionally more paths per chunk,
-    # so short runs are not made of chunks too small to pay their way
-    chunk = PATH_CHUNK * (STEP_BLOCK // min(horizon, STEP_BLOCK))
-    workers = worker_count()
-    if model.sign_sum_degree:
-        if horizon >= STEP_BLOCK:
-            workers = 1
-        chunk = -(-n_paths // workers)
-    spans = [(lo, min(lo + chunk, n_paths))
-             for lo in range(0, n_paths, chunk)]
-    workers = min(workers, len(spans))
-    if workers <= 1:
-        for span in spans:
-            run(span)
+    blocks = _path_blocks(bool(model.sign_sum_degree), horizon, n_paths)
+    if len(blocks) > 1:
+        shared = mmap.mmap(-1, 2 * 8 * n_paths)
+        out = np.frombuffer(shared, dtype=float).reshape(2, n_paths)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, spans))
-    return signed, absed
+        out = np.empty((2, n_paths))
+
+    def run(block):
+        for lo, hi in block:
+            out[0, lo:hi], out[1, lo:hi] = _chunk_maxima(
+                model, denom, first, horizon, seed, lo, hi, u_min)
+
+    _run_forked(run, blocks)
+    return out[0], out[1]
 
 
 def empirical_sup_tail(model: MartingaleModel, v: NormingSequence,

@@ -97,6 +97,18 @@ def test_chi2_conjugate_and_bound_stay_finite_at_huge_levels(tmp_path,
     assert [row[1] for row in rows] == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("phi", ["power:q=3", "phi2"])
+def test_power_conjugate_past_float_range_is_inf_and_silent(phi, capsys):
+    # any warning, numpy's overflow included, fails the run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["conjugate", "--phi", phi,
+                                          "--u", "1e300"])
+    assert code == EXIT_OK
+    assert out == "u,phi_star\n1.0000000000000001e+300,inf\n"
+    assert err == ""
+
+
 def test_conjugate_rejects_negative_point(capsys):
     code, _, err = run_cli(capsys, ["conjugate", "--phi", "phi2",
                                     "--u", "1,-2"])
@@ -507,6 +519,37 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
                                     "--out-dir", str(tmp_path)])
     assert code == EXIT_DOMAIN
     assert err.startswith("error: out of memory (Unable to allocate 7.28 TiB")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [DomainError, MemoryError])
+def test_a_failing_worker_process_exits_as_the_kernel_does(
+        error, tmp_path, capsys, monkeypatch):
+    # a span past path 2000 fails: in a forked worker at two workers,
+    # in this process at one
+    real = verify._chunk_maxima
+
+    def failing(model, denom, first, horizon, seed, path_lo, path_hi,
+                *rest):
+        if path_hi > 2000:
+            raise error("injected kernel failure")
+        return real(model, denom, first, horizon, seed, path_lo, path_hi,
+                    *rest)
+
+    monkeypatch.setattr(verify, "_chunk_maxima", failing)
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    argv = ["verify", "--paths", "4000", "--horizon", "64",
+            "--out-dir", str(tmp_path)]
+    ends = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("LILBOUND_THREADS", workers)
+        code, _, err = run_cli(capsys, argv)
+        ends.append((code, err))
+    assert ends[0] == ends[1]
+    code, err = ends[0]
+    assert code == EXIT_DOMAIN
+    assert "injected kernel failure" in err
     assert err.count("\n") == 1
 
 

@@ -442,3 +442,25 @@ def test_sign_kernel_memory_is_a_tile_and_a_few_values_per_step(d):
             tracemalloc.stop()
     assert peaks[1 << 14] <= 6 * 2 ** 20
     assert peaks[1 << 16] - peaks[1 << 14] <= 16 * 3 * (1 << 14)
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_worker_processes_match_reference_past_a_tile(d, workers,
+                                                      monkeypatch):
+    # the spans of three worker processes each cross the word tile that
+    # ends at step TILE_STEPS, whatever the CPUs of the host
+    horizon = TILE_STEPS + 300
+    n_paths = 2 * PATH_CHUNK + 5
+    model = chaos_model(d)
+    denom, first = verify._normalizer(model, V2, horizon)
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setenv("LILBOUND_THREADS", workers)
+    blocks = verify._path_blocks(True, horizon, n_paths)
+    assert len(blocks) == int(workers)
+    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
+                                             21, n_paths)
+    ref_signed, ref_absed = chaos_reference(d, horizon, n_paths, 21)
+    assert np.array_equal(signed, ref_signed)
+    assert np.array_equal(absed, ref_absed)

@@ -131,6 +131,16 @@ def test_chi_square_generator_undefined_past_edge():
         phi.evaluate(1.0 / math.sqrt(2.0))
 
 
+@pytest.mark.parametrize("phi", [power_phi(3.0), phi2()],
+                         ids=["power:q=3", "phi2"])
+def test_power_conjugate_past_float_range_is_inf_without_warning(phi):
+    # (1e300)^(3/2) and (1e300)^2 overflow float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert conjugate_many(phi, [1e300]).tolist() == [math.inf]
+        assert conjugate_many(phi, np.array([1e300, 2.0]))[0] == math.inf
+
+
 def test_power_family_rejects_degenerate_exponent():
     # q = 1 puts the conjugate exponent at the q' = inf boundary.
     with pytest.raises(DomainError):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import signal
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -302,6 +304,98 @@ def test_worker_count_follows_the_affinity_mask(monkeypatch):
     assert worker_count() == 64
     monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
     assert worker_count() == 1
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+# ---------------------------------------------------------------------------
+
+def on_cpus(monkeypatch, n):
+    """Pretend this process may run on n CPUs."""
+    monkeypatch.setattr(verify.os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("sign_kernel,horizon,n_paths",
+                         [(True, 16384, 1 << 15), (True, 8, 100_000),
+                          (False, 1024, 100_000), (False, 64, 5000)])
+def test_worker_processes_never_outnumber_the_cpus(sign_kernel, horizon,
+                                                   n_paths, monkeypatch):
+    # planned, not started: an absurd cap still gets one process per CPU
+    on_cpus(monkeypatch, 2)
+    monkeypatch.setenv("LILBOUND_THREADS", "1000000")
+    assert worker_count() == 1000000
+    blocks = verify._path_blocks(sign_kernel, horizon, n_paths)
+    spans = [span for block in blocks for span in block]
+    assert len(blocks) == min(2, len(spans))
+    assert all(blocks)
+    # the spans tile [0, n_paths) in order
+    assert spans[0][0] == 0 and spans[-1][1] == n_paths
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    if sign_kernel:
+        assert len(spans) == 2
+    # one process where the platform cannot fork
+    monkeypatch.delattr(verify.os, "fork")
+    assert len(verify._path_blocks(sign_kernel, horizon, n_paths)) == 1
+
+
+@pytest.mark.parametrize("error", [DomainError, KeyboardInterrupt])
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failing_worker_raises_its_error_and_leaves_no_child(
+        where, error, monkeypatch):
+    # the child runs the second span and the parent the first
+    real = verify._chunk_maxima
+
+    def failing(model, denom, first, horizon, seed, path_lo, path_hi,
+                u_min=-math.inf):
+        if (path_lo != 0) == (where == "child"):
+            raise error(f"injected failure at path {path_lo}")
+        return real(model, denom, first, horizon, seed, path_lo, path_hi,
+                    u_min)
+
+    monkeypatch.setattr(verify, "_chunk_maxima", failing)
+    on_cpus(monkeypatch, 2)
+    monkeypatch.setenv("LILBOUND_THREADS", "2")
+    lo = 0 if where == "parent" else 2000
+    with pytest.raises(error, match=f"^injected failure at path {lo}$"):
+        empirical_sup_tail(CHAOS1, V2, 1024, 4000, [2.0], seed=3)
+    assert_no_child_left()
+
+
+def test_a_worker_killed_by_a_signal_is_an_error(monkeypatch):
+    real = verify._chunk_maxima
+
+    def dying(model, denom, first, horizon, seed, path_lo, *rest):
+        if path_lo != 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(model, denom, first, horizon, seed, path_lo, *rest)
+
+    monkeypatch.setattr(verify, "_chunk_maxima", dying)
+    on_cpus(monkeypatch, 2)
+    monkeypatch.setenv("LILBOUND_THREADS", "2")
+    with pytest.raises(ChildProcessError, match="exit code -9"):
+        empirical_sup_tail(CHAOS1, V2, 1024, 4000, [2.0], seed=3)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("model", [CHAOS1, weighted_iid_model(1.0)],
+                         ids=["sign", "weighted"])
+def test_a_multi_process_run_matches_one_process_and_leaves_no_child(
+        model, monkeypatch):
+    monkeypatch.setenv("LILBOUND_THREADS", "1")
+    alone = empirical_sup_tail(model, V2, 1500, 3000, [1.0, 2.0], seed=4)
+    on_cpus(monkeypatch, 3)
+    monkeypatch.setenv("LILBOUND_THREADS", "3")
+    assert len(verify._path_blocks(bool(model.sign_sum_degree), 1500,
+                                   3000)) == 3
+    forked = empirical_sup_tail(model, V2, 1500, 3000, [1.0, 2.0], seed=4)
+    assert_no_child_left()
+    assert forked == alone
 
 
 # ---------------------------------------------------------------------------
