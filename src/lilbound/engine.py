@@ -277,13 +277,12 @@ def _scan_terms(terms: np.ndarray, tol: float):
     return stop, residual, None
 
 
-def _terms(phi: PhiFunction, x: np.ndarray) -> np.ndarray:
-    """The block terms exp(-phi*(x)), 0 where the conjugate overflows to
-    +inf at deep blocks; x, the caller's temporary, is freed before the
-    terms are allocated, so at most two series arrays live at once."""
+def _terms(phi: PhiFunction, u: float, args: np.ndarray) -> np.ndarray:
+    """The block terms exp(-phi*(u * args)), 0 where a level or its
+    conjugate overflows to +inf; the levels are freed before the terms
+    are allocated, so at most two series arrays live at once."""
     with np.errstate(over="ignore"):
-        conj = conjugate_many(phi, x)
-        del x
+        conj = conjugate_many(phi, u * args)
         terms = np.negative(conj)
         np.exp(terms, out=terms)
     return terms
@@ -307,7 +306,7 @@ def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
         raise DomainError(f"tolerance must be in (0, 1), got {tol}")
     args = _block_arguments(v, sigma, ratio, k_max)
     if phi.analytic_conjugate is not None:
-        return _finish_sum(_terms(phi, u * args), tol)
+        return _finish_sum(_terms(phi, u, args), tol)
     # the numeric conjugate bisects once per distinct level, so a series
     # that stops or diverges in its first chunk solves 256 levels, not
     # k_max; the first early stop and the first divergence point do not
@@ -316,7 +315,7 @@ def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
     lo, chunk = 0, _CHUNK
     while True:
         hi = min(lo + chunk, k_max)
-        terms[lo:hi] = _terms(phi, u * args[lo:hi])
+        terms[lo:hi] = _terms(phi, u, args[lo:hi])
         scan = _scan_terms(terms[:hi], tol)
         if scan[0] is not None or scan[2] is not None or hi == k_max:
             return _finish_sum(terms[:hi], tol, scan)
@@ -345,10 +344,10 @@ def _finish_sum(terms: np.ndarray, tol: float,
 # the optimized bound
 # ---------------------------------------------------------------------------
 
-def _prefix_lower_bounds(phi: PhiFunction, args: np.ndarray, tol: float,
-                         k_max: int) -> list:
-    """Per row of leading block arguments (already times the level), a
-    number no larger than the value block_sum reports for that series.
+def _prefix_lower_bounds(phi: PhiFunction, x: float, heads: np.ndarray,
+                         tol: float, k_max: int) -> list:
+    """Per row of leading block arguments, a number no larger than the
+    value block_sum reports for that series at level x.
 
     The terms made here are bit for bit block_sum's leading terms, since
     conjugate_many works point by point.  A series that stops or diverges
@@ -356,7 +355,7 @@ def _prefix_lower_bounds(phi: PhiFunction, args: np.ndarray, tol: float,
     other series sums every one of them: a converged sum stops past
     them, a truncated one runs to k_max, and a divergent one is +inf.
     """
-    terms = _terms(phi, args)
+    terms = _terms(phi, x, heads)
     # Terms are >= 0, and a float sum of n of them lies within a factor
     # 1 -+ gamma_n of its exact sum in any order (gamma_n = n*eps/(1 -
     # n*eps), eps = 2^-53).  A full sum holds every prefix term and at
@@ -440,7 +439,7 @@ def optimized_bound(v: NormingSequence, sigma: SigmaProfile, phi: PhiFunction,
     q_sums, chosen, k_used, residuals, flags = [], [], [], [], []
     for u in us:
         x = C * u
-        lows = _prefix_lower_bounds(phi, x * heads, tol, k_max)
+        lows = _prefix_lower_bounds(phi, x, heads, tol, k_max)
         results, best = {}, math.inf
         for i in sorted(range(len(ratios)), key=lows.__getitem__):
             # this series cannot be below, nor tie, a sum already made

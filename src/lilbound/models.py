@@ -3,8 +3,8 @@
 Two families are built in:
 
   * degree-d sign chaos: S(n) = sum of products eps(i1)...eps(id) over
-    increasing index tuples, a martingale with Var S(n) = C(n, d).
-    Simulation uses closed forms in the plain sign sum P1(n) for d <= 3.
+    increasing index tuples, a martingale with Var S(n) = C(n, d),
+    simulated by one recurrence in the plain sign sum P1(n) for every d.
 
   * weighted i.i.d. sums: S(n) = sum_{k<=n} 2^{-k} xi(k) with symmetric
     noise of standard deviation beta, so Var S(n) = beta^2 (1 - 4^{-n})/3.
@@ -20,14 +20,14 @@ without it a fresh array is returned.  The values are the same bit for
 bit either way.  Chaos models use float64 for an intermediate only
 where it is exact: the +-1 sign sums of d = 1, far below 2^53.  For
 d >= 2, where a product could pass 2^53, sums and products run in int64
-over the same buffer and are rounded once, at the final division.
+and are rounded once, at the final division.
 Weighted models work in float64 throughout, in a fixed order.
 
 verify dispatches on sign_sum_degree alone: a model with one (sign
-chaos, d <= 3) is simulated from the words of the sign stream, bounded
-by popcounts and evaluated only where a bound can move a path's
-extremum, and counted on the lattice of sign sums; every other model
-goes through noise_block and prefix_values.
+chaos) is counted on the lattice of sign sums, and for degrees 1 to 3
+simulated from the words of the sign stream, bounded by popcounts and
+evaluated only where a bound can move a path's extremum; every other
+simulation goes through noise_block and prefix_values.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ class MartingaleModel:
     shape, overwritten) or a fresh array, and state shares no memory
     with it.  The values do not depend on whether out is given, nor on
     how a path is split into blocks.  sign_sum_degree is d when S(n) is
-    _chaos_closed_form's degree-d value of the sign sum P1(n), else 0.
+    _chaos_values' degree-d value of the sign sum P1(n), else 0.
     """
     label: str
     noise_kind: str
@@ -92,29 +92,38 @@ class MartingaleModel:
 # degree-d sign chaos
 # ---------------------------------------------------------------------------
 
-def _chaos_closed_form(d: int, p1: np.ndarray, n,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
-    """S_d(n) from int64 sign sums P1(n), valid for sign noise and d <= 3.
+def _chaos_values(d: int, p1: np.ndarray, n,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """S_d(n) from int64 sign sums P1(n), for sign noise and any d.
 
-    Newton's identities with p_k = sum eps^k collapse to p_2 = n and
-    p_3 = P1 because eps^2 = 1.  The products stay in int64, and the one
-    rounding is the conversion to float64 in the final division.  For
-    d >= 2 p1 is overwritten; out may be a float64 view of p1's memory.
+    For +-1 signs N_j = j! e_j satisfies N_(j+1) = P1 N_j - j (n - j +
+    1) N_(j-1), N_0 = 1, N_1 = P1.  int64 arithmetic wraps exactly mod
+    2^64, so N_d is exact where _check_chaos_range passes, whatever
+    wraps on the way; the one rounding is the final division by d!.
     """
-    if out is None:
-        out = np.empty(p1.shape)
-    if d == 1:
-        out[...] = p1
-    elif d == 2:
-        p1 *= p1
-        p1 -= n
-        np.divide(p1, 2.0, out=out)
-    else:
-        square = p1 * p1
-        square -= 3 * n - 2
-        p1 *= square
-        np.divide(p1, 6.0, out=out)
-    return out
+    prev, num = 1, p1
+    if d > 1:  # N_2 = P1^2 - n, in place: one temporary fewer
+        prev, num = p1, p1 * p1
+        num -= n
+    for j in range(2, d):
+        step = prev * (n - (j - 1))
+        step *= j
+        prev, num = num, p1 * num
+        num -= step
+    return np.divide(num, float(math.factorial(d)), out=out)
+
+
+def _check_chaos_range(d: int, p: int, n: int) -> None:
+    """DomainError unless int64 holds _chaos_values' numerator N_d at
+    every |P1| <= p and time n' <= n.  Two bounds on |N_d|: the
+    recurrence in absolute values, |n' - j + 1| <= max(n - j + 1, j - 1)
+    holding on the degenerate prefix n' < d too, and d! C(n, d)."""
+    prev, bound = 1, p
+    for j in range(1, d):
+        prev, bound = bound, p * bound + j * max(n - j + 1, j - 1) * prev
+    if min(bound, math.perm(n, d)) >= 2 ** 63:
+        raise DomainError(f"degree-{d} chaos passes int64 at |P1| <= {p}, "
+                          f"n <= {n}; lower the degree or the horizon")
 
 
 def _value_buffer(noise_block: np.ndarray,
@@ -139,7 +148,7 @@ def chaos_model(d: int) -> MartingaleModel:
     d = 2 carries the centered chi-square generator (its exact normalized
     limit); d >= 3 has no finite exponential moment for the normalized
     value, so it carries the per-step generator phi2 and relies on the
-    moment-growth norm instead.  Simulation at scale supports d <= 3.
+    moment-growth norm instead.
     """
     if not 1 <= d <= MAX_CHAOS_DEGREE:
         raise DomainError(f"chaos degree must be in [1, {MAX_CHAOS_DEGREE}] "
@@ -154,14 +163,12 @@ def chaos_model(d: int) -> MartingaleModel:
         return np.sqrt(out / fact)
 
     def prefix(noise_block, state=None, out=None):
-        if d > 3:
-            raise DomainError("closed-form simulation supports d <= 3")
         if state is None:
             state = {"p1": np.zeros(noise_block.shape[0], dtype=np.int64),
                      "n": 0}
         out = _value_buffer(noise_block, out)
         # d = 1 sums signs straight in float64 (exact); d >= 2 sums them
-        # in int64 over the same memory for the closed form's products
+        # in int64 over the same memory for the recurrence's products
         p1 = out if d == 1 else out.view(np.int64)
         p1[...] = noise_block
         p1[:, 0] += state["p1"]
@@ -169,7 +176,8 @@ def chaos_model(d: int) -> MartingaleModel:
         ns = state["n"] + np.arange(1, noise_block.shape[1] + 1)
         carried = {"p1": p1[:, -1].astype(np.int64), "n": int(ns[-1])}
         if d > 1:
-            _chaos_closed_form(d, p1, ns, out=out)
+            _check_chaos_range(d, int(np.abs(p1).max()), carried["n"])
+            _chaos_values(d, p1, ns, out=out)
         return out, carried
 
     off = d - 1
@@ -189,7 +197,7 @@ def chaos_model(d: int) -> MartingaleModel:
         label=f"chaos:d={d}", noise_kind="rademacher", n_min=d, phi=phi,
         sigma_exact=sigma, log_sigma_shifted=log_sigma,
         noise_block=_sign_noise, prefix_values=prefix,
-        sign_sum_degree=d if d <= 3 else 0)
+        sign_sum_degree=d)
 
 
 def chaos_identity_check(signs: np.ndarray) -> bool:

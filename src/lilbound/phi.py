@@ -404,9 +404,9 @@ def _conjugate_numeric_many(phi: PhiFunction, u: np.ndarray,
     Returns (values, residuals).  u = 0 gives exactly 0.  Every point
     takes the scalar solver's steps: the bracket doublings from
     min(1, cap) are the same for all points, so they are evaluated once;
-    a point past every slope takes the edge value.  The bisection then
-    runs on the other points together, each leaving when it meets the
-    scalar stop rule.
+    a point past every slope takes the edge value, with residual 0, inf
+    past float range.  The bisection then runs on the other points
+    together, each leaving when it meets the scalar stop rule.
     """
     cap = _domain_cap(phi)
     values = np.zeros(len(u))
@@ -434,12 +434,13 @@ def _conjugate_numeric_many(phi: PhiFunction, u: np.ndarray,
     first = np.full(len(ut), len(slopes))
     for j in reversed(range(len(slopes))):
         first[slopes[j] >= ut] = j
+    edge = first == len(slopes)
     edges = np.array(edges + [cap])
     lo, hi = edges[first], edges[first + 1]
 
     # the points still in play, packed: their indices, brackets and
     # targets; a point's bracket goes back to lo, hi when it leaves
-    live = np.flatnonzero(first < len(slopes))
+    live = np.flatnonzero(~edge)
     l, h, ul = lo[live], hi[live], ut[live]
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
@@ -456,9 +457,10 @@ def _conjugate_numeric_many(phi: PhiFunction, u: np.ndarray,
         lo[live], hi[live] = l, h
         lam = np.concatenate([lo, 0.5 * (lo + hi), hi])
         f = (lam * np.tile(ut, 3) - phi.evaluate(lam)).reshape(3, -1)
-    value = np.maximum(f.max(axis=0), 0.0)
-    residual = value - f.min(axis=0)
-    bad = ~np.isfinite(value) | (residual > np.maximum(tol, 1e-12 * value))
+        value = np.maximum(f.max(axis=0), 0.0)
+        residual = np.where(edge, 0.0, value - f.min(axis=0))
+    bad = ~edge & (~np.isfinite(value)
+                   | (residual > np.maximum(tol, 1e-12 * value)))
     if bad.any():
         worst = np.where(bad, np.nan_to_num(residual, nan=math.inf), -1.0)
         i = int(np.argmax(worst))

@@ -11,15 +11,15 @@ paths with the counter-based generator so results are bit-identical for a
 fixed seed no matter how many workers run.  It only counts maxima past
 levels u >= min(grid), so it asks for maxima raised to that level, which
 the sign-chaos kernel gets while evaluating few steps exactly.  Models
-dispatch on sign_sum_degree alone.  One with a degree (sign chaos, d <=
-3) is simulated from the words of the sign stream, in tiles of paths x
-words: popcounts give the sign sum at every word boundary, a walk from b
-to e over L steps stays in [(b + e - L)/2, (b + e + L)/2], and that one
-rule bounds it over each byte, word and group of 16 words.  Only the
-bytes that can move a path's running max or min are evaluated, step by
-step, with the arithmetic of prefix_values.
-exact_sup_tail counts its 2^N sign paths by a dynamic program over the
-sign-sum lattice; every other model goes through prefix_values, on a
+dispatch on sign_sum_degree alone.  Sign chaos of degree 1 to 3 is
+simulated from the words of the sign stream, in tiles of paths x words:
+popcounts give the sign sum at every word boundary, a walk from b to e
+over L steps stays in [(b + e - L)/2, (b + e + L)/2], and that one rule
+bounds it over each byte, word and group of 16 words.  Only the bytes
+that can move a path's running max or min are evaluated, step by step,
+with the arithmetic of prefix_values.  exact_sup_tail counts the 2^N
+sign paths of sign chaos of any degree by a dynamic program over the
+sign-sum lattice; every other run goes through prefix_values, on a
 reused value tile or by enumeration.  Exact tails are rationals, for
 small horizons.
 single_time_tail gives the single-time floor: exact integer binomial
@@ -49,14 +49,16 @@ import numpy as np
 
 from .engine import DEFAULT_TOL, NormingSequence, optimized_bound
 from .errors import CalibrationError, DomainError
-from .models import MartingaleModel, _chaos_closed_form, chaos_model
+from .models import (MartingaleModel, _chaos_values, _check_chaos_range,
+                     chaos_model)
 from .rng import stream_words
 
 # 99% two-sided normal quantile, frozen so intervals never drift with scipy
 _Z99 = 2.5758293035489004
 
 # a path chunk of the weighted models reuses one float64 value tile of
-# PATH_CHUNK x STEP_BLOCK (4 MiB) for all its step blocks.  The sign
+# PATH_CHUNK x STEP_BLOCK (4 MiB) for all its step blocks, or of more
+# paths, as many values, at a horizon shorter than one block.  The sign
 # kernel reads stream words in tiles of PATH_CHUNK paths x TILE_WORDS
 # words (8192 steps, 512 KiB a word array) and tests them in groups of
 # GROUP_WORDS words.  On a 2-core Xeon, 2^15 paths x 2^14 steps of
@@ -67,6 +69,8 @@ STEP_BLOCK = 1024
 TILE_WORDS = 128
 GROUP_WORDS = 16
 CENSOR_COUNT = 10
+#: the chaos degrees whose numerator bounds the pruned sign kernel holds
+SIGN_KERNEL_MAX_DEGREE = 3
 ENUM_MAX_HORIZON = 20
 ENUM_BLOCK = 1 << 16  # sign paths per enumerated block
 # the exact single-time floor walks n0/2 bigints of up to n0 bits: 0.7 s
@@ -270,35 +274,39 @@ def _chunk_maxima(model: MartingaleModel, denom: np.ndarray, first: int,
 
     A test "> u" with u >= u_min cannot tell these from the true maxima,
     and they let the sign-chaos kernel skip every byte of steps that
-    cannot move them.  A model with a sign_sum_degree goes to that
-    kernel.  Other models reuse one float64 tile of (paths x STEP_BLOCK)
-    values for every step block: prefix_values writes into it and the
-    divide, max and min run in place on it, so a block allocates
-    nothing of its size but its noise.  Their float64 sums depend on
-    the order of addition, so they keep the one-step-at-a-time cumsum.
-    The absolute max comes from the signed max and min.
+    cannot move them.  Sign chaos of degree 1 to 3, whose numerator
+    bounds the kernel holds, goes to that kernel.  Other models run a
+    chunk of paths at a time through prefix_values, into one float64
+    tile of (paths x STEP_BLOCK) values reused for every step block,
+    where the divide, max and min run in place; their float64 sums
+    depend on the order of addition, so they keep the cumsum.  The
+    absolute max comes from the signed max and min.
     """
-    if model.sign_sum_degree:
-        best, worst = _sign_chaos_extrema(model.sign_sum_degree, denom,
-                                          first, horizon, seed, path_lo,
-                                          path_hi, u_min)
+    d = model.sign_sum_degree
+    if 1 <= d <= SIGN_KERNEL_MAX_DEGREE:
+        best, worst = _sign_chaos_extrema(d, denom, first, horizon, seed,
+                                          path_lo, path_hi, u_min)
         return best, np.maximum(best, -worst)
-    n_paths = path_hi - path_lo
-    best = np.full(n_paths, u_min, dtype=float)
+    best = np.full(path_hi - path_lo, u_min, dtype=float)
     worst = -best
-    tile = np.empty((n_paths, min(STEP_BLOCK, horizon)))
-    state = None
-    for s0 in range(0, horizon, STEP_BLOCK):
-        ns = min(STEP_BLOCK, horizon - s0)
-        noise = model.noise_block(seed, path_lo, path_hi, s0, ns)
-        values, state = model.prefix_values(noise, state, out=tile[:, :ns])
-        c0 = max(0, first - s0)
-        if c0 >= ns:
-            continue
-        stat = values[:, c0:]
-        stat /= denom[s0 + c0:s0 + ns]
-        np.maximum(best, stat.max(axis=1), out=best)
-        np.minimum(worst, stat.min(axis=1), out=worst)
+    chunk = PATH_CHUNK * (STEP_BLOCK // min(horizon, STEP_BLOCK))
+    tile = np.empty((min(chunk, best.size), min(STEP_BLOCK, horizon)))
+    for at in range(0, best.size, chunk):
+        high, low = best[at:at + chunk], worst[at:at + chunk]
+        lo, hi = path_lo + at, path_lo + at + high.size
+        state = None
+        for s0 in range(0, horizon, STEP_BLOCK):
+            ns = min(STEP_BLOCK, horizon - s0)
+            noise = model.noise_block(seed, lo, hi, s0, ns)
+            values, state = model.prefix_values(noise, state,
+                                                out=tile[:hi - lo, :ns])
+            c0 = max(0, first - s0)
+            if c0 >= ns:
+                continue
+            stat = values[:, c0:]
+            stat /= denom[s0 + c0:s0 + ns]
+            np.maximum(high, stat.max(axis=1), out=high)
+            np.minimum(low, stat.min(axis=1), out=low)
     return best, np.maximum(best, -worst)
 
 
@@ -398,7 +406,7 @@ def _byte_extrema(d: int, byte: np.ndarray, before: np.ndarray,
     denom at step 8k + j, NaN at the steps outside [first, horizon).
 
     All eight steps of every byte at once, as (8 x bytes) planes: P1 at
-    step 8k+j is before + _GAINS[j, byte], the closed form runs on it in
+    step 8k+j is before + _GAINS[j, byte], the recurrence runs on it in
     int64, and the quotient by denom is taken once, as in prefix_values.
     The planes are written into the int64 and float64 buffers ints and
     floats, reused from call to call.
@@ -413,7 +421,7 @@ def _byte_extrema(d: int, byte: np.ndarray, before: np.ndarray,
         p1 = np.take(_GAINS, byte, axis=1, out=ints[:size].reshape(8, -1))
         p1 += before
         n = np.add(_PLANES, 8 * k + 1, out=value.view(np.int64))
-        p1 = _chaos_closed_form(d, p1, n, out=p1.view(float))
+        p1 = _chaos_values(d, p1, n, out=p1.view(float))
     np.take(per_plane, k, axis=1, out=value, mode="clip")
     np.divide(p1, value, out=value)
     # a step outside [first, horizon) has a NaN denominator, which fmax
@@ -547,18 +555,17 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
             np.cumsum(edge.reshape(-1), out=edge.reshape(-1))
             edge[1:] -= edge[:-1, nw:].copy()
             carry[:] = edge[:, nw]
+            if d > 1:  # |P1| inside a word is at most 64 past its ends
+                _check_chaos_range(d, int(max(edge.max(), -edge.min())) + 64,
+                                   64 * (w0 + nw))
             full = min(nw, horizon // 64 - w0)
             if full > 0:  # the exact values at word ends inside the horizon
                 n_end = 64 * np.arange(w0 + 1, w0 + full + 1)
                 value = planes[1][:n * full].reshape(n, full)
-                if d == 1:
-                    np.divide(edge[:, 1:full + 1], denom[n_end - 1],
-                              out=value)
-                else:
-                    sums = value.view(np.int64)
-                    np.copyto(sums, edge[:, 1:full + 1])
-                    _chaos_closed_form(d, sums, n_end, out=value)
-                    value /= denom[n_end - 1]
+                sums = edge[:, 1:full + 1]
+                if d > 1:  # S_d in place of P1
+                    sums = _chaos_values(d, sums, n_end, out=value)
+                np.divide(sums, denom[n_end - 1], out=value)
                 np.maximum(high, value.max(axis=1), out=high)
                 np.minimum(low, value.min(axis=1), out=low)
             if nw == 1:  # the byte test is the finest of the three
@@ -605,30 +612,14 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
     return best, worst
 
 
-def _path_blocks(sign_kernel: bool, horizon: int, n_paths: int
-                 ) -> List[List[Tuple[int, int]]]:
-    """The spans of paths [0, n_paths) that _chunk_maxima runs, as one
-    contiguous block of spans per worker process.
-
-    Workers: LILBOUND_THREADS's cap, never more than the CPUs this
-    process may run on nor than there are spans, and one where the
-    platform has no os.fork.  The weighted models get spans of
-    PATH_CHUNK paths (more when the horizon is shorter than a step
-    block).  The sign kernel tiles its span itself, with one set of
-    buffers for all of it, so it gets one span per worker.
-    """
+def _path_blocks(n_paths: int) -> List[List[Tuple[int, int]]]:
+    """Paths [0, n_paths) as one contiguous span per worker process, each
+    a block of its own: LILBOUND_THREADS's cap of workers, never more
+    than the CPUs this process may run on, and one without os.fork."""
     workers = min(worker_count(), _cpu_count() if hasattr(os, "fork") else 1)
-    # a tile holds PATH_CHUNK x STEP_BLOCK values at most; a horizon
-    # shorter than one block gets proportionally more paths per chunk,
-    # so short runs are not made of chunks too small to pay their way
-    chunk = PATH_CHUNK * (STEP_BLOCK // min(horizon, STEP_BLOCK))
-    if sign_kernel:
-        chunk = -(-n_paths // workers)
-    spans = [(lo, min(lo + chunk, n_paths))
-             for lo in range(0, n_paths, chunk)]
-    workers = max(1, min(workers, len(spans)))
-    return [spans[len(spans) * i // workers:len(spans) * (i + 1) // workers]
-            for i in range(workers)]
+    chunk = -(-n_paths // workers)
+    return [[(lo, min(lo + chunk, n_paths))]
+            for lo in range(0, n_paths, chunk)]
 
 
 def _run_forked(run: Callable, blocks: Sequence) -> None:
@@ -711,12 +702,9 @@ def _over_path_chunks(model: MartingaleModel, denom: np.ndarray, first: int,
     paths depend only on (seed, path index) and land in their own slice
     of the outputs, so the result is identical for any worker count.
     """
-    blocks = _path_blocks(bool(model.sign_sum_degree), horizon, n_paths)
-    if len(blocks) > 1:
-        shared = mmap.mmap(-1, 2 * 8 * n_paths)
-        out = np.frombuffer(shared, dtype=float).reshape(2, n_paths)
-    else:
-        out = np.empty((2, n_paths))
+    blocks = _path_blocks(n_paths)
+    out = np.frombuffer(mmap.mmap(-1, 2 * 8 * n_paths),
+                        dtype=float).reshape(2, n_paths)
 
     def run(block):
         for lo, hi in block:
@@ -795,15 +783,16 @@ def _lattice_sup_counts(d: int, denom: np.ndarray, first: int, horizon: int,
                         ) -> Tuple[np.ndarray, np.ndarray]:
     """Sign paths of length horizon whose W and W+ statistics pass each level.
 
-    Degree-d sign chaos (d <= 3) at time n is a function of the number k
-    of plus signs so far (P1 = 2k - n), so paths that have not yet passed
-    a level can be counted per k: alive[k] <- alive[k] + alive[k-1] per
+    Degree-d sign chaos at time n is a function of the number k of plus
+    signs so far (P1 = 2k - n), so paths that have not yet passed a
+    level can be counted per k: alive[k] <- alive[k] + alive[k-1] per
     step.  From n_min on, the states where the enumeration's own float
-    test fires (the closed form over denom[n-1], compared with > u, and
+    test fires (_chaos_values over denom[n-1], compared with > u, and
     for W+ also its negation) are zeroed, and each such path stands for
     its 2^(horizon - n) continuations.  Counts are at most 2^horizon, so
     int64 holds them exactly.
     """
+    _check_chaos_range(d, horizon, horizon)
     u = np.asarray(grid, dtype=float)[:, None]
     # axis 0: W, then W+; axis 1: level; axis 2: k
     alive = np.zeros((2, len(grid), horizon + 1), dtype=np.int64)
@@ -814,7 +803,7 @@ def _lattice_sup_counts(d: int, denom: np.ndarray, first: int, horizon: int,
         if n - 1 < first:
             continue
         p1 = np.arange(-n, n + 1, 2, dtype=np.int64)
-        stat = _chaos_closed_form(d, p1, n) / denom[n - 1]
+        stat = _chaos_values(d, p1, n) / denom[n - 1]
         over = stat > u
         fired = np.stack([over, over | (-stat > u)])
         live = alive[..., :n + 1]
@@ -919,8 +908,9 @@ def single_time_tail(model: MartingaleModel, n0: int,
         if n0 > FLOOR_MAX_TIME:
             raise DomainError(f"time {n0} exceeds the exact single-time "
                               f"cap {FLOOR_MAX_TIME}")
+        _check_chaos_range(d, n0, n0)
         p1 = np.arange(-n0, n0 + 1, 2, dtype=np.int64)
-        svals = _chaos_closed_form(d, p1, np.int64(n0)) / sig
+        svals = _chaos_values(d, p1, n0) / sig
         # value k passes threshold x exactly when it passes more sorted
         # thresholds than lie strictly below x
         ordered = np.sort(xs)

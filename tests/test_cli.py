@@ -6,6 +6,7 @@ code, so there is no subprocess overhead and capsys sees the output.
 import argparse
 import ast
 import json
+import os
 import pathlib
 import warnings
 
@@ -253,16 +254,23 @@ def test_bound_divergent_norming_exits_4(tmp_path, capsys):
 
 
 def test_bound_with_overflowing_norming_is_silent(tmp_path, capsys):
-    """vr:0.0001 overflows v to +inf at deep blocks, where the block term
-    is exactly 0: exit 0 and nothing on stderr, not even a numpy
+    """vr:0.0001 overflows v to +inf at deep blocks, and u = 1e308 the
+    levels u * x_k (and a table's edge value), where the block term is
+    exactly 0: exit 0 and nothing on stderr, not even a numpy
     warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, _, err = run_cli(capsys, [
-            "bound", "--model", "chaos:d=1", "--norming", "vr:0.0001",
-            "--out-dir", str(tmp_path)])
-    assert code == EXIT_OK
-    assert err == ""
+    table = tmp_path / "phi.csv"
+    table.write_text("".join(f"{i / 20.0!r},{(i / 20.0) ** 2 / 2.0!r}\n"
+                             for i in range(801)))
+    for argv in (["--model", "chaos:d=1", "--norming", "vr:0.0001"],
+                 ["--u-grid", "1e308"],
+                 ["--model", "weightedA:beta=1", "--u-grid", "1e308"],
+                 ["--phi", f"csv:{table}", "--u-grid", "1e308"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, ["bound", *argv, "--out-dir",
+                                            str(tmp_path)])
+        assert code == EXIT_OK, argv
+        assert err == "", argv
 
 
 def test_bound_with_overflowing_sigma_profile_exits_2(tmp_path, capsys):
@@ -485,16 +493,31 @@ def test_chaos_degree_too_large_exits_2(capsys):
     assert "chaos degree" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--paths", "1000", "--horizon", "64"],
-    ["verify", "--paths", "1000", "--horizon", "64"],
-    ["verify", "--exact", "--horizon", "8"],
+@pytest.mark.parametrize("argv,code", [
+    (["simulate", "--paths", "1000", "--horizon", "64", "--model",
+      "chaos:d=4"], EXIT_OK),
+    (["verify", "--paths", "1000", "--horizon", "64", "--model",
+      "chaos:d=4"], EXIT_OK),
+    (["verify", "--exact", "--horizon", "8", "--model", "chaos:d=4"],
+     EXIT_OK),
+    # past int64 in the first step block of each of two worker processes
+    (["simulate", "--paths", "1000", "--horizon", "16384", "--model",
+      "chaos:d=12"], EXIT_DOMAIN),
 ])
-def test_chaos_degree_four_cannot_be_simulated(tmp_path, capsys, argv):
-    code, _, err = run_cli(capsys, argv + ["--model", "chaos:d=4",
-                                           "--out-dir", str(tmp_path)])
-    assert code == EXIT_DOMAIN
-    assert err == "error: closed-form simulation supports d <= 3\n"
+def test_chaos_of_any_degree_is_simulated_unless_past_int64(
+        tmp_path, capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setenv("LILBOUND_THREADS", "2")
+    got, _, err = run_cli(capsys, argv + ["--out-dir", str(tmp_path)])
+    assert got == code
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert err.startswith("error: degree-12 chaos passes int64")
+        assert err.count("\n") == 1
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_path_count_beyond_any_array_exits_2(tmp_path, capsys):

@@ -402,6 +402,12 @@ LAM2_TABLE = phi_from_table(_LAMS, _LAMS * _LAMS / 2.0)
 # is above ratio 2.5's full value
 @example(phi="phi2", norming="vr:1", profile="chaos:d=1", us=[2.0], c=1.0,
          ratios=[2.0, 2.5], k_max=65, tol=0.3)
+# levels u * x_k overflow to +inf, whose terms are 0, with no warning; the
+# table's edge value overflows too
+@example(phi="phi2", norming="vr:2", profile="weightedA:beta=1", us=[1e308],
+         c=1.0, ratios=[2.0, 4.0], k_max=512, tol=DEFAULT_TOL)
+@example(phi="table", norming="vr:2", profile="chaos:d=1", us=[1e308],
+         c=1.0, ratios=[2.0, 4.0], k_max=512, tol=DEFAULT_TOL)
 def test_optimized_bound_equals_every_ratio_summed(phi, norming, profile, us,
                                                    c, ratios, k_max, tol):
     """Skipping the ratios that a 64-term prefix rules out changes no bit

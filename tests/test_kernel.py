@@ -36,8 +36,10 @@ def reference_chaos_prefix(d, noise_block, state=None):
         values = p1.astype(np.float64)
     elif d == 2:
         values = (p1 * p1 - n) / 2.0
-    else:
+    elif d == 3:
         values = (p1 * (p1 * p1 - 3 * n + 2)) / 6.0
+    else:  # the Krawtchouk polynomial of degree 4, expanded
+        values = (p1 ** 4 - (6 * n - 8) * p1 * p1 + 3 * n * (n - 2)) / 24.0
     return values, {"p1": p1[:, -1], "n": int(ns[-1])}
 
 
@@ -85,6 +87,7 @@ CASES = {
     "chaos:d=1": chaos_case(1),
     "chaos:d=2": chaos_case(2),
     "chaos:d=3": chaos_case(3),
+    "chaos:d=4": chaos_case(4),
     "weightedA:beta=1": weighted_case(),
     "weightedA:beta=1,r=3": weighted_case(3.0),
 }
@@ -221,11 +224,36 @@ def test_bit_planes_match_reference_past_int16_sums(d, threads, monkeypatch):
     assert ramp[0, -1] == math.comb(horizon, d)
 
 
-def test_bit_planes_reject_chaos_past_degree_three():
-    model = chaos_model(4)
+def test_bit_planes_reject_chaos_past_degree_three(monkeypatch):
+    # the kernel holds numerator bounds for d <= 3 only, so degree 4 goes
+    # through prefix_values, and a degree past int64 is refused there
+    def no_planes(*args):
+        raise AssertionError("the bit-plane kernel ran")
+
+    monkeypatch.setattr(verify, "_sign_chaos_extrema", no_planes)
+    model, prefix = CASES["chaos:d=4"]
     denom, first = verify._normalizer(model, V2, 64)
-    with pytest.raises(DomainError, match="d <= 3"):
-        verify._chunk_maxima(model, denom, first, 64, 1, 0, 8)
+    got = verify._chunk_maxima(model, denom, first, 64, 1, 0, 8)
+    ref = reference_maxima(model, prefix, denom, first, 64, 1, 8)
+    assert np.array_equal(got, ref)
+    model = chaos_model(12)
+    denom, first = verify._normalizer(model, V2, 4096)
+    with pytest.raises(DomainError, match="passes int64"):
+        verify._chunk_maxima(model, denom, first, 4096, 1, 0, 8)
+
+
+def test_sign_kernel_refuses_sums_past_int64(monkeypatch):
+    # an all-plus path has P1 = n, and d! C(n, 3) passes 2^63 at n =
+    # 2097153, inside the last word tile of this horizon
+    def all_plus(seed, path_lo, path_hi, word_lo, n_words):
+        return np.full((path_hi - path_lo, n_words), ~np.uint64(0))
+
+    monkeypatch.setattr(verify, "stream_words", all_plus)
+    model = chaos_model(3)
+    horizon = (1 << 21) + 8192
+    denom, first = verify._normalizer(model, V2, horizon)
+    with pytest.raises(DomainError, match="passes int64"):
+        verify._chunk_maxima(model, denom, first, horizon, 1, 0, 1)
 
 
 # maxima raised to u_min: what empirical_sup_tail asks for with u_min =
@@ -457,7 +485,7 @@ def test_worker_processes_match_reference_past_a_tile(d, workers,
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
     monkeypatch.setenv("LILBOUND_THREADS", workers)
-    blocks = verify._path_blocks(True, horizon, n_paths)
+    blocks = verify._path_blocks(n_paths)
     assert len(blocks) == int(workers)
     signed, absed = verify._over_path_chunks(model, denom, first, horizon,
                                              21, n_paths)

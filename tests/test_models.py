@@ -34,7 +34,7 @@ def brute_force_chaos(signs: np.ndarray, d: int) -> np.ndarray:
 # sign chaos
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_chaos_prefix_matches_brute_force(d):
     n = 9
     signs = np.array(list(product((-1, 1), repeat=n)), dtype=np.int8)
@@ -107,9 +107,12 @@ def test_chaos_identity_rejects_corrupted_values():
 def test_chaos_degree_validation():
     with pytest.raises(DomainError):
         chaos_model(0)
-    model = chaos_model(4)
-    with pytest.raises(DomainError):
-        model.prefix_values(np.ones((2, 6), dtype=np.int8))
+    # degree 4 is simulated: an all-plus path has S(n) = C(n, 4)
+    values, _ = chaos_model(4).prefix_values(np.ones((2, 6), dtype=np.int8))
+    assert values[0].tolist() == [math.comb(n, 4) for n in range(1, 7)]
+    # degree 12 over 1024 steps passes int64, so it is refused
+    with pytest.raises(DomainError, match="passes int64"):
+        chaos_model(12).prefix_values(np.ones((2, 1024), dtype=np.int8))
 
 
 def test_chaos_degree_capped_where_its_factorial_leaves_float_range():

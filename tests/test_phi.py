@@ -162,10 +162,11 @@ def quadratic_table():
 def test_conjugate_many_bit_identical_to_scalar_on_table():
     table = quadratic_table()
     # 0, interior points, the slope 40 at the edge and past it (where the
-    # supremum sits at the domain edge), and large u; then repeated and
-    # unsorted levels, which the array solver solves once each
+    # supremum sits at the domain edge), and large u, up to 1e308 whose
+    # edge value overflows to inf; then repeated and unsorted levels,
+    # which the array solver solves once each
     us = np.concatenate([[0.0], np.linspace(0.01, 39.9, 97),
-                         [39.99, 40.0, 40.01, 45.0, 1e3, 1e6],
+                         [39.99, 40.0, 40.01, 45.0, 1e3, 1e6, 1e308],
                          [3.0, 0.5, 3.0, 1e6, 0.0, 45.0, 0.5, 3.0]])
     expected = [conjugate(table, float(u)) for u in us]
     np.testing.assert_array_equal(conjugate_many(table, us), expected)

@@ -97,7 +97,7 @@ LATTICE_LEVELS = [-1.0, -0.25, 0.0, 0.5, 1.0, 1.2, math.sqrt(2.0), 1.7, 2.0,
                   2.5, 3.0]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("v", [V1, V2], ids=["const:1", "vr:2"])
 def test_exact_sup_tail_lattice_equals_enumeration(d, v):
     model = chaos_model(d)
@@ -133,7 +133,7 @@ def test_single_time_tail_matches_enumeration_for_walk():
     assert got[0] == pytest.approx(176.0 / 1024.0)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_single_time_tail_is_the_enumerated_count(d):
     model = chaos_model(d)
     # unsorted, with repeats: each level still reads its own bucket sum
@@ -213,8 +213,9 @@ def test_single_time_tail_weighted_enumeration_is_blocked():
 
 
 def test_single_time_tail_rejects_unsupported_models():
-    with pytest.raises(DomainError):
-        single_time_tail(chaos_model(4), 6, [1.0])
+    # degree 12 at time 4096 passes int64
+    with pytest.raises(DomainError, match="passes int64"):
+        single_time_tail(chaos_model(12), 4096, [1.0])
     with pytest.raises(DomainError):
         single_time_tail(weighted_iid_model(weibull_r=2.0), 4, [1.0])
 
@@ -321,6 +322,7 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+# the plan reads the path count alone, whatever the model and horizon
 @pytest.mark.parametrize("sign_kernel,horizon,n_paths",
                          [(True, 16384, 1 << 15), (True, 8, 100_000),
                           (False, 1024, 100_000), (False, 64, 5000)])
@@ -330,7 +332,7 @@ def test_worker_processes_never_outnumber_the_cpus(sign_kernel, horizon,
     on_cpus(monkeypatch, 2)
     monkeypatch.setenv("LILBOUND_THREADS", "1000000")
     assert worker_count() == 1000000
-    blocks = verify._path_blocks(sign_kernel, horizon, n_paths)
+    blocks = verify._path_blocks(n_paths)
     spans = [span for block in blocks for span in block]
     assert len(blocks) == min(2, len(spans))
     assert all(blocks)
@@ -341,7 +343,7 @@ def test_worker_processes_never_outnumber_the_cpus(sign_kernel, horizon,
         assert len(spans) == 2
     # one process where the platform cannot fork
     monkeypatch.delattr(verify.os, "fork")
-    assert len(verify._path_blocks(sign_kernel, horizon, n_paths)) == 1
+    assert len(verify._path_blocks(n_paths)) == 1
 
 
 @pytest.mark.parametrize("error", [DomainError, KeyboardInterrupt])
@@ -391,8 +393,7 @@ def test_a_multi_process_run_matches_one_process_and_leaves_no_child(
     alone = empirical_sup_tail(model, V2, 1500, 3000, [1.0, 2.0], seed=4)
     on_cpus(monkeypatch, 3)
     monkeypatch.setenv("LILBOUND_THREADS", "3")
-    assert len(verify._path_blocks(bool(model.sign_sum_degree), 1500,
-                                   3000)) == 3
+    assert len(verify._path_blocks(3000)) == 3
     forked = empirical_sup_tail(model, V2, 1500, 3000, [1.0, 2.0], seed=4)
     assert_no_child_left()
     assert forked == alone
@@ -606,8 +607,10 @@ def test_trajectory_stats_golden(args, pinned):
 
 
 def test_trajectory_stats_guards():
-    with pytest.raises(DomainError):
-        lil_trajectory_stats(4, 256, 400, seed=1)
+    # degree 12 over 4096 steps passes int64
+    with pytest.raises(DomainError, match="passes int64"):
+        lil_trajectory_stats(12, 4096, 400, seed=1)
+    assert_no_child_left()
     with pytest.raises(DomainError):
         lil_trajectory_stats(1, 2, 400, seed=1)
 
