@@ -29,8 +29,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .engine import (NormingSequence, SigmaProfile, constant_norming,
-                     iterated_log_norming, optimized_bound)
+from .engine import (NormingSequence, SigmaProfile, _levels,
+                     constant_norming, iterated_log_norming, optimized_bound)
 from .errors import (CalibrationError, DomainError, LilboundError,
                      NonconvergenceError)
 from .models import (MartingaleModel, chaos_model, power_law_surrogate,
@@ -451,6 +451,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     model, v, sigma, phi = _resolve(cfg)
     u_grid = parse_grid(cfg.u_grid, "u grid")
+    _levels(u_grid)  # calibration's levels, checked before any run
     if args.exact:
         exact = exact_sup_tail(model, v, cfg.horizon, u_grid)
         estimate = _exact_as_estimate(exact)

@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -401,6 +401,15 @@ class BoundReport:
         }
 
 
+def _levels(u_grid: Sequence[float]) -> List[float]:
+    """The levels a bound is taken at, as floats; a DomainError unless
+    they are nonempty, finite and positive."""
+    us = [float(u) for u in u_grid]
+    if not us or not all(0 < u < math.inf for u in us):
+        raise DomainError("u grid must be nonempty, finite and positive")
+    return us
+
+
 def optimized_bound(v: NormingSequence, sigma: SigmaProfile, phi: PhiFunction,
                     u_grid: Sequence[float], C: float = 1.0,
                     ratio_grid: Optional[Sequence[float]] = None,
@@ -423,9 +432,7 @@ def optimized_bound(v: NormingSequence, sigma: SigmaProfile, phi: PhiFunction,
     if not 0 < C < math.inf:
         raise DomainError(f"theorem constant must be positive and finite, "
                           f"got {C}")
-    us = [float(u) for u in u_grid]
-    if not us or not all(0 < u < math.inf for u in us):
-        raise DomainError("u grid must be nonempty, finite and positive")
+    us = _levels(u_grid)
     ratios = sorted({float(r) for r in
                      (DEFAULT_RATIOS if ratio_grid is None else ratio_grid)})
     if not ratios or not all(2 <= r < math.inf for r in ratios):

@@ -30,7 +30,10 @@ iterated-logarithm trajectory statistics.
 
 Normalization matches the bound engine: model time n pairs with norming
 index n - n_min + 1, so the first non-degenerate time gets v(1) and the
-empirical tail and the block-sum bound divide by identical arrays.
+empirical tail and the block-sum bound divide by identical arrays.  That
+array's size is the horizon, and it is NaN at the degenerate times n <
+n_min: a NaN step never passes a "> u" test, and every max and min over
+steps skips it (np.fmax, np.fmin).
 """
 from __future__ import annotations
 
@@ -241,17 +244,19 @@ class TrajectoryStats:
 # ---------------------------------------------------------------------------
 
 def _normalizer(model: MartingaleModel, v: NormingSequence,
-                horizon: int) -> Tuple[np.ndarray, int]:
-    """Denominator over model times 1..horizon plus the first valid step.
+                horizon: int) -> np.ndarray:
+    """Denominator over model times 1..horizon, its size the horizon.
 
-    denominator[i] = sigma(n) * v(n - n_min + 1) at n = i + 1, with 1.0
-    placeholders on the degenerate prefix n < n_min; the returned offset
-    is the 0-based step index where the statistic becomes defined, so
-    callers slice columns rather than mask them.
+    denominator[i] = sigma(n) * v(n - n_min + 1) at n = i + 1, and NaN
+    on the degenerate prefix n < n_min, where the statistic is undefined.
     """
+    if horizon < model.n_min:
+        raise DomainError(
+            f"horizon {horizon} precedes first non-degenerate time "
+            f"{model.n_min}")
     first = model.n_min - 1
     n = np.arange(model.n_min, horizon + 1, dtype=float)
-    denom = np.ones(horizon)
+    denom = np.full(horizon, np.nan)
     sig = model.sigma_exact(n)
     if not np.all(np.isfinite(sig)) or np.any(sig <= 0):
         raise DomainError(
@@ -262,12 +267,11 @@ def _normalizer(model: MartingaleModel, v: NormingSequence,
         raise DomainError(f"norming {v.label} is not positive over the "
                           f"requested horizon {horizon}")
     denom[first:] = sig * vv
-    return denom, first
+    return denom
 
 
-def _chunk_maxima(model: MartingaleModel, denom: np.ndarray, first: int,
-                  horizon: int, seed: int, path_lo: int, path_hi: int,
-                  u_min: float = -math.inf
+def _chunk_maxima(model: MartingaleModel, denom: np.ndarray, seed: int,
+                  path_lo: int, path_hi: int, u_min: float = -math.inf
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Signed and absolute running maxima for paths [path_lo, path_hi),
     raised to u_min: max(max, u_min) and max(max |.|, u_min), bit for bit.
@@ -284,9 +288,10 @@ def _chunk_maxima(model: MartingaleModel, denom: np.ndarray, first: int,
     """
     d = model.sign_sum_degree
     if 1 <= d <= SIGN_KERNEL_MAX_DEGREE:
-        best, worst = _sign_chaos_extrema(d, denom, first, horizon, seed,
-                                          path_lo, path_hi, u_min)
+        best, worst = _sign_chaos_extrema(d, denom, seed, path_lo, path_hi,
+                                          u_min)
         return best, np.maximum(best, -worst)
+    horizon = denom.size
     best = np.full(path_hi - path_lo, u_min, dtype=float)
     worst = -best
     chunk = PATH_CHUNK * (STEP_BLOCK // min(horizon, STEP_BLOCK))
@@ -300,13 +305,9 @@ def _chunk_maxima(model: MartingaleModel, denom: np.ndarray, first: int,
             noise = model.noise_block(seed, lo, hi, s0, ns)
             values, state = model.prefix_values(noise, state,
                                                 out=tile[:hi - lo, :ns])
-            c0 = max(0, first - s0)
-            if c0 >= ns:
-                continue
-            stat = values[:, c0:]
-            stat /= denom[s0 + c0:s0 + ns]
-            np.maximum(high, stat.max(axis=1), out=high)
-            np.minimum(low, stat.min(axis=1), out=low)
+            values /= denom[s0:s0 + ns]
+            np.fmax(high, np.fmax.reduce(values, axis=1), out=high)
+            np.fmin(low, np.fmin.reduce(values, axis=1), out=low)
     return best, np.maximum(best, -worst)
 
 
@@ -403,7 +404,7 @@ def _byte_extrema(d: int, byte: np.ndarray, before: np.ndarray,
                   floats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Max and min of the statistic over the steps of bytes k of the sign
     stream, given their bits and P1 before each; per_plane[j, k] is
-    denom at step 8k + j, NaN at the steps outside [first, horizon).
+    denom at step 8k + j, NaN before n_min and past the horizon.
 
     All eight steps of every byte at once, as (8 x bytes) planes: P1 at
     step 8k+j is before + _GAINS[j, byte], the recurrence runs on it in
@@ -424,29 +425,28 @@ def _byte_extrema(d: int, byte: np.ndarray, before: np.ndarray,
         p1 = _chaos_values(d, p1, n, out=p1.view(float))
     np.take(per_plane, k, axis=1, out=value, mode="clip")
     np.divide(p1, value, out=value)
-    # a step outside [first, horizon) has a NaN denominator, which fmax
-    # and fmin pass over
+    # a step before n_min or past the horizon has a NaN denominator,
+    # which fmax and fmin pass over
     return np.fmax.reduce(value, axis=0), np.fmin.reduce(value, axis=0)
 
 
 def _byte_stage(d: int, bits: np.ndarray, w: np.ndarray, path: np.ndarray,
-                before: np.ndarray, lo_den: np.ndarray, hi_den: np.ndarray,
-                per_plane: np.ndarray, horizon: int, best: np.ndarray,
-                worst: np.ndarray, planes: Tuple[np.ndarray, np.ndarray]
-                ) -> None:
+                before: np.ndarray, byte_lo: np.ndarray, byte_hi: np.ndarray,
+                per_plane: np.ndarray, best: np.ndarray, worst: np.ndarray,
+                planes: Tuple[np.ndarray, np.ndarray]) -> None:
     """Raise best[path] and lower worst[path] by the bytes of stream
     words w of those paths that pass the byte test, given each word's
-    bits and P1 before it; planes are _byte_extrema's buffers.
+    bits and P1 before it; byte q of word w has denominators in
+    [byte_lo[q, w], byte_hi[q, w]], and planes are _byte_extrema's.
 
     SLICE bytes at a time, laid out as (bytes x words) so that the
     tests run along the words.  From per-byte popcounts, the top of byte
     q (P1 if its ones came first) is P1 before the word + 2 (ones in
     bytes 0..q) - (ones in byte q) - 8q, the byte arithmetic of a
-    multiply by _BYTE_PREFIX being borrow-free.  A horizon inside the
-    first word leaves no byte past it, and one inside a later word is
-    masked by time.
+    multiply by _BYTE_PREFIX being borrow-free.  A byte past the
+    horizon has no row or a NaN range, which no byte test passes.
     """
-    nq = min(8, per_plane.shape[1])
+    nq = byte_lo.shape[0]
     q8 = 8 * np.arange(nq)[:, None]
     step = SLICE // nq
     for start in range(0, w.size, step):
@@ -464,11 +464,9 @@ def _byte_stage(d: int, bits: np.ndarray, w: np.ndarray, path: np.ndarray,
         n0 = (64 * at_w + 1) + q8
         upper, lower = _numerator_bounds(d, top, n0, 8)
         rows = path[part]
-        alive = _may_move(d, upper, lower, lo_den[at_w], hi_den[at_w],
-                          best[rows], worst[rows])
-        if horizon % 64:  # bytes past the horizon
-            alive &= n0 <= horizon
-        at = np.flatnonzero(alive)
+        at = np.flatnonzero(_may_move(
+            d, upper, lower, np.take(byte_lo, at_w, axis=1),
+            np.take(byte_hi, at_w, axis=1), best[rows], worst[rows]))
         if not at.size:
             continue
         q, word = np.divmod(at, at_w.size)
@@ -477,16 +475,16 @@ def _byte_stage(d: int, bits: np.ndarray, w: np.ndarray, path: np.ndarray,
         p1 -= ones.view(np.uint8).reshape(-1, 8)[word, q]
         high, low = _byte_extrema(d, byte, p1, 8 * at_w[word] + q, per_plane,
                                   *planes)
-        np.maximum.at(best, rows[word], high)
-        np.minimum.at(worst, rows[word], low)
+        np.fmax.at(best, rows[word], high)
+        np.fmin.at(worst, rows[word], low)
 
 
-def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
-                        seed: int, path_lo: int, path_hi: int, u_min: float
+def _sign_chaos_extrema(d: int, denom: np.ndarray, seed: int, path_lo: int,
+                        path_hi: int, u_min: float
                         ) -> Tuple[np.ndarray, np.ndarray]:
     """max(max, u_min) and min(min, -u_min) of degree-d sign chaos (d <=
-    3) over steps [first, horizon) for paths [path_lo, path_hi), from
-    the bits of the stream.
+    3) over the steps where denom is not NaN, for paths [path_lo,
+    path_hi), from the bits of the stream.
 
     Byte k of a path's stream words holds steps 8k .. 8k+7, bit j being
     step 8k+j: the draws of rademacher_block.  The words come in tiles
@@ -503,27 +501,34 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
     (b + e + L)/2].  A word's range comes from its pair sum b + e (even,
     so the halving is exact), a group's of GROUP_WORDS words is the
     union of its words', and a byte's top is P1 before it plus its ones
-    (L = 8).  _byte_extrema evaluates the bytes that pass exactly.  A
+    (L = 8).  Each level is tested over the denominators of its own
+    steps, and _byte_extrema evaluates the bytes that pass exactly.  A
     tile of one word goes straight to the byte test, which prunes all
     the other two would.
     """
     n_paths = path_hi - path_lo
+    horizon = denom.size
     n_words = -(-horizon // 64)
-    word_starts = np.arange(0, horizon, 64)
-    lo_den = np.minimum.reduceat(denom, word_starts)
-    hi_den = np.maximum.reduceat(denom, word_starts)
+    # per_plane[j, k] = denom at step 8k + j, NaN to the end of the last
+    # word, so that no byte of it past the horizon takes a denominator
+    per_plane = np.full(64 * n_words, np.nan)
+    per_plane[:horizon] = denom
+    per_plane = per_plane.reshape(-1, 8).T.copy()
+    # denominator ranges over the steps that have one: byte q of word w
+    # at [q, w] (NaN past the horizon; no row past it in the first word)
+    nq = min(8, -(-horizon // 8))
+    byte_lo, byte_hi = (
+        ext.reduce(per_plane, axis=0).reshape(n_words, 8).T[:nq].copy()
+        for ext in (np.fmin, np.fmax))
+    lo_den = np.fmin.reduce(byte_lo, axis=0)
+    hi_den = np.fmax.reduce(byte_hi, axis=0)
     # groups of GROUP_WORDS words: first time, times, denominator range
     group_starts = np.arange(0, n_words, GROUP_WORDS)
     group_n0 = 64 * group_starts + 1
     group_times = 64 * (np.minimum(group_starts + GROUP_WORDS, n_words)
                         - group_starts)
-    group_lo = np.minimum.reduceat(lo_den, group_starts)
-    group_hi = np.maximum.reduceat(hi_den, group_starts)
-    # per_plane[j, k] = denom at step 8k + j, NaN outside [first, horizon)
-    n_bytes = -(-horizon // 8)
-    per_plane = np.full(8 * n_bytes, np.nan)
-    per_plane[first:horizon] = denom[first:]
-    per_plane = per_plane.reshape(n_bytes, 8).T.copy()
+    group_lo = np.fmin.reduceat(lo_den, group_starts)
+    group_hi = np.fmax.reduceat(hi_den, group_starts)
     best = np.full(n_paths, u_min, dtype=float)
     worst = -best
     tile_paths = min(n_paths, PATH_CHUNK * max(1, TILE_WORDS // n_words))
@@ -566,12 +571,12 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
                 if d > 1:  # S_d in place of P1
                     sums = _chaos_values(d, sums, n_end, out=value)
                 np.divide(sums, denom[n_end - 1], out=value)
-                np.maximum(high, value.max(axis=1), out=high)
-                np.minimum(low, value.min(axis=1), out=low)
+                np.fmax(high, np.fmax.reduce(value, axis=1), out=high)
+                np.fmin(low, np.fmin.reduce(value, axis=1), out=low)
             if nw == 1:  # the byte test is the finest of the three
                 _byte_stage(d, words.reshape(-1), np.broadcast_to(w0, n),
-                            np.arange(n), edge[:, 0], lo_den, hi_den,
-                            per_plane, horizon, high, low, planes)
+                            np.arange(n), edge[:, 0], byte_lo, byte_hi,
+                            per_plane, high, low, planes)
                 continue
             # pair[:, w] = b + e, the boundary sums around word w0 + w
             pair = pairs[:n * nw].reshape(n, nw)
@@ -607,28 +612,26 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, first: int, horizon: int,
                                                hi_den[w], high[path],
                                                low[path]))
                 _byte_stage(d, bits[hit], w[hit], path[hit], before[hit],
-                            lo_den, hi_den, per_plane, horizon, high, low,
-                            planes)
+                            byte_lo, byte_hi, per_plane, high, low, planes)
     return best, worst
 
 
-def _path_blocks(n_paths: int) -> List[List[Tuple[int, int]]]:
-    """Paths [0, n_paths) as one contiguous span per worker process, each
-    a block of its own: LILBOUND_THREADS's cap of workers, never more
-    than the CPUs this process may run on, and one without os.fork."""
+def _path_spans(n_paths: int) -> List[Tuple[int, int]]:
+    """Paths [0, n_paths) as one contiguous span (lo, hi) per worker
+    process: LILBOUND_THREADS's cap of workers, never more than the CPUs
+    this process may run on, and one without os.fork."""
     workers = min(worker_count(), _cpu_count() if hasattr(os, "fork") else 1)
     chunk = -(-n_paths // workers)
-    return [[(lo, min(lo + chunk, n_paths))]
-            for lo in range(0, n_paths, chunk)]
+    return [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
 
 
-def _run_forked(run: Callable, blocks: Sequence) -> None:
-    """run(block) for every block: the first in this process, each other
+def _run_forked(run: Callable, spans: Sequence) -> None:
+    """run(span) for every span: the first in this process, each other
     in a child made by os.fork, so no argument or result is pickled.
 
     The children write their results into memory shared with this
     process.  A child that fails pickles its exception into a pipe and
-    this process raises it once its own block is done.  On any
+    this process raises it once its own span is done.  On any
     exception here, KeyboardInterrupt included, every child still
     running is killed; every child is reaped before this returns or
     raises.  A child runs numpy's vector code only: it takes no lock
@@ -637,7 +640,7 @@ def _run_forked(run: Callable, blocks: Sequence) -> None:
     """
     children = []  # (pid, read end of its pipe), not yet reaped
     try:
-        for block in blocks[1:]:
+        for span in spans[1:]:
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -647,10 +650,10 @@ def _run_forked(run: Callable, blocks: Sequence) -> None:
                 raise
             if pid == 0:
                 os.close(read)
-                _child(run, block, write)
+                _child(run, span, write)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
-        run(blocks[0])
+        run(spans[0])
         while children:
             pid, pipe = children[-1]
             report = pipe.read()  # empty unless the child failed
@@ -674,12 +677,12 @@ def _run_forked(run: Callable, blocks: Sequence) -> None:
                 os.waitpid(pid, 0)
 
 
-def _child(run: Callable, block, write: int) -> NoReturn:
-    """A forked child's whole life: run(block), writing its exception,
+def _child(run: Callable, span, write: int) -> NoReturn:
+    """A forked child's whole life: run(span), writing its exception,
     pickled, to the pipe end write if it fails, then _exit."""
     code = 1
     try:
-        run(block)
+        run(span)
         code = 0
     except BaseException as exc:
         with os.fdopen(write, "wb") as pipe:
@@ -688,30 +691,28 @@ def _child(run: Callable, block, write: int) -> NoReturn:
         os._exit(code)
 
 
-def _over_path_chunks(model: MartingaleModel, denom: np.ndarray, first: int,
-                      horizon: int, seed: int, n_paths: int,
-                      u_min: float = -math.inf
+def _over_path_chunks(model: MartingaleModel, denom: np.ndarray, seed: int,
+                      n_paths: int, u_min: float = -math.inf
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Signed and absolute running maxima of paths [0, n_paths), raised
     to u_min as _chunk_maxima raises them (exact at the default -inf).
 
-    Runs _chunk_maxima over the spans of _path_blocks, each block of
-    spans in its own process (_run_forked), writing into one anonymous
-    shared mapping.  Processes, not threads: the sign kernel's vector
-    operations are too short to overlap under the GIL.  Each span's
-    paths depend only on (seed, path index) and land in their own slice
-    of the outputs, so the result is identical for any worker count.
+    Runs _chunk_maxima over the spans of _path_spans, each in its own
+    process (_run_forked), writing into one anonymous shared mapping.
+    Processes, not threads: the sign kernel's vector operations are too
+    short to overlap under the GIL.  Each span's paths depend only on
+    (seed, path index) and land in their own slice of the outputs, so
+    the result is identical for any worker count.
     """
-    blocks = _path_blocks(n_paths)
     out = np.frombuffer(mmap.mmap(-1, 2 * 8 * n_paths),
                         dtype=float).reshape(2, n_paths)
 
-    def run(block):
-        for lo, hi in block:
-            out[0, lo:hi], out[1, lo:hi] = _chunk_maxima(
-                model, denom, first, horizon, seed, lo, hi, u_min)
+    def run(span):
+        lo, hi = span
+        out[0, lo:hi], out[1, lo:hi] = _chunk_maxima(model, denom, seed, lo,
+                                                     hi, u_min)
 
-    _run_forked(run, blocks)
+    _run_forked(run, _path_spans(n_paths))
     return out[0], out[1]
 
 
@@ -726,18 +727,14 @@ def empirical_sup_tail(model: MartingaleModel, v: NormingSequence,
     """
     if n_paths < 1000:
         raise DomainError(f"need at least 1000 paths, got {n_paths}")
-    if horizon < model.n_min:
-        raise DomainError(
-            f"horizon {horizon} precedes first non-degenerate time "
-            f"{model.n_min}")
+    denom = _normalizer(model, v, horizon)
     grid = [float(u) for u in u_grid]
     if not grid or not all(math.isfinite(u) for u in grid):
         raise DomainError("u grid must be nonempty and finite")
-    denom, first = _normalizer(model, v, horizon)
     # no count at a level u >= min(grid) can tell the true maxima from
     # maxima raised to min(grid), which spare the kernel most of its work
-    signed, absed = _over_path_chunks(model, denom, first, horizon, seed,
-                                      n_paths, min(grid))
+    signed, absed = _over_path_chunks(model, denom, seed, n_paths,
+                                      min(grid))
     counts = tuple(int(np.count_nonzero(signed > u)) for u in grid)
     counts_plus = tuple(int(np.count_nonzero(absed > u)) for u in grid)
     intervals = [wilson_interval(c, n_paths) for c in counts]
@@ -778,20 +775,20 @@ def _sign_path_values(model: MartingaleModel, horizon: int):
         yield model.prefix_values(eps)[0]
 
 
-def _lattice_sup_counts(d: int, denom: np.ndarray, first: int, horizon: int,
-                        grid: Sequence[float]
+def _lattice_sup_counts(d: int, denom: np.ndarray, grid: Sequence[float]
                         ) -> Tuple[np.ndarray, np.ndarray]:
     """Sign paths of length horizon whose W and W+ statistics pass each level.
 
     Degree-d sign chaos at time n is a function of the number k of plus
     signs so far (P1 = 2k - n), so paths that have not yet passed a
     level can be counted per k: alive[k] <- alive[k] + alive[k-1] per
-    step.  From n_min on, the states where the enumeration's own float
-    test fires (_chaos_values over denom[n-1], compared with > u, and
-    for W+ also its negation) are zeroed, and each such path stands for
-    its 2^(horizon - n) continuations.  Counts are at most 2^horizon, so
-    int64 holds them exactly.
+    step.  The states where the enumeration's own float test fires
+    (_chaos_values over denom[n-1], compared with > u, and for W+ also
+    its negation; never at a NaN denominator) are zeroed, and each such
+    path stands for its 2^(horizon - n) continuations.  Counts are at
+    most 2^horizon, so int64 holds them exactly.
     """
+    horizon = denom.size
     _check_chaos_range(d, horizon, horizon)
     u = np.asarray(grid, dtype=float)[:, None]
     # axis 0: W, then W+; axis 1: level; axis 2: k
@@ -800,8 +797,6 @@ def _lattice_sup_counts(d: int, denom: np.ndarray, first: int, horizon: int,
     hits = np.zeros((2, len(grid)), dtype=np.int64)
     for n in range(1, horizon + 1):
         alive[..., 1:n + 1] += alive[..., :n].copy()
-        if n - 1 < first:
-            continue
         p1 = np.arange(-n, n + 1, 2, dtype=np.int64)
         stat = _chaos_values(d, p1, n) / denom[n - 1]
         over = stat > u
@@ -813,16 +808,16 @@ def _lattice_sup_counts(d: int, denom: np.ndarray, first: int, horizon: int,
 
 
 def _enumerated_sup_counts(model: MartingaleModel, denom: np.ndarray,
-                           first: int, horizon: int, grid: Sequence[float]
+                           grid: Sequence[float]
                            ) -> Tuple[np.ndarray, np.ndarray]:
     """Sign paths of length horizon whose W and W+ statistics pass each
     level, by simulating all 2^horizon of them block by block."""
     counts = np.zeros(len(grid), dtype=np.int64)
     counts_plus = np.zeros(len(grid), dtype=np.int64)
-    for values in _sign_path_values(model, horizon):
-        stat = values[:, first:] / denom[first:]
-        signed = stat.max(axis=1)
-        absed = np.maximum(signed, -stat.min(axis=1))
+    for values in _sign_path_values(model, denom.size):
+        stat = values / denom
+        signed = np.fmax.reduce(stat, axis=1)
+        absed = np.maximum(signed, -np.fmin.reduce(stat, axis=1))
         for i, u in enumerate(grid):
             counts[i] += np.count_nonzero(signed > u)
             counts_plus[i] += np.count_nonzero(absed > u)
@@ -846,18 +841,13 @@ def exact_sup_tail(model: MartingaleModel, v: NormingSequence, horizon: int,
     if horizon > ENUM_MAX_HORIZON:
         raise DomainError(f"horizon {horizon} exceeds enumeration cap "
                           f"{ENUM_MAX_HORIZON}")
-    if horizon < model.n_min:
-        raise DomainError(
-            f"horizon {horizon} precedes first non-degenerate time "
-            f"{model.n_min}")
+    denom = _normalizer(model, v, horizon)
     grid = [float(u) for u in u_grid]
-    denom, first = _normalizer(model, v, horizon)
     if model.sign_sum_degree:
-        counts, counts_plus = _lattice_sup_counts(
-            model.sign_sum_degree, denom, first, horizon, grid)
+        counts, counts_plus = _lattice_sup_counts(model.sign_sum_degree,
+                                                  denom, grid)
     else:
-        counts, counts_plus = _enumerated_sup_counts(model, denom, first,
-                                                     horizon, grid)
+        counts, counts_plus = _enumerated_sup_counts(model, denom, grid)
     total = 1 << horizon
     return ExactTail(
         u_grid=tuple(grid),
@@ -1057,7 +1047,7 @@ def lil_trajectory_stats(d: int, horizon: int, n_paths: int,
     model = chaos_model(d)
     n = np.arange(1, horizon + 1, dtype=float)
     denom = (n * np.log(np.log(n + 3.0))) ** (d / 2.0)
-    signed, _ = _over_path_chunks(model, denom, 0, horizon, seed, n_paths)
+    signed, _ = _over_path_chunks(model, denom, seed, n_paths)
     q25, med, q75 = np.percentile(signed, [25.0, 50.0, 75.0])
     return TrajectoryStats(
         degree=d, horizon=horizon, paths=n_paths, seed=seed,

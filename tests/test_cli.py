@@ -428,6 +428,34 @@ def test_verify_exact_sandwich(tmp_path, capsys):
         assert float(int(num)) / float(int(den)) == value
 
 
+@pytest.mark.parametrize("exact", [[], ["--exact"]])
+def test_verify_rejects_a_level_it_cannot_calibrate_before_any_run(
+        tmp_path, capsys, exact):
+    # simulate counts at any finite level; calibration needs u > 0
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, ["verify", *exact, "--u-grid",
+                                         "0,1,2", "--paths", "2000",
+                                         "--horizon", "16",
+                                         "--out-dir", str(out)])
+    assert code == EXIT_DOMAIN
+    assert stdout == ""
+    assert err == "error: u grid must be nonempty, finite and positive\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["verify"],
+                                  ["verify", "--exact"]])
+def test_horizon_before_the_first_defined_time_exits_2(tmp_path, capsys,
+                                                       argv):
+    code, _, err = run_cli(capsys, [*argv, "--model", "chaos:d=3",
+                                    "--horizon", "2", "--paths", "1000",
+                                    "--out-dir", str(tmp_path)])
+    assert code == EXIT_DOMAIN
+    assert err == ("error: horizon 2 precedes first non-degenerate time "
+                   "3\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_verify_csv_json_twins_agree(tmp_path, capsys):
     code, _, _ = run_cli(capsys, [
         "verify", "--exact", "--horizon", "10", "--u-grid", "lin:1:2:3",
@@ -552,12 +580,10 @@ def test_a_failing_worker_process_exits_as_the_kernel_does(
     # in this process at one
     real = verify._chunk_maxima
 
-    def failing(model, denom, first, horizon, seed, path_lo, path_hi,
-                *rest):
+    def failing(model, denom, seed, path_lo, path_hi, *rest):
         if path_hi > 2000:
             raise error("injected kernel failure")
-        return real(model, denom, first, horizon, seed, path_lo, path_hi,
-                    *rest)
+        return real(model, denom, seed, path_lo, path_hi, *rest)
 
     monkeypatch.setattr(verify, "_chunk_maxima", failing)
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1},

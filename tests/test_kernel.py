@@ -52,8 +52,9 @@ def reference_weighted_prefix(unit_scale, noise_block, state=None):
     return values, {"s": values[:, -1], "n": int(ks[-1])}
 
 
-def reference_maxima(model, prefix, denom, first, horizon, seed, n_paths):
+def reference_maxima(model, prefix, denom, horizon, seed, n_paths):
     """Signed and absolute running maxima of paths [0, n_paths)."""
+    first = model.n_min - 1
     best = np.full(n_paths, -np.inf)
     worst = np.full(n_paths, np.inf)
     state = None
@@ -102,12 +103,12 @@ def test_kernel_maxima_bit_identical_to_reference(label, horizon, threads,
     # tile: the short one's chunks hold three times PATH_CHUNK paths
     model, prefix = CASES[label]
     n_paths = 6 * PATH_CHUNK + 17
-    denom, first = verify._normalizer(model, V2, horizon)
+    denom = verify._normalizer(model, V2, horizon)
     monkeypatch.setenv("LILBOUND_THREADS", threads)
-    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
-                                             seed=77, n_paths=n_paths)
-    ref_signed, ref_absed = reference_maxima(model, prefix, denom, first,
-                                             horizon, 77, n_paths)
+    signed, absed = verify._over_path_chunks(model, denom, seed=77,
+                                             n_paths=n_paths)
+    ref_signed, ref_absed = reference_maxima(model, prefix, denom, horizon,
+                                             77, n_paths)
     assert np.array_equal(signed, ref_signed)
     assert np.array_equal(absed, ref_absed)
 
@@ -187,12 +188,12 @@ def test_bit_planes_match_reference_on_ragged_bytes(d, horizon, threads,
     horizon = d if horizon == "d" else horizon
     model, prefix = CASES[f"chaos:d={d}"]
     n_paths = 2 * PATH_CHUNK + 5
-    denom, first = verify._normalizer(model, V2, horizon)
+    denom = verify._normalizer(model, V2, horizon)
     monkeypatch.setenv("LILBOUND_THREADS", threads)
-    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
-                                             seed=101, n_paths=n_paths)
-    ref_signed, ref_absed = reference_maxima(model, prefix, denom, first,
-                                             horizon, 101, n_paths)
+    signed, absed = verify._over_path_chunks(model, denom, seed=101,
+                                             n_paths=n_paths)
+    ref_signed, ref_absed = reference_maxima(model, prefix, denom, horizon,
+                                             101, n_paths)
     assert np.array_equal(signed, ref_signed)
     assert np.array_equal(absed, ref_absed)
 
@@ -211,13 +212,12 @@ def test_bit_planes_match_reference_past_int16_sums(d, threads, monkeypatch):
     monkeypatch.setattr(verify, "stream_words", drifting_words)
     model, prefix = CASES[f"chaos:d={d}"]
     horizon = (1 << 15) + 300
-    denom, first = verify._normalizer(model, V2, horizon)
+    denom = verify._normalizer(model, V2, horizon)
     monkeypatch.setenv("LILBOUND_THREADS", threads)
     monkeypatch.setattr(verify, "PATH_CHUNK", 200)
-    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
-                                             seed=9, n_paths=600)
-    ref_signed, ref_absed = reference_maxima(model, prefix, denom, first,
-                                             horizon, 9, 600)
+    signed, absed = verify._over_path_chunks(model, denom, seed=9, n_paths=600)
+    ref_signed, ref_absed = reference_maxima(model, prefix, denom, horizon,
+                                             9, 600)
     assert np.array_equal(signed, ref_signed)
     assert np.array_equal(absed, ref_absed)
     ramp = model.prefix_values(model.noise_block(9, 0, 1, 0, horizon))[0]
@@ -232,14 +232,14 @@ def test_bit_planes_reject_chaos_past_degree_three(monkeypatch):
 
     monkeypatch.setattr(verify, "_sign_chaos_extrema", no_planes)
     model, prefix = CASES["chaos:d=4"]
-    denom, first = verify._normalizer(model, V2, 64)
-    got = verify._chunk_maxima(model, denom, first, 64, 1, 0, 8)
-    ref = reference_maxima(model, prefix, denom, first, 64, 1, 8)
+    denom = verify._normalizer(model, V2, 64)
+    got = verify._chunk_maxima(model, denom, 1, 0, 8)
+    ref = reference_maxima(model, prefix, denom, 64, 1, 8)
     assert np.array_equal(got, ref)
     model = chaos_model(12)
-    denom, first = verify._normalizer(model, V2, 4096)
+    denom = verify._normalizer(model, V2, 4096)
     with pytest.raises(DomainError, match="passes int64"):
-        verify._chunk_maxima(model, denom, first, 4096, 1, 0, 8)
+        verify._chunk_maxima(model, denom, 1, 0, 8)
 
 
 def test_sign_kernel_refuses_sums_past_int64(monkeypatch):
@@ -251,9 +251,9 @@ def test_sign_kernel_refuses_sums_past_int64(monkeypatch):
     monkeypatch.setattr(verify, "stream_words", all_plus)
     model = chaos_model(3)
     horizon = (1 << 21) + 8192
-    denom, first = verify._normalizer(model, V2, horizon)
+    denom = verify._normalizer(model, V2, horizon)
     with pytest.raises(DomainError, match="passes int64"):
-        verify._chunk_maxima(model, denom, first, horizon, 1, 0, 1)
+        verify._chunk_maxima(model, denom, 1, 0, 1)
 
 
 # maxima raised to u_min: what empirical_sup_tail asks for with u_min =
@@ -269,12 +269,11 @@ def test_raised_maxima_bit_identical_to_reference(label, horizon, threads,
                                                   u_min, monkeypatch):
     model, prefix = CASES[label]
     n_paths = 2 * PATH_CHUNK + 17
-    denom, first = verify._normalizer(model, V2, horizon)
+    denom = verify._normalizer(model, V2, horizon)
     monkeypatch.setenv("LILBOUND_THREADS", threads)
-    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
-                                             77, n_paths, u_min)
-    ref_signed, ref_absed = reference_maxima(model, prefix, denom, first,
-                                             horizon, 77, n_paths)
+    signed, absed = verify._over_path_chunks(model, denom, 77, n_paths, u_min)
+    ref_signed, ref_absed = reference_maxima(model, prefix, denom, horizon,
+                                             77, n_paths)
     assert np.array_equal(signed, np.maximum(ref_signed, u_min))
     assert np.array_equal(absed, np.maximum(ref_absed, u_min))
 
@@ -288,12 +287,11 @@ def test_raised_maxima_match_reference_on_ragged_bytes(d, horizon, threads,
     horizon = d if horizon == "d" else horizon
     model, prefix = CASES[f"chaos:d={d}"]
     n_paths = 2 * PATH_CHUNK + 5
-    denom, first = verify._normalizer(model, V2, horizon)
+    denom = verify._normalizer(model, V2, horizon)
     monkeypatch.setenv("LILBOUND_THREADS", threads)
-    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
-                                             101, n_paths, u_min)
-    ref_signed, ref_absed = reference_maxima(model, prefix, denom, first,
-                                             horizon, 101, n_paths)
+    signed, absed = verify._over_path_chunks(model, denom, 101, n_paths, u_min)
+    ref_signed, ref_absed = reference_maxima(model, prefix, denom, horizon,
+                                             101, n_paths)
     assert np.array_equal(signed, np.maximum(ref_signed, u_min))
     assert np.array_equal(absed, np.maximum(ref_absed, u_min))
 
@@ -314,13 +312,12 @@ def test_raised_maxima_match_reference_past_int16_sums(d, threads, u_min,
     monkeypatch.setattr(verify, "stream_words", drifting_words)
     model, prefix = CASES[f"chaos:d={d}"]
     horizon = (1 << 15) + 300
-    denom, first = verify._normalizer(model, V2, horizon)
+    denom = verify._normalizer(model, V2, horizon)
     monkeypatch.setenv("LILBOUND_THREADS", threads)
     monkeypatch.setattr(verify, "PATH_CHUNK", 200)
-    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
-                                             9, 600, u_min)
-    ref_signed, ref_absed = reference_maxima(model, prefix, denom, first,
-                                             horizon, 9, 600)
+    signed, absed = verify._over_path_chunks(model, denom, 9, 600, u_min)
+    ref_signed, ref_absed = reference_maxima(model, prefix, denom, horizon,
+                                             9, 600)
     assert np.array_equal(signed, np.maximum(ref_signed, u_min))
     assert np.array_equal(absed, np.maximum(ref_absed, u_min))
 
@@ -333,9 +330,9 @@ def test_tail_counts_equal_counts_of_exact_maxima(label):
     grid = [1.25, -0.5, 2.0, 0.75, 1.25, 3.0]
     horizon, n_paths = 3000, 2000
     est = empirical_sup_tail(model, V2, horizon, n_paths, grid, seed=31)
-    denom, first = verify._normalizer(model, V2, horizon)
-    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
-                                             31, n_paths, u_min=-math.inf)
+    denom = verify._normalizer(model, V2, horizon)
+    signed, absed = verify._over_path_chunks(model, denom, 31, n_paths,
+                                             u_min=-math.inf)
     assert est.counts == tuple(int(np.count_nonzero(signed > u))
                                for u in grid)
     assert est.counts_plus == tuple(int(np.count_nonzero(absed > u))
@@ -403,9 +400,8 @@ TILE_HORIZONS = [GROUP_STEPS - 1, GROUP_STEPS, GROUP_STEPS + 1,
 @functools.lru_cache(maxsize=None)
 def chaos_reference(d, horizon, n_paths, seed):
     model, prefix = CASES[f"chaos:d={d}"]
-    denom, first = verify._normalizer(model, V2, horizon)
-    return reference_maxima(model, prefix, denom, first, horizon, seed,
-                            n_paths)
+    denom = verify._normalizer(model, V2, horizon)
+    return reference_maxima(model, prefix, denom, horizon, seed, n_paths)
 
 
 @pytest.mark.parametrize("u_min", RAISES)
@@ -418,10 +414,9 @@ def test_sign_tiles_match_reference_across_group_and_tile_edges(
     # these paths end in a ragged tile of five
     n_paths = 2 * PATH_CHUNK + 5
     model = chaos_model(d)
-    denom, first = verify._normalizer(model, V2, horizon)
+    denom = verify._normalizer(model, V2, horizon)
     monkeypatch.setenv("LILBOUND_THREADS", threads)
-    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
-                                             55, n_paths, u_min)
+    signed, absed = verify._over_path_chunks(model, denom, 55, n_paths, u_min)
     ref_signed, ref_absed = chaos_reference(d, horizon, n_paths, 55)
     assert np.array_equal(signed, np.maximum(ref_signed, u_min))
     assert np.array_equal(absed, np.maximum(ref_absed, u_min))
@@ -460,11 +455,10 @@ def test_sign_kernel_memory_is_a_tile_and_a_few_values_per_step(d):
     model = chaos_model(d)
     peaks = {}
     for horizon in (1 << 14, 1 << 16):
-        denom, first = verify._normalizer(model, V2, horizon)
+        denom = verify._normalizer(model, V2, horizon)
         tracemalloc.start()
         try:
-            verify._chunk_maxima(model, denom, first, horizon, 5, 0,
-                                 PATH_CHUNK)
+            verify._chunk_maxima(model, denom, 5, 0, PATH_CHUNK)
             peaks[horizon] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -481,14 +475,13 @@ def test_worker_processes_match_reference_past_a_tile(d, workers,
     horizon = TILE_STEPS + 300
     n_paths = 2 * PATH_CHUNK + 5
     model = chaos_model(d)
-    denom, first = verify._normalizer(model, V2, horizon)
+    denom = verify._normalizer(model, V2, horizon)
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                         raising=False)
     monkeypatch.setenv("LILBOUND_THREADS", workers)
-    blocks = verify._path_blocks(n_paths)
-    assert len(blocks) == int(workers)
-    signed, absed = verify._over_path_chunks(model, denom, first, horizon,
-                                             21, n_paths)
+    spans = verify._path_spans(n_paths)
+    assert len(spans) == int(workers)
+    signed, absed = verify._over_path_chunks(model, denom, 21, n_paths)
     ref_signed, ref_absed = chaos_reference(d, horizon, n_paths, 21)
     assert np.array_equal(signed, ref_signed)
     assert np.array_equal(absed, ref_absed)

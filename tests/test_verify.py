@@ -105,8 +105,7 @@ def test_exact_sup_tail_lattice_equals_enumeration(d, v):
         ex = exact_sup_tail(model, v, horizon, LATTICE_LEVELS)
         # the enumeration that weighted models still use is the reference
         counts = verify._enumerated_sup_counts(
-            model, *verify._normalizer(model, v, horizon), horizon,
-            LATTICE_LEVELS)
+            model, verify._normalizer(model, v, horizon), LATTICE_LEVELS)
         w, w_plus = ([Fraction(int(c), 1 << horizon) for c in side]
                      for side in counts)
         assert list(ex.w) == w, (horizon, ex.w, w)
@@ -270,6 +269,22 @@ def test_empirical_sup_tail_censoring_flags():
     assert est.counts[1] < 10
 
 
+@pytest.mark.parametrize("model", [chaos_model(d) for d in (1, 2, 3, 4)]
+                         + [weighted_iid_model(1.0)],
+                         ids=lambda m: m.label)
+def test_normalizer_is_nan_exactly_before_the_first_defined_time(model):
+    for horizon in (model.n_min, model.n_min + 1, 100):
+        denom = verify._normalizer(model, V2, horizon)
+        assert denom.shape == (horizon,)
+        assert np.all(np.isnan(denom[:model.n_min - 1]))
+        assert np.all(np.isfinite(denom[model.n_min - 1:]))
+        assert np.all(denom[model.n_min - 1:] > 0)
+    short = model.n_min - 1
+    with pytest.raises(DomainError, match=f"^horizon {short} precedes first "
+                       f"non-degenerate time {model.n_min}$"):
+        verify._normalizer(model, V2, short)
+
+
 def test_empirical_sup_tail_guards():
     with pytest.raises(DomainError):
         empirical_sup_tail(CHAOS1, V1, 64, 999, [1.0], seed=1)
@@ -332,10 +347,9 @@ def test_worker_processes_never_outnumber_the_cpus(sign_kernel, horizon,
     on_cpus(monkeypatch, 2)
     monkeypatch.setenv("LILBOUND_THREADS", "1000000")
     assert worker_count() == 1000000
-    blocks = verify._path_blocks(n_paths)
-    spans = [span for block in blocks for span in block]
-    assert len(blocks) == min(2, len(spans))
-    assert all(blocks)
+    spans = verify._path_spans(n_paths)
+    assert len(spans) <= 2
+    assert all(lo < hi for lo, hi in spans)
     # the spans tile [0, n_paths) in order
     assert spans[0][0] == 0 and spans[-1][1] == n_paths
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
@@ -343,7 +357,7 @@ def test_worker_processes_never_outnumber_the_cpus(sign_kernel, horizon,
         assert len(spans) == 2
     # one process where the platform cannot fork
     monkeypatch.delattr(verify.os, "fork")
-    assert len(verify._path_blocks(n_paths)) == 1
+    assert len(verify._path_spans(n_paths)) == 1
 
 
 @pytest.mark.parametrize("error", [DomainError, KeyboardInterrupt])
@@ -353,12 +367,10 @@ def test_a_failing_worker_raises_its_error_and_leaves_no_child(
     # the child runs the second span and the parent the first
     real = verify._chunk_maxima
 
-    def failing(model, denom, first, horizon, seed, path_lo, path_hi,
-                u_min=-math.inf):
+    def failing(model, denom, seed, path_lo, path_hi, u_min=-math.inf):
         if (path_lo != 0) == (where == "child"):
             raise error(f"injected failure at path {path_lo}")
-        return real(model, denom, first, horizon, seed, path_lo, path_hi,
-                    u_min)
+        return real(model, denom, seed, path_lo, path_hi, u_min)
 
     monkeypatch.setattr(verify, "_chunk_maxima", failing)
     on_cpus(monkeypatch, 2)
@@ -372,10 +384,10 @@ def test_a_failing_worker_raises_its_error_and_leaves_no_child(
 def test_a_worker_killed_by_a_signal_is_an_error(monkeypatch):
     real = verify._chunk_maxima
 
-    def dying(model, denom, first, horizon, seed, path_lo, *rest):
+    def dying(model, denom, seed, path_lo, *rest):
         if path_lo != 0:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(model, denom, first, horizon, seed, path_lo, *rest)
+        return real(model, denom, seed, path_lo, *rest)
 
     monkeypatch.setattr(verify, "_chunk_maxima", dying)
     on_cpus(monkeypatch, 2)
@@ -393,7 +405,7 @@ def test_a_multi_process_run_matches_one_process_and_leaves_no_child(
     alone = empirical_sup_tail(model, V2, 1500, 3000, [1.0, 2.0], seed=4)
     on_cpus(monkeypatch, 3)
     monkeypatch.setenv("LILBOUND_THREADS", "3")
-    assert len(verify._path_blocks(3000)) == 3
+    assert len(verify._path_spans(3000)) == 3
     forked = empirical_sup_tail(model, V2, 1500, 3000, [1.0, 2.0], seed=4)
     assert_no_child_left()
     assert forked == alone
