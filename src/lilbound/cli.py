@@ -436,7 +436,8 @@ def _lower_bounds(model, v, horizon: int, u_grid: np.ndarray) -> np.ndarray:
     norming index verify pairs with model time horizon.  They are
     single_time_lower_bound's u * v(n0) for n0 = j0, not for n0 = horizon
     (the two differ for chaos with d >= 2), and go to one
-    single_time_tail call, which walks the binomial row once.
+    single_time_tail call, which walks the binomial row outward from
+    its middle until no rounded tail can change.
     """
     j0 = horizon - (model.n_min - 1)
     try:

@@ -36,9 +36,12 @@ only for a ratio that can still win.  One stacked pass per level makes
 the first 64 terms of every series, the same bits block_sum makes.
 Terms are >= 0, so their sum less a rounding slack that depends on k_max
 alone is at most the value the full series reports, unless the series
-stops or diverges inside them.  A ratio whose lower bound is above a
-full sum already made can neither be the minimum nor tie it, so skipping
-it changes no bit of the report.
+stops inside them (64 terms hold too few ratios to diverge).  A ratio
+whose lower bound is above a full sum already made can neither be the
+minimum nor tie it, so skipping it changes no bit of the report.  A
+question about the minimum, "is B(x) >= t?" (bound_at_least, which
+calibration asks), takes the ratios in the same order and stops at the
+first prefix lower bound >= t or the first full sum below it.
 """
 from __future__ import annotations
 
@@ -230,6 +233,44 @@ def _divergence_point(near_one: np.ndarray) -> Optional[int]:
     return start + _DIVERGENCE_RUN
 
 
+def _term_ratios(terms: np.ndarray) -> np.ndarray:
+    """Each term over the one before it, along the last axis.  A ratio
+    whose earlier term is zero or NaN counts as +inf when the later term
+    is positive, else 0."""
+    prev, nxt = terms[..., :-1], terms[..., 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rr = nxt / prev
+    undefined = ~(prev > 0)
+    if undefined.any():
+        rr[undefined] = 0.0
+        rr[undefined & (nxt > 0)] = np.inf
+    return rr
+
+
+def _certified_windows(terms: np.ndarray, rr: np.ndarray, tol: float):
+    """The windows of three ratios that certify a stop, as index arrays
+    (one per axis of terms, the last giving the stop's position), in C
+    order, with the tail bound of each.
+
+    A window certifies when its ratios are below 1 and non-increasing
+    and the dominated-tail bound t * rho/(1 - rho) at its last term is
+    below tol.  The bound is evaluated only at the windows that pass the
+    ratio tests.
+    """
+    r0, r1, r2 = rr[..., :-2], rr[..., 1:-1], rr[..., 2:]
+    # triple (r0, r1, r2)[j] are the ratios of terms j+1, j+2, j+3, so a
+    # certified window there stops the sum at term j+3; r0 < 1 with
+    # r0 >= r1 >= r2 puts all three below 1 (a NaN fails every test), and
+    # r0 is the window maximum
+    cand = np.nonzero((r0 < 1.0) & (r0 >= r1) & (r1 >= r2))
+    rho = r0[cand]
+    stops = cand[:-1] + (cand[-1] + 3,)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = terms[stops] * rho / (1.0 - rho)
+    cert = tail < tol
+    return tuple(i[cert] for i in stops), tail[cert]
+
+
 def _scan_terms(terms: np.ndarray, tol: float):
     """Find the first certified stop or divergence point in a term prefix.
 
@@ -238,40 +279,23 @@ def _scan_terms(terms: np.ndarray, tol: float):
     i requires the last three ratios below 1 and non-increasing, with the
     dominated-tail bound t_i * rho/(1 - rho) below tol; divergence at
     position i means the _DIVERGENCE_RUN ratios ending there are all
-    >= 1 - 0.01/k.  A ratio whose earlier term is zero or NaN counts as
-    +inf when the later term is positive, else 0.
+    >= 1 - 0.01/k.  Ratios are those of _term_ratios.
 
-    One divide makes the ratios; the tail bound is evaluated only at the
-    windows that pass the ratio tests, and the run search only when
+    One divide makes the ratios, and the run search runs only when
     enough ratios are near one, so a scan allocates one ratio array plus
     boolean masks.
     """
     m = len(terms)
     if m < 4:
         return None, math.nan, None
-    prev, nxt = terms[:-1], terms[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rr = nxt / prev
-    undefined = ~(prev > 0)
-    if undefined.any():
-        rr[undefined] = 0.0
-        rr[undefined & (nxt > 0)] = np.inf
+    rr = _term_ratios(terms)
     div_idx = _divergence_point(rr >= _near_one_thresholds(m - 1))
-    r0, r1, r2 = rr[:-2], rr[1:-1], rr[2:]
-    # triple (r0, r1, r2)[j] are the ratios of terms j+1, j+2, j+3, so a
-    # certified window there stops the sum at term j+3; r0 < 1 with
-    # r0 >= r1 >= r2 puts all three below 1 (a NaN fails every test), and
-    # r0 is the window maximum
-    cand = np.flatnonzero((r0 < 1.0) & (r0 >= r1) & (r1 >= r2))
-    rho = rr[cand]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tail = terms[cand + 3] * rho / (1.0 - rho)
-    cert = np.flatnonzero(tail < tol)
+    (cert,), tails = _certified_windows(terms, rr, tol)
     stop = None
     residual = math.nan
     if len(cert):
-        stop = int(cand[cert[0]]) + 3
-        residual = float(tail[cert[0]])
+        stop = int(cert[0])
+        residual = float(tails[0])
     if div_idx is not None and (stop is None or div_idx < stop):
         return None, math.nan, div_idx
     return stop, residual, None
@@ -345,17 +369,20 @@ def _finish_sum(terms: np.ndarray, tol: float,
 # ---------------------------------------------------------------------------
 
 def _prefix_lower_bounds(phi: PhiFunction, x: float, heads: np.ndarray,
-                         tol: float, k_max: int) -> list:
+                         tol: float, k_max: int) -> np.ndarray:
     """Per row of leading block arguments, a number no larger than the
     value block_sum reports for that series at level x.
 
     The terms made here are bit for bit block_sum's leading terms, since
-    conjugate_many works point by point.  A series that stops or diverges
-    inside them may report less than their sum, so it gets -inf.  Any
-    other series sums every one of them: a converged sum stops past
-    them, a truncated one runs to k_max, and a divergent one is +inf.
+    conjugate_many works point by point.  A series that stops inside
+    them may report less than their sum, so it gets -inf; one stop test
+    covers every row.  A prefix holds fewer than _DIVERGENCE_RUN ratios,
+    so no series diverges inside it.  Any other series sums every one of
+    them: a converged sum stops past them, a truncated one runs to
+    k_max, and a divergent one is +inf.
     """
     terms = _terms(phi, x, heads)
+    (stopped, _), _ = _certified_windows(terms, _term_ratios(terms), tol)
     # Terms are >= 0, and a float sum of n of them lies within a factor
     # 1 -+ gamma_n of its exact sum in any order (gamma_n = n*eps/(1 -
     # n*eps), eps = 2^-53).  A full sum holds every prefix term and at
@@ -366,12 +393,36 @@ def _prefix_lower_bounds(phi: PhiFunction, x: float, heads: np.ndarray,
     # gamma_m + gamma_k_max + 2*eps, and makes keep <= 0 (no series is
     # skipped) long before k_max is large enough for it not to.
     keep = 1.0 - 4.0 * k_max * 2.0 ** -53
-    lows = []
-    for row in terms:
-        stop, _, div = _scan_terms(row, tol)
-        lows.append(-math.inf if stop is not None or div is not None
-                    else float(row.sum()) * keep)
+    lows = terms.sum(axis=1) * keep
+    lows[stopped] = -math.inf
     return lows
+
+
+def _ratio_family(v: NormingSequence, sigma: SigmaProfile,
+                  ratio_grid: Optional[Sequence[float]], tol: float,
+                  k_max: int):
+    """The distinct ratios searched, sorted, and the first _PREFIX block
+    arguments of each as the rows of one array; a DomainError for an
+    empty or invalid family or a tolerance outside (0, 1)."""
+    ratios = sorted({float(r) for r in
+                     (DEFAULT_RATIOS if ratio_grid is None else ratio_grid)})
+    if not ratios or not all(2 <= r < math.inf for r in ratios):
+        raise DomainError("candidate ratios must be a nonempty set of "
+                          "finite values >= 2")
+    if not 0 < tol < 1:
+        raise DomainError(f"tolerance must be in (0, 1), got {tol}")
+    heads = np.stack([_block_arguments(v, sigma, r, k_max)[:_PREFIX]
+                      for r in ratios])
+    return ratios, heads
+
+
+def _by_prefix_bound(phi: PhiFunction, x: float, heads: np.ndarray,
+                     tol: float, k_max: int):
+    """(row, lower bound) for every ratio at level x, lowest bound first
+    (see _prefix_lower_bounds); equal bounds keep the ratio order."""
+    lows = _prefix_lower_bounds(phi, x, heads, tol, k_max)
+    order = np.argsort(lows, kind="stable")
+    return zip(order.tolist(), lows[order].tolist())
 
 
 @dataclass(frozen=True)
@@ -433,24 +484,14 @@ def optimized_bound(v: NormingSequence, sigma: SigmaProfile, phi: PhiFunction,
         raise DomainError(f"theorem constant must be positive and finite, "
                           f"got {C}")
     us = _levels(u_grid)
-    ratios = sorted({float(r) for r in
-                     (DEFAULT_RATIOS if ratio_grid is None else ratio_grid)})
-    if not ratios or not all(2 <= r < math.inf for r in ratios):
-        raise DomainError("candidate ratios must be a nonempty set of "
-                          "finite values >= 2")
-    if not 0 < tol < 1:
-        raise DomainError(f"tolerance must be in (0, 1), got {tol}")
-
-    heads = np.stack([_block_arguments(v, sigma, r, k_max)[:_PREFIX]
-                      for r in ratios])
+    ratios, heads = _ratio_family(v, sigma, ratio_grid, tol, k_max)
     q_sums, chosen, k_used, residuals, flags = [], [], [], [], []
     for u in us:
         x = C * u
-        lows = _prefix_lower_bounds(phi, x, heads, tol, k_max)
         results, best = {}, math.inf
-        for i in sorted(range(len(ratios)), key=lows.__getitem__):
+        for i, low in _by_prefix_bound(phi, x, heads, tol, k_max):
             # this series cannot be below, nor tie, a sum already made
-            if lows[i] > best:
+            if low > best:
                 continue
             res = results[i] = block_sum(ratios[i], v, sigma, phi, x, tol,
                                          k_max)
@@ -467,6 +508,31 @@ def optimized_bound(v: NormingSequence, sigma: SigmaProfile, phi: PhiFunction,
                        chosen_ratios=tuple(chosen), k_used=tuple(k_used),
                        residual_bounds=tuple(residuals), flags=tuple(flags),
                        c_used=C)
+
+
+def bound_at_least(v: NormingSequence, sigma: SigmaProfile, phi: PhiFunction,
+                   x: float, target: float,
+                   ratio_grid: Optional[Sequence[float]] = None,
+                   tol: float = DEFAULT_TOL,
+                   k_max: int = DEFAULT_KMAX) -> bool:
+    """Whether B(x) >= target: optimized_bound(v, sigma, phi, [x], ...)
+    .q_sums[0] >= target, decided with as few full series as it needs.
+
+    B(x) is the minimum over the ratios, so it reaches target exactly
+    when every series does.  Ratios are visited as optimized_bound visits
+    them, lowest prefix lower bound first: the answer is True at the
+    first lower bound >= target, which every later series is above too,
+    and False at the first full sum that is not >= target.
+    """
+    x, = _levels([x])
+    ratios, heads = _ratio_family(v, sigma, ratio_grid, tol, k_max)
+    for i, low in _by_prefix_bound(phi, x, heads, tol, k_max):
+        if low >= target:
+            return True
+        if not block_sum(ratios[i], v, sigma, phi, x, tol,
+                         k_max).value >= target:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ reused value tile or by enumeration.  Exact tails are rationals, for
 small horizons.
 single_time_tail gives the single-time floor: exact integer binomial
 sums up to time FLOOR_MAX_TIME, rounded toward zero, so verify imports
-no scipy.  On top of those sit the calibration of the bound's constant,
+no scipy; the sum stops once the rest of the row cannot change a
+rounded tail.  On top of those sit the calibration of the bound's constant,
 an enumeration check of the Doob maximal-moment step, and
 iterated-logarithm trajectory statistics.
 
@@ -45,12 +46,13 @@ import signal
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import DEFAULT_TOL, NormingSequence, optimized_bound
+from .engine import (DEFAULT_TOL, NormingSequence, bound_at_least,
+                     optimized_bound)
 from .errors import CalibrationError, DomainError
 from .models import (MartingaleModel, _chaos_values, _check_chaos_range,
                      chaos_model)
@@ -76,8 +78,10 @@ CENSOR_COUNT = 10
 SIGN_KERNEL_MAX_DEGREE = 3
 ENUM_MAX_HORIZON = 20
 ENUM_BLOCK = 1 << 16  # sign paths per enumerated block
-# the exact single-time floor walks n0/2 bigints of up to n0 bits: 0.7 s
-# at 2^16 and 2.7 s at 2^17 on a 2-core Xeon, four times that per doubling
+# the exact single-time floor stops its walk of n0-bit bigints a few
+# hundred steps out from the middle of the row: 0.07 s at 2^16 and 0.21 s
+# at 2^17 on a 2-core Xeon.  A row it must walk to the end (a tail that
+# is exactly a float) takes 1.7 s at 2^17, four times that per doubling
 FLOOR_MAX_TIME = 1 << 17
 
 
@@ -873,6 +877,57 @@ def _ratio_toward_zero(num: int, den: int) -> float:
     return q
 
 
+def _tails_settled(tails: Sequence[int], rest: int, den: int) -> bool:
+    """Whether adding up to rest to any of tails leaves its toward-zero
+    float over den unchanged."""
+    return all(_ratio_toward_zero(t, den) == _ratio_toward_zero(t + rest, den)
+               for t in tails)
+
+
+def _binomial_tails(n0: int, passes: np.ndarray, n_levels: int) -> list:
+    """tails[i] = the sum of C(n0, k) over the k with passes[k] > i, for
+    i < n_levels, or a partial sum whose toward-zero float over 2^n0 is
+    provably the same.
+
+    C(n0, k) = C(n0, n0 - k), so one coefficient serves k and n0 - k.
+    The walk starts at the innermost k where either passes, from
+    math.comb, and goes outward by C(n0, k-1) = C(n0, k) k / (n0 - k +
+    1).  Going outward those ratios fall, so the mass of every k' <= k
+    and n0 - k' is at most 2 C(n0, k) (n0 - k + 1)/(n0 - 2k + 1).  Every
+    64 steps the walk stops if that much more in any tail could not
+    change its float, and otherwise it runs to k = 0.  Only the tails
+    between bottom, the fewest thresholds any value passes, and top, the
+    most, are watched: those past top are 0, and those up to bottom are
+    the whole row, 2^n0, which no partial sum reaches.
+    """
+    half = n0 // 2
+    paired = np.maximum(passes[:half + 1], passes[::-1][:half + 1])
+    top, bottom = int(paired.max()), int(passes.min())
+    if not top:
+        return [0] * n_levels
+    ranks = passes.tolist()
+    den = 1 << n0
+    buckets = [0] * (n_levels + 1)
+    k = int(np.flatnonzero(paired)[-1])
+    c = math.comb(n0, k)
+    for step in count(1):
+        buckets[ranks[k]] += c
+        if 2 * k < n0:
+            buckets[ranks[n0 - k]] += c
+        if k == 0:
+            break
+        c = c * k // (n0 - k + 1)
+        k -= 1
+        if step % 64 == 0:
+            rest = -(-2 * c * (n0 - k + 1) // (n0 - 2 * k + 1))
+            known = accumulate(reversed(buckets[bottom + 1:top + 1]))
+            if _tails_settled(list(known), rest, den):
+                break
+    tails = list(accumulate(reversed(buckets[1:])))[::-1]
+    tails[:bottom] = [den] * bottom
+    return tails
+
+
 def single_time_tail(model: MartingaleModel, n0: int,
                      thresholds: Sequence[float]) -> np.ndarray:
     """P(S(n0)/sigma(n0) > x) for each threshold x, never above the truth.
@@ -881,12 +936,15 @@ def single_time_tail(model: MartingaleModel, n0: int,
     the tail is an exact integer sum of binomial coefficients C(n0, k)
     over the k whose value passes x (the same float test as simulation),
     divided by 2^n0 and rounded toward zero, so it is a certified floor.
-    One walk over k carries C(n0, k) by its recurrence and adds it to the
-    bucket of how many thresholds its value passes; suffix sums of the
-    buckets give every tail.  The walk holds O(n0) bits but takes
-    O(n0^2) time, so n0 is capped at FLOOR_MAX_TIME.  Other sign-noise
-    models enumerate all 2^n0 paths block by block when n0 <=
-    ENUM_MAX_HORIZON, where count / 2^n0 is an exact float.
+    One walk over k, outward from the middle of the row, adds each
+    C(n0, k) to the bucket of how many thresholds its value passes;
+    suffix sums of the buckets give every tail.  The walk stops as soon
+    as the coefficients left cannot change any rounded tail (see
+    _binomial_tails), so its floats are those of the whole row.  It
+    holds O(n0) bits; a row it must walk to the end takes O(n0^2) time,
+    so n0 is capped at FLOOR_MAX_TIME.  Other sign-noise models
+    enumerate all 2^n0 paths block by block when n0 <= ENUM_MAX_HORIZON,
+    where count / 2^n0 is an exact float.
     """
     if n0 < model.n_min:
         raise DomainError(f"time {n0} precedes first non-degenerate time "
@@ -904,16 +962,8 @@ def single_time_tail(model: MartingaleModel, n0: int,
         # value k passes threshold x exactly when it passes more sorted
         # thresholds than lie strictly below x
         ordered = np.sort(xs)
-        passes = np.searchsorted(ordered, svals, side="left").tolist()
-        buckets = [0] * (len(xs) + 1)
-        c = 1
-        for k in range(n0 // 2 + 1):
-            # C(n0, k) = C(n0, n0 - k): one coefficient serves both ends
-            buckets[passes[k]] += c
-            if 2 * k < n0:
-                buckets[passes[n0 - k]] += c
-            c = c * (n0 - k) // (k + 1)
-        tails = list(accumulate(reversed(buckets[1:])))[::-1]
+        passes = np.searchsorted(ordered, svals, side="left")
+        tails = _binomial_tails(n0, passes, len(xs))
         below = np.searchsorted(ordered, xs, side="left")
         return np.array([_ratio_toward_zero(tails[i], 1 << n0)
                          for i in below.tolist()])
@@ -943,8 +993,10 @@ def calibrate_constant(estimate: TailEstimate, v: NormingSequence, sigma,
     precision.  Every cell walks the same bisection lattice, so the
     minimum lower end equals what one bisection of C over all cells at
     once would return.  Censored cells carry too few hits to constrain
-    anything and are skipped.  bound_values and margin both come from
-    one evaluation of the bound over the whole grid at the returned C.
+    anything and are skipped.  Each step asks bound_at_least whether
+    B(c*u_i) >= ci_high_i, which sums only the series that decide it;
+    bound_values and margin both come from one evaluation of the bound
+    over the whole grid at the returned C.
 
     Cells are visited in grid order against the running minimum c_hat
     (100 until a cell falls below it), and a cell pays only for what can
@@ -964,9 +1016,9 @@ def calibrate_constant(estimate: TailEstimate, v: NormingSequence, sigma,
                                "calibrate against")
 
     def dominates(i: int, c: float) -> bool:
-        report = optimized_bound(v, sigma, phi, [estimate.u_grid[i]], C=c,
-                                 ratio_grid=ratio_grid, tol=tol)
-        return report.q_sums[0] >= estimate.ci_high[i]
+        return bound_at_least(v, sigma, phi, c * float(estimate.u_grid[i]),
+                              estimate.ci_high[i], ratio_grid=ratio_grid,
+                              tol=tol)
 
     floor, cap = 0.01, 100.0
     c_hat = cap

@@ -1,7 +1,8 @@
 """Exact test oracles: partitions materialized block by block, the
 exhaustive partition optimum, the whole-array series scan, the optimized
-bound with every ratio's series summed, exact single-path steppers, and
-single-time tail counts by enumerating every sign path.
+bound with every ratio's series summed, exact single-path steppers,
+single-time tail counts by enumerating every sign path, and the
+single-time floor from the whole binomial row.
 
 The library evaluates the bound through log-space boundaries and
 simulates paths in float64 blocks; the oracles here compute the same
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, takewhile
+from itertools import accumulate, islice, takewhile
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -24,7 +25,8 @@ from lilbound.engine import (_DIVERGENCE_RUN, DEFAULT_KMAX, DEFAULT_RATIOS,
                              SigmaProfile, _integer_boundaries, block_sum)
 from lilbound.errors import DomainError
 from lilbound.phi import PhiFunction, conjugate, conjugate_many
-from lilbound.verify import _sign_matrix
+from lilbound.models import _chaos_values, _check_chaos_range
+from lilbound.verify import _ratio_toward_zero, _sign_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +294,32 @@ def enumerated_single_time_tail(model, n0: int, thresholds):
     final = values[:, -1] / sig
     return [Fraction(int(np.count_nonzero(final > x)), 1 << n0)
             for x in thresholds]
+
+
+def binomial_single_time_tail(model, n0: int, thresholds) -> np.ndarray:
+    """verify.single_time_tail for sign chaos, walking the whole row.
+
+    One walk over k = 0..n0/2 carries C(n0, k) by its recurrence and
+    adds it to the bucket of how many thresholds its value (and the
+    value at n0 - k) passes; suffix sums of the buckets are the exact
+    tails, divided by 2^n0 and rounded toward zero.
+    """
+    xs = np.asarray(thresholds, dtype=float)
+    sig = float(model.sigma_exact(np.array([float(n0)]))[0])
+    d = model.sign_sum_degree
+    _check_chaos_range(d, n0, n0)
+    p1 = np.arange(-n0, n0 + 1, 2, dtype=np.int64)
+    svals = _chaos_values(d, p1, n0) / sig
+    ordered = np.sort(xs)
+    passes = np.searchsorted(ordered, svals, side="left").tolist()
+    buckets = [0] * (len(xs) + 1)
+    c = 1
+    for k in range(n0 // 2 + 1):
+        buckets[passes[k]] += c
+        if 2 * k < n0:
+            buckets[passes[n0 - k]] += c
+        c = c * (n0 - k) // (k + 1)
+    tails = list(accumulate(reversed(buckets[1:])))[::-1]
+    below = np.searchsorted(ordered, xs, side="left")
+    return np.array([_ratio_toward_zero(tails[i], 1 << n0)
+                     for i in below.tolist()])

@@ -468,6 +468,35 @@ def test_verify_csv_json_twins_agree(tmp_path, capsys):
         assert [row[i] for row in rows] == payload[key], key
 
 
+#: verify_mc's lower_bound column: the single-time floor at 16384
+MC_FLOOR = [0.0013151442193536074, 0.00028499878209612426,
+            5.156856173444078e-05, 8.346591339447997e-06,
+            1.054410752800457e-06, 1.2038856457136688e-07]
+
+
+@pytest.mark.parametrize("argv, c_hat, floor", [
+    # the benchmark's verify_exact arguments
+    (["--exact", "--norming", "vr:2", "--horizon", "20",
+      "--u-grid", "lin:1:2.5:8"], 2.20673406908459, None),
+    # the benchmark's verify_mc arguments at its reference seed
+    (["--norming", "vr:2", "--paths", "32768", "--horizon", "16384",
+      "--u-grid", "lin:2:4:8", "--seed", "20260816"], 2.035137468173687,
+     MC_FLOOR),
+    (["--paths", "32768"], 2.0169145547303304, None),
+])
+def test_verify_calibrates_to_the_pinned_constant(tmp_path, capsys, argv,
+                                                  c_hat, floor):
+    """c_hat bit for bit on three runs, and the floor column of one."""
+    code, _, _ = run_cli(capsys, ["verify", "--model", "chaos:d=1", *argv,
+                                  "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    calibration = json.loads((tmp_path / "calibration.json").read_text())
+    assert calibration["c_hat"].hex() == c_hat.hex()
+    if floor is not None:
+        sandwich = json.loads((tmp_path / "sandwich.json").read_text())
+        assert sandwich["lower_bound"] == floor
+
+
 def test_verify_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"horizon": 10, "u_grid": "lin:1:2:5",

@@ -22,13 +22,16 @@ from lilbound import (
     single_time_lower_bound,
     weighted_iid_model,
 )
-from lilbound import phi as phi_module
+from lilbound import engine, phi as phi_module
 from lilbound.cli import (model_from_id, norming_from_id, phi_from_id,
                           profile_from_id)
-from lilbound.engine import (_DIVERGENCE_RUN, DEFAULT_KMAX, DEFAULT_TOL,
-                             BoundReport, _block_arguments, _finish_sum,
-                             _scan_terms)
-from lilbound.phi import conjugate, conjugate_many, phi_from_table
+from lilbound.engine import (_DIVERGENCE_RUN, _PREFIX, DEFAULT_KMAX,
+                             DEFAULT_RATIOS, DEFAULT_TOL, BoundReport,
+                             _block_arguments, _certified_windows,
+                             _finish_sum, _scan_terms, _term_ratios,
+                             bound_at_least)
+from lilbound.phi import (conjugate, conjugate_many, phi_from_csv,
+                          phi_from_table)
 from oracles import (Partition, block_term, dp_partition_oracle,
                      geometric_partition, geometric_prefix_sum,
                      optimized_bound_oracle, scan_terms)
@@ -481,6 +484,130 @@ def test_optimized_bound_argument_validation():
         optimized_bound(V2, SQRT_SIGMA, phi2(), [2.0], ratio_grid=[1.5])
     with pytest.raises(DomainError):
         optimized_bound(V2, SQRT_SIGMA, phi2(), [2.0], ratio_grid=[])
+
+
+def test_prefix_holds_too_few_ratios_to_diverge():
+    """_prefix_lower_bounds runs no divergence test: a run needs
+    _DIVERGENCE_RUN ratios, and a prefix of _PREFIX terms has one fewer
+    than it has terms."""
+    assert _PREFIX - 1 < _DIVERGENCE_RUN
+
+
+def test_stacked_stop_test_equals_the_scan_row_by_row():
+    """One stop test over a 2-D array of prefixes finds, in each row, the
+    first stop and residual _scan_terms finds there, with zeros, NaN,
+    inf and tiny terms, at every prefix width up to _PREFIX."""
+    rng = np.random.default_rng(20261019)
+    specials = np.array([0.0, np.nan, np.inf, 1e-300])
+    for width in (1, 2, 3, 4, 5, 17, _PREFIX - 1, _PREFIX):
+        for tol in (DEFAULT_TOL, 1e-3, 0.5):
+            ratios = rng.choice([0.01, 0.3, 0.5, 0.9, 0.99, 1.0, 1.5],
+                                size=(200, width))
+            terms = np.cumprod(ratios, axis=1)
+            hits = rng.random(terms.shape) < \
+                rng.choice([0.0, 0.02, 0.2], size=(200, 1))
+            terms[hits] = rng.choice(specials, size=int(hits.sum()))
+            (rows, stops), tails = _certified_windows(
+                terms, _term_ratios(terms), tol)
+            first = {}
+            for r, k, t in zip(rows.tolist(), stops.tolist(),
+                               tails.tolist()):
+                first.setdefault(r, (k, t))
+            for r, row in enumerate(terms):
+                stop, residual, div = _scan_terms(row, tol)
+                assert div is None
+                want = None if stop is None else (stop, residual)
+                assert first.get(r) == want, (width, tol, row)
+            assert 0 < len(first) < len(terms) or width < 4
+
+
+def _decision_setups(tmp_path):
+    """(label, v, sigma, phi, ratio_grid, k_max, tol, levels) for the
+    decision test: analytic phi2 and chi2, a csv table at a small k_max,
+    series that stop inside the prefix, and every series divergent."""
+    table = tmp_path / "lam2.csv"
+    np.savetxt(table, np.column_stack([_LAMS, _LAMS * _LAMS / 2.0]),
+               delimiter=",")
+    sigma1 = chaos_model(1).sigma_profile()
+    chaos2 = chaos_model(2)
+    early = model_from_id("weightedA:beta=1,r=3")
+    levels = [0.5, 1.0, 1.7, 2.5, 4.0, 6.0, 9.0]
+    return [
+        ("phi2", V2, sigma1, phi2(), None, DEFAULT_KMAX, DEFAULT_TOL,
+         levels),
+        ("chi2", V2, chaos2.sigma_profile(), chaos2.phi, None, DEFAULT_KMAX,
+         DEFAULT_TOL, levels),
+        ("csv", V2, sigma1, phi_from_csv(str(table)), [2.0, 3.0, 5.0, 11.0],
+         40, DEFAULT_TOL, levels),
+        ("weightedA:beta=1,r=3", V2, early.sigma_profile(), early.phi,
+         None, DEFAULT_KMAX, DEFAULT_TOL, [2.0, 5.0, 8.0]),
+        # ratio 2 stops inside the prefix at x = 2, and its 64-term prefix
+        # sum is above ratio 2.5's full value
+        ("tol=0.3", iterated_log_norming(1.0), sigma1, phi2(), [2.0, 2.5],
+         65, 0.3, [1.5, 2.0, 3.0]),
+        ("const:1", constant_norming(1.0), SQRT_SIGMA, phi2(), None,
+         DEFAULT_KMAX, DEFAULT_TOL, [1.0, 3.0]),
+    ]
+
+
+def test_bound_at_least_is_the_bound_compared(tmp_path):
+    """bound_at_least(x, t) == (optimized_bound at x >= t) for every level
+    paired with every target: 0, each level's bound (a tie) and the floats
+    beside it, half and twice it, every ratio's own series value, +inf
+    and NaN, so each target meets levels on both sides of the one where
+    the bound crosses it."""
+    for label, v, sigma, phi, ratios, k_max, tol, levels in \
+            _decision_setups(tmp_path):
+        family = DEFAULT_RATIOS if ratios is None else ratios
+        bounds, targets = {}, {0.0, math.inf, math.nan}
+        for x in levels:
+            q = optimized_bound(v, sigma, phi, [x], ratio_grid=ratios,
+                                tol=tol, k_max=k_max).q_sums[0]
+            bounds[x] = q
+            targets |= {q, math.nextafter(q, 0.0),
+                        math.nextafter(q, math.inf), q / 2.0, q * 2.0}
+            targets |= {block_sum(r, v, sigma, phi, x, tol, k_max).value
+                        for r in family}
+        for x, q in bounds.items():
+            for t in targets:
+                got = bound_at_least(v, sigma, phi, x, t, ratio_grid=ratios,
+                                     tol=tol, k_max=k_max)
+                assert got is (q >= t), (label, x, t, q)
+        outcomes = {q >= t for q in bounds.values() for t in targets}
+        assert outcomes == {True, False}, label
+
+
+def test_bound_at_least_sums_a_series_only_to_decide(monkeypatch):
+    """A target at or below every prefix lower bound is decided without
+    any full series, and one above the bound by the first series summed
+    that falls short of it."""
+    sigma = chaos_model(1).sigma_profile()
+    calls = []
+    real = engine.block_sum
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(engine, "block_sum", counted)
+    assert bound_at_least(V2, sigma, phi2(), 3.0, 0.0)
+    assert calls == []
+    q = optimized_bound(V2, sigma, phi2(), [3.0]).q_sums[0]
+    calls.clear()
+    assert not bound_at_least(V2, sigma, phi2(), 3.0, q * 1.5)
+    assert len(calls) == 1
+
+
+def test_bound_at_least_argument_validation():
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            bound_at_least(V2, SQRT_SIGMA, phi2(), bad, 0.1)
+    with pytest.raises(DomainError):
+        bound_at_least(V2, SQRT_SIGMA, phi2(), 2.0, 0.1, ratio_grid=[1.5])
+    with pytest.raises(DomainError):
+        bound_at_least(V2, SQRT_SIGMA, phi2(), 2.0, 0.1, ratio_grid=[])
+    with pytest.raises(DomainError):
+        bound_at_least(V2, SQRT_SIGMA, phi2(), 2.0, 0.1, tol=1.0)
 
 
 def test_bound_report_serialization_contract():

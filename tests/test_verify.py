@@ -30,7 +30,8 @@ from lilbound import (
     weighted_iid_model,
 )
 from lilbound.verify import wilson_interval, worker_count
-from oracles import enumerated_single_time_tail
+from oracles import (binomial_single_time_tail,
+                     enumerated_single_time_tail)
 
 CHAOS1 = chaos_model(1)
 V1 = constant_norming(1.0)
@@ -141,6 +142,52 @@ def test_single_time_tail_is_the_enumerated_count(d):
         got = single_time_tail(model, n0, xs)
         assert [Fraction(g) for g in got] == \
             enumerated_single_time_tail(model, n0, xs), n0
+
+
+#: unsorted, repeated, negative, and 1e300 above every value
+FLOOR_LEVELS = [1.4, -1.0, 3.0, 0.3, 1.0, 1.4, 0.0, 2.0, 8.0, -3.0, 1e300]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_single_time_tail_is_the_whole_row_walk(d):
+    """The walk that stops once no rounded tail can change gives the
+    floats of the walk over the whole row, bit for bit."""
+    model = chaos_model(d)
+    for n0 in sorted({d, 17, 1000, 16384, 1 << 17}):
+        try:
+            want = binomial_single_time_tail(model, n0, FLOOR_LEVELS)
+        except DomainError:   # degree 4 passes int64 at 2^17
+            with pytest.raises(DomainError, match="passes int64"):
+                single_time_tail(model, n0, FLOOR_LEVELS)
+            continue
+        got = single_time_tail(model, n0, FLOOR_LEVELS)
+        assert [g.hex() for g in got.tolist()] == \
+            [w.hex() for w in want.tolist()], n0
+
+
+def test_single_time_tail_stop_is_certified_or_the_row_is_walked(
+        monkeypatch):
+    """At 16384 the walk stops within a few hundred steps of the middle;
+    with a stop test that never agrees it walks to k = 0 and still
+    gives the whole row's floats."""
+    seen = []
+    real = verify._tails_settled
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(verify, "_tails_settled", spy)
+    single_time_tail(CHAOS1, 16384, FLOOR_LEVELS)
+    assert seen[-1] and 64 * len(seen) < 2000
+    monkeypatch.setattr(verify, "_tails_settled", lambda *args: False)
+    for d in (1, 2, 3):
+        model = chaos_model(d)
+        for n0 in (17, 1000, 16384):
+            got = single_time_tail(model, n0, FLOOR_LEVELS)
+            want = binomial_single_time_tail(model, n0, FLOOR_LEVELS)
+            assert [g.hex() for g in got.tolist()] == \
+                [w.hex() for w in want.tolist()], (d, n0)
 
 
 def test_single_time_tail_caps_the_time():
@@ -510,30 +557,39 @@ def test_calibrate_constant_when_a_later_cell_binds(later_binding_case):
 
 def test_calibrate_constant_settles_later_cells_in_one_call(
         later_binding_case, monkeypatch):
-    """Each cell after the binding one costs one bound evaluation."""
+    """Each cell after the binding one costs one dominance decision, and
+    the whole grid one full bound evaluation at the end."""
     est, sigma, phi, per_cell = later_binding_case
-    calls = []
-    real = verify.optimized_bound
+    # a decision names its cell by the target, so the targets must differ
+    assert len(set(est.ci_high)) == len(est.ci_high)
+    decisions, bounds = [], []
+    real_decide, real_bound = verify.bound_at_least, verify.optimized_bound
 
-    def counted(v, sigma, phi, u_grid, **kw):
-        calls.append(tuple(u_grid))
-        return real(v, sigma, phi, u_grid, **kw)
+    def decide(v, sigma, phi, x, target, **kw):
+        decisions.append(target)
+        return real_decide(v, sigma, phi, x, target, **kw)
 
-    monkeypatch.setattr(verify, "optimized_bound", counted)
+    def bound(v, sigma, phi, u_grid, **kw):
+        bounds.append(tuple(u_grid))
+        return real_bound(v, sigma, phi, u_grid, **kw)
+
+    monkeypatch.setattr(verify, "bound_at_least", decide)
+    monkeypatch.setattr(verify, "optimized_bound", bound)
     calibrate_constant(est, V2, sigma, phi)
     binding = per_cell.index(min(per_cell))
-    per = [calls.count((u,)) for u in est.u_grid]
+    per = [decisions.count(target) for target in est.ci_high]
     assert per[0] == 12           # cap, floor and ten bisection steps
     assert per[binding + 1:] == [1] * (len(per) - binding - 1)
-    assert calls[-1] == est.u_grid and len(calls) == sum(per) + 1
+    assert len(decisions) == sum(per)
+    assert bounds == [est.u_grid]
 
 
 def test_calibrate_constant_sums_few_full_series(later_binding_case,
                                                  monkeypatch):
     """A work count, not a time.  On this case calibration made 660
     block_sum calls when optimized_bound summed every ratio's series in
-    full; it makes 156 once a 64-term prefix rules out the ratios that
-    cannot win."""
+    full, 156 once a 64-term prefix ruled out the ratios that cannot
+    win, and 26 once each step asks only whether the bound dominates."""
     est, sigma, phi, _ = later_binding_case
     calls = []
     real = engine.block_sum
@@ -544,7 +600,7 @@ def test_calibrate_constant_sums_few_full_series(later_binding_case,
 
     monkeypatch.setattr(engine, "block_sum", counted)
     calibrate_constant(est, V2, sigma, phi)
-    assert len(calls) < 660 // 2
+    assert len(calls) <= 26
 
 
 def test_calibrate_constant_error_when_floor_fails():
