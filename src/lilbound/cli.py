@@ -36,7 +36,7 @@ from .errors import (CalibrationError, DomainError, LilboundError,
 from .models import (MartingaleModel, chaos_model, power_law_surrogate,
                      weighted_iid_model)
 from .norms import Sample, estimate_norms
-from .phi import (PhiFunction, chi_square_phi, conjugate, cosh_phi,
+from .phi import (PhiFunction, chi_square_phi, conjugate_many, cosh_phi,
                   phi_from_csv, phi2, power_phi)
 from .rng import check_seed
 from .verify import (CENSOR_COUNT, SIGN_KERNEL_MAX_DEGREE, TailEstimate,
@@ -325,7 +325,7 @@ def cmd_conjugate(args: argparse.Namespace) -> int:
     grid = [_number(x, "conjugate point") for x in args.u.split(",") if x]
     if not grid:
         raise DomainError("empty u grid")
-    values = [conjugate(phi, u) for u in grid]
+    values = conjugate_many(phi, grid).tolist()
     if args.out_dir:
         payload = {"u": grid, "phi_star": values, "phi": phi.label}
         write_csv(_out(args.out_dir, "conjugate.csv"), ("u", "phi_star"),

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CenteringError, DomainError, UnreachableValueError
-from .phi import PhiFunction, load_csv, phi_inverse, psi
+from .errors import CenteringError, DomainError
+from .phi import PhiFunction, _inverse_many, _unreachable, load_csv
 
 LAMBDA_GRID_SIZE = 200
 LAMBDA_GRID_START = 1e-3
@@ -185,21 +185,20 @@ def bphi_norm(sample: Sample, phi: PhiFunction) -> tuple:
     scaled = centered / scale
     lam_max = _lambda_cutoff(scaled)
     grid = np.geomspace(LAMBDA_GRID_START, lam_max, LAMBDA_GRID_SIZE)
-    tau = 0.0
-    for lam in grid:
-        p = max(_log_mgf(scaled, lam), _log_mgf(scaled, -lam), 0.0)
-        if p == 0.0:
-            continue
-        try:
-            root = phi_inverse(phi, p)
-        except UnreachableValueError as exc:
-            warnings.warn(
-                f"{sample.label}: log MGF at lambda={lam:g} exceeds the "
-                f"range of {phi.label} ({exc}); norm reported as +inf",
-                RuntimeWarning, stacklevel=2)
-            return math.inf, float(lam)
-        tau = max(tau, root / lam)
-    return tau * scale, lam_max
+    p = np.array([max(_log_mgf(scaled, lam), _log_mgf(scaled, -lam), 0.0)
+                  for lam in grid])
+    grid, p = grid[p > 0.0], p[p > 0.0]
+    if not len(p):
+        return 0.0, lam_max
+    roots, reached = _inverse_many(phi, p)
+    if not reached.all():
+        i = int(np.argmin(reached))  # the first level beyond sup phi
+        warnings.warn(
+            f"{sample.label}: log MGF at lambda={grid[i]:g} exceeds the "
+            f"range of {phi.label} ({_unreachable(phi, p[i])}); norm "
+            f"reported as +inf", RuntimeWarning, stacklevel=2)
+        return math.inf, float(grid[i])
+    return float((roots / grid).max()) * scale, lam_max
 
 
 def gpsi_norm(sample: Sample, phi: PhiFunction) -> tuple:
@@ -213,11 +212,12 @@ def gpsi_norm(sample: Sample, phi: PhiFunction) -> tuple:
     grid = np.arange(2.0, p_max + 1e-9, 0.5)
     if len(grid) == 0:
         grid = np.array([2.0])
-    best = 0.0
-    for p in grid:
-        moment = float(np.mean(v ** p)) ** (1.0 / p)
-        best = max(best, moment / psi(phi, float(p)))
-    return best, float(grid[-1])
+    roots, reached = _inverse_many(phi, grid)
+    if not reached.all():  # the first p beyond sup phi
+        raise _unreachable(phi, grid[np.argmin(reached)])
+    moments = np.array([float(np.mean(v ** p)) ** (1.0 / p) for p in grid])
+    # psi(p) = p / phi_inverse(p)
+    return max(0.0, float((moments / (grid / roots)).max())), float(grid[-1])
 
 
 def gnorm_tail_bound(g_norm: float, u: float, c3: float) -> float:

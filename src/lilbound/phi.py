@@ -12,17 +12,14 @@ conjugate transform
 together with its inverse-function companions.  Built-in families carry
 closed-form conjugates; everything else is solved numerically by bisection
 on the (strictly increasing) derivative, and phi_inverse by bisection on
-phi itself.  Both follow one rule: the bracket's right end doubles until
-it reaches the target or a finite domain edge.  An edge never reached
-ends the search: the conjugate's supremum is then the edge value, and
-phi_inverse's target lies beyond sup phi.
-
-The solver comes in two forms that take the same steps.  The scalar one
-(:func:`conjugate`) is plain Python, cheapest for a single point.  The
-array one (:func:`conjugate_many`) solves each distinct point once, in
-lockstep: bracket doublings are shared, and each bisection step evaluates
-phi once on all points in play, each stopping under the scalar rule.
-For table generators the two give bit-identical values.
+phi itself.  Both follow one rule, :func:`_bisect`, which solves a whole
+array of targets in lockstep: the bracket's right end doubles until it
+reaches the target or a finite domain edge, each end taken once for all
+targets, and each halving evaluates phi once on all targets in play.  An
+edge never reached ends the search: the conjugate's supremum is then the
+edge value, and phi_inverse's target lies beyond sup phi.  The scalar
+:func:`conjugate` and :func:`phi_inverse` are the array forms at one
+point, so a caller with many points hands them over at once.
 
 Numerical contract: the numeric conjugate targets 1e-10 absolute accuracy
 with a hard iteration cap of 200; exceeding the cap above tolerance raises
@@ -51,9 +48,9 @@ _EDGE = 1.0 - 1e-12  # open-endpoint clamp factor
 class PhiFunction:
     """An even convex generator with its (optional) closed-form companions.
 
-    evaluate accepts scalars.  A generator without analytic_conjugate
-    must also evaluate numpy arrays elementwise, since the array solver
-    behind vectorized block sums calls it on whole arrays; the analytic
+    evaluate accepts scalars.  A generator without analytic_conjugate or
+    analytic_inverse must also evaluate numpy arrays elementwise, since
+    the numeric transforms evaluate it on whole arrays; the analytic
     companions, when present, must accept numpy arrays too.
     """
     label: str
@@ -148,12 +145,19 @@ _SQRT2 = math.sqrt(2.0)
 # 17 terms leave a remainder under 10^-17 of the sum
 _CHI2_SERIES_BELOW = 0.1
 _CHI2_SERIES = tuple((-1) ** k * 2.0 / (k + 2) for k in range(17))
+# below w = 1, w + expm1(-w) loses digits the same way; there it is
+# w^2 sum_k (-w)^k / (k+2)!, whose first 17 terms leave under 10^-17
+_CHI2_INVERSE_SERIES = tuple((-1) ** k / math.factorial(k + 2)
+                             for k in range(17))
+# from p = 32 on, lambda = (1 - e^(-w))/sqrt2 with w > 2p rounds to the
+# domain edge
+_CHI2_INVERSE_TOP = 32.0
 
 
-def _chi2_series(s):
-    """sum_k (-s)^k 2/(k+2) over the first 17 k, by Horner."""
-    total = np.full_like(s, _CHI2_SERIES[-1])
-    for c in _CHI2_SERIES[-2::-1]:
+def _horner(coeffs, s):
+    """sum_k coeffs[k] s^k, by Horner."""
+    total = np.full_like(s, coeffs[-1])
+    for c in coeffs[-2::-1]:
         total *= s
         total += c
     return total
@@ -165,7 +169,8 @@ def chi_square_phi() -> PhiFunction:
     This is the cumulant function of (Z^2 - 1)/sqrt2 for standard normal Z,
     the normalized limit of degree-2 sign chaos.  Domain edge
     lambda0 = 1/sqrt2; the conjugate grows like u/sqrt2 - log(u)/2, i.e.
-    linearly with a slowly varying correction.
+    linearly with a slowly varying correction.  phi is unbounded toward
+    the edge, so every p >= 0 has an inverse, solved by Newton's method.
     """
 
     def ev(lam):
@@ -185,7 +190,7 @@ def chi_square_phi() -> PhiFunction:
             if np.min(s, initial=np.inf) < _CHI2_SERIES_BELOW:
                 small = s < _CHI2_SERIES_BELOW
                 value[small] = (0.5 * u[small] ** 2
-                                * _chi2_series(s[small]))
+                                * _horner(_CHI2_SERIES, s[small]))
             if np.max(s, initial=0.0) == np.inf:
                 # u past 2^1024/sqrt2: the limit form, and inf at inf
                 huge = np.isinf(s)
@@ -194,8 +199,28 @@ def chi_square_phi() -> PhiFunction:
                 value[huge] = np.where(big == np.inf, np.inf, limit)
         return value
 
+    def inv(p):
+        # with t = sqrt2 lam and w = -log1p(-t), phi = p reads
+        # g(w) = w + expm1(-w) = 2p; g is convex and increasing with
+        # g'(w) = t, so Newton's steps fall onto the root from above
+        # after the first, from a start near it at both ends (w ~ 2 sqrt p
+        # + 2p/3 for small p, w ~ 2p + 1 for large)
+        target = 2.0 * np.minimum(np.asarray(p, dtype=float),
+                                  _CHI2_INVERSE_TOP)
+        w = np.minimum(np.sqrt(2.0 * target) + target / 3.0, target + 1.0)
+        for _ in range(32):
+            t = -np.expm1(-w)
+            g = np.where(w < 1.0, w * w * _horner(_CHI2_INVERSE_SERIES, w),
+                         w - t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(t > 0.0, (g - target) / t, 0.0)
+            w = w - step
+            if np.all(np.abs(step) <= 4e-16 * w):
+                break
+        return -np.expm1(-w) / _SQRT2
+
     return PhiFunction(label="chi2", evaluate=ev, lambda0=1.0 / _SQRT2,
-                       analytic_conjugate=conj)
+                       analytic_conjugate=conj, analytic_inverse=inv)
 
 
 def _pchip_end(h0, h1, m0, m1):
@@ -310,85 +335,66 @@ def _domain_cap(phi: PhiFunction) -> float:
     return phi.lambda0 * _EDGE if math.isfinite(phi.lambda0) else math.inf
 
 
-def _dphi(phi: PhiFunction, lam: float, cap: float) -> float:
-    """Two-sided difference quotient, one-sided against the domain edge."""
-    h = 1e-6 * max(1.0, abs(lam))
-    hi = lam + h
-    if hi > cap:
-        hi = cap
-    lo = lam - h
-    if lo < 0.0:
-        lo = 0.0
-    if hi <= lo:
-        return math.inf
-    try:
-        num = phi.evaluate(hi) - phi.evaluate(lo)
-    except OverflowError:
-        return math.inf
-    if math.isnan(num):
-        return math.inf
-    return num / (hi - lo)
+def _bisect(f: Callable[[np.ndarray], np.ndarray], targets: np.ndarray,
+            cap: float, rtol: float, max_iter: int, failure: str):
+    """Bracket, then bisect, where the nondecreasing f first reaches each
+    of a 1-d array of targets on [0, cap], all in lockstep; returns the
+    arrays (lo, hi, reached).
 
-
-def _bisect(f: Callable[[float], float], target: float, cap: float,
-            rtol: float, max_iter: int, failure: str):
-    """Bracket, then bisect, where the nondecreasing f first reaches target
-    on [0, cap]; returns (lo, hi, reached).
-
-    The right end doubles from min(1, cap) until f reaches target there;
-    at a finite edge f never reaches, (lo, cap, False) returns with no
-    halving.  Halving stops once hi - lo <= rtol * max(1, hi); 601
-    doublings short of target and edge raise NonconvergenceError(failure).
+    f maps a 1-d array of points to its values.  A target's right end
+    doubles from min(1, cap) until f reaches the target there; the ends
+    min(2^j, cap) are the same for every target, so f is taken once at
+    each, up to the first that reaches the largest target.  A target f
+    never reaches before a finite edge gets the bracket [cap, cap], not
+    reached, with no halving; 601 doublings short of the largest target
+    and of the edge raise NonconvergenceError, the message failure
+    followed by "=" and that target.  The halving then takes f once per
+    step on all targets still in play, and a target leaves once
+    hi - lo <= rtol * max(1, hi).
     """
-    lo, hi = 0.0, min(1.0, cap)
-    for _ in range(602):
-        if f(hi) >= target:
-            break
-        if hi >= cap:
-            return lo, hi, False
-        lo, hi = hi, min(hi * 2.0, cap)
-    else:
-        raise NonconvergenceError(failure)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= rtol * max(1.0, hi):
-            break
-    return lo, hi, True
+    ends = [min(1.0, cap)]
+    top = targets.max()
+    with np.errstate(all="ignore"):  # f may overflow
+        values = [f(np.array(ends))[0]]
+        while (not values[-1] >= top and ends[-1] < cap
+               and len(values) <= 601):
+            ends.append(min(ends[-1] * 2.0, cap))
+            values.append(f(np.array(ends[-1:]))[0])
+        if not values[-1] >= top and ends[-1] < cap:
+            raise NonconvergenceError(f"{failure}={top:g}")
+        # the first end that reaches each target; past every end, the
+        # bracket [cap, cap]
+        first = np.full(len(targets), len(values))
+        for j in reversed(range(len(values))):
+            first[values[j] >= targets] = j
+        reached = first < len(values)
+        ends = np.array([0.0] + ends + [cap])
+        lo, hi = ends[first], ends[first + 1]
+
+        # the targets still in play, packed: their indices, brackets and
+        # values; a target's bracket goes back to lo, hi when it leaves
+        live = np.flatnonzero(reached)
+        l, h, t = lo[live], hi[live], targets[live]
+        for _ in range(max_iter):
+            if not len(live):
+                break
+            mid = 0.5 * (l + h)
+            up = f(mid) >= t
+            h = np.where(up, mid, h)
+            l = np.where(up, l, mid)
+            stay = h - l > rtol * np.maximum(1.0, h)
+            if not stay.all():
+                lo[live], hi[live] = l, h
+                live, l, h, t = live[stay], l[stay], h[stay], t[stay]
+    lo[live], hi[live] = l, h
+    return lo, hi, reached
 
 
-def _conjugate_numeric(phi: PhiFunction, u: float,
-                       tol: float, max_iter: int):
-    """Solve sup(lambda*u - phi(lambda)); returns (value, residual)."""
-    cap = _domain_cap(phi)
-
-    def objective(lam):
-        return lam * u - phi.evaluate(lam)
-
-    # dphi is 0 at the origin and increases
-    lo, hi, reached = _bisect(
-        lambda lam: _dphi(phi, lam, cap), u, cap, 1e-13, max_iter,
-        f"conjugate bracketing failed for {phi.label} at u={u:g}")
-    if not reached:  # the objective rises up to the domain edge
-        return max(objective(cap), 0.0), 0.0
-    lam = 0.5 * (lo + hi)
-    f_lo, f_mid, f_hi = objective(lo), objective(lam), objective(hi)
-    value = max(f_lo, f_mid, f_hi, 0.0)
-    residual = value - min(f_lo, f_mid, f_hi)
-    if not math.isfinite(value) or residual > max(tol, 1e-12 * value):
-        raise NonconvergenceError(
-            f"conjugate of {phi.label} at u={u:g} stalled "
-            f"(residual {residual:.3e})", residual=residual)
-    return value, residual
-
-
-def _dphi_many(phi: PhiFunction, lam: np.ndarray, cap: float) -> np.ndarray:
-    """:func:`_dphi` at every point of a 1-d array with 0 <= lam <= cap,
-    where hi > lo always.  The caller ignores floating-point errors
-    (np.errstate), since phi may overflow."""
+def _slopes(phi: PhiFunction, lam: np.ndarray, cap: float) -> np.ndarray:
+    """Difference quotients of phi at every point of a 1-d array with
+    0 <= lam <= cap: two-sided, one-sided against the origin and the
+    domain edge, +inf where phi overflows.  The caller ignores
+    floating-point errors (np.errstate)."""
     h = 1e-6 * np.maximum(1.0, lam)
     hi = np.minimum(lam + h, cap)
     lo = np.maximum(lam - h, 0.0)
@@ -399,14 +405,15 @@ def _dphi_many(phi: PhiFunction, lam: np.ndarray, cap: float) -> np.ndarray:
 
 def _conjugate_numeric_many(phi: PhiFunction, u: np.ndarray,
                             tol: float, max_iter: int):
-    """:func:`_conjugate_numeric` on a 1-d array of u >= 0, in lockstep.
+    """Solve sup(lambda*u - phi(lambda)) at every point of a 1-d array of
+    u >= 0 in one lockstep solve; returns (values, residuals).
 
-    Returns (values, residuals).  u = 0 gives exactly 0.  Every point
-    takes the scalar solver's steps: the bracket doublings from
-    min(1, cap) are the same for all points, so they are evaluated once;
-    a point past every slope takes the edge value, with residual 0, inf
-    past float range.  The bisection then runs on the other points
-    together, each leaving when it meets the scalar stop rule.
+    u = 0 gives exactly 0.  The maximizer is bisected on the slopes,
+    which are 0 at the origin and increase; a point past every slope
+    takes the edge value, with residual 0, inf past float range.
+    Elsewhere the value is the best of the objective at the bracket's
+    ends and middle, and the residual its spread there; a residual above
+    max(tol, 1e-12 * value) raises NonconvergenceError for the worst.
     """
     cap = _domain_cap(phi)
     values = np.zeros(len(u))
@@ -415,52 +422,16 @@ def _conjugate_numeric_many(phi: PhiFunction, u: np.ndarray,
     if not len(todo):
         return values, residuals
     ut = u[todo]
-
-    # bracket: the scalar loop tries right ends min(2^j, cap) for
-    # j = 0..601 and takes the one before as left end; the ends do not
-    # depend on u, so each slope is taken once, for all points
-    edges = [0.0, min(1.0, cap)]
-    u_max = ut.max()
+    lo, hi, reached = _bisect(
+        lambda lam: _slopes(phi, lam, cap), ut, cap, 1e-13, max_iter,
+        f"conjugate bracketing failed for {phi.label} at u")
     with np.errstate(all="ignore"):
-        slopes = [_dphi_many(phi, np.array(edges[1:]), cap)[0]]
-        while (not slopes[-1] >= u_max and edges[-1] < cap
-               and len(slopes) <= 601):
-            edges.append(min(edges[-1] * 2.0, cap))
-            slopes.append(_dphi_many(phi, np.array(edges[-1:]), cap)[0])
-    if not slopes[-1] >= u_max and edges[-1] < cap:
-        raise NonconvergenceError(
-            f"conjugate bracketing failed for {phi.label} at u={u_max:g}")
-    # a point past every slope gets the bracket [cap, cap]
-    first = np.full(len(ut), len(slopes))
-    for j in reversed(range(len(slopes))):
-        first[slopes[j] >= ut] = j
-    edge = first == len(slopes)
-    edges = np.array(edges + [cap])
-    lo, hi = edges[first], edges[first + 1]
-
-    # the points still in play, packed: their indices, brackets and
-    # targets; a point's bracket goes back to lo, hi when it leaves
-    live = np.flatnonzero(~edge)
-    l, h, ul = lo[live], hi[live], ut[live]
-    with np.errstate(all="ignore"):
-        for _ in range(max_iter):
-            if not len(live):
-                break
-            mid = 0.5 * (l + h)
-            up = _dphi_many(phi, mid, cap) >= ul
-            h = np.where(up, mid, h)
-            l = np.where(up, l, mid)
-            stay = h - l > 1e-13 * np.maximum(1.0, h)
-            if not stay.all():
-                lo[live], hi[live] = l, h
-                live, l, h, ul = live[stay], l[stay], h[stay], ul[stay]
-        lo[live], hi[live] = l, h
         lam = np.concatenate([lo, 0.5 * (lo + hi), hi])
         f = (lam * np.tile(ut, 3) - phi.evaluate(lam)).reshape(3, -1)
         value = np.maximum(f.max(axis=0), 0.0)
-        residual = np.where(edge, 0.0, value - f.min(axis=0))
-    bad = ~edge & (~np.isfinite(value)
-                   | (residual > np.maximum(tol, 1e-12 * value)))
+        residual = np.where(reached, value - f.min(axis=0), 0.0)
+    bad = reached & (~np.isfinite(value)
+                     | (residual > np.maximum(tol, 1e-12 * value)))
     if bad.any():
         worst = np.where(bad, np.nan_to_num(residual, nan=math.inf), -1.0)
         i = int(np.argmax(worst))
@@ -473,31 +444,26 @@ def _conjugate_numeric_many(phi: PhiFunction, u: np.ndarray,
 
 
 def conjugate(phi: PhiFunction, u: float) -> float:
-    """Young-Fenchel conjugate of phi at u >= 0.
-
-    Uses the closed form when the family has one, otherwise bisection on
-    the difference-quotient derivative (the edge value where it never
-    reaches u).  u = 0 returns exactly 0 since phi >= 0 with phi(0) = 0.
-    """
+    """Young-Fenchel conjugate of phi at u >= 0: :func:`conjugate_many`
+    of the one point.  u = 0 returns exactly 0 since phi >= 0 with
+    phi(0) = 0."""
     if u < 0:
         raise DomainError(f"conjugate argument must be >= 0, got {u}")
-    if phi.analytic_conjugate is not None:
-        return float(phi.analytic_conjugate(u))
-    if u == 0.0:
-        return 0.0
-    value, _ = _conjugate_numeric(phi, u, CONJUGATE_TOL, MAX_ITER)
-    return value
+    return float(conjugate_many(phi, np.array([u], dtype=float))[0])
 
 
 def conjugate_many(phi: PhiFunction, u: np.ndarray) -> np.ndarray:
     """Vectorized conjugate: the closed form when available, else one
-    lockstep solve per distinct u (same values as :func:`conjugate`)."""
+    lockstep solve over the distinct u, bisecting on the
+    difference-quotient derivative (the edge value where it never
+    reaches u)."""
     u = np.asarray(u, dtype=float)
     # one reduction, which skips NaN as u < 0 does, at half the cost of
     # np.any(u < 0) on the closed-form path
-    lowest = np.fmin.reduce(u.ravel(), initial=0.0)
-    if lowest < 0:
-        raise DomainError(f"conjugate argument must be >= 0, got {lowest}")
+    flat = u.ravel()
+    if np.fmin.reduce(flat, initial=0.0) < 0:
+        raise DomainError(f"conjugate argument must be >= 0, "
+                          f"got {flat[np.argmax(flat < 0)]}")
     if phi.analytic_conjugate is not None:
         return np.asarray(phi.analytic_conjugate(u), dtype=float)
     # the sorted distinct levels by hand: np.unique imports numpy.ma on
@@ -508,7 +474,7 @@ def conjugate_many(phi: PhiFunction, u: np.ndarray) -> np.ndarray:
     np.not_equal(levels[1:], levels[:-1], out=keep[1:])
     levels = levels[keep]
     values, _ = _conjugate_numeric_many(phi, levels, CONJUGATE_TOL, MAX_ITER)
-    return values[np.searchsorted(levels, u.ravel())].reshape(u.shape)
+    return values[np.searchsorted(levels, flat)].reshape(u.shape)
 
 
 def conjugate_function(phi: PhiFunction) -> PhiFunction:
@@ -517,14 +483,13 @@ def conjugate_function(phi: PhiFunction) -> PhiFunction:
     The result evaluates numerically even when phi has a closed-form
     conjugate available internally, and deliberately carries no analytic
     companions, so conjugating it exercises the numeric solver.  Like
-    every generator without a closed-form conjugate, it evaluates numpy
+    every generator without closed-form companions, it evaluates numpy
     arrays elementwise.
     """
 
     def ev(u):
-        if np.ndim(u) > 0:
-            return conjugate_many(phi, np.abs(u))
-        return conjugate(phi, abs(u))
+        # [()] makes a 0-d result a scalar and leaves an array as it is
+        return conjugate_many(phi, np.abs(u))[()]
 
     return PhiFunction(label=f"conj({phi.label})", evaluate=ev)
 
@@ -532,6 +497,26 @@ def conjugate_function(phi: PhiFunction) -> PhiFunction:
 # ---------------------------------------------------------------------------
 # inverse-function companions
 # ---------------------------------------------------------------------------
+
+def _inverse_many(phi: PhiFunction, p: np.ndarray):
+    """phi_inverse at every point of a 1-d array of p > 0, by the closed
+    form or one lockstep solve; returns (roots, reached), where reached
+    is False at a p beyond sup phi (see :func:`_unreachable`)."""
+    if phi.analytic_inverse is not None:
+        return (np.asarray(phi.analytic_inverse(p), dtype=float),
+                np.ones(len(p), dtype=bool))
+    lo, hi, reached = _bisect(
+        phi.evaluate, p, _domain_cap(phi), 1e-14, MAX_ITER,
+        f"phi_inverse bracketing failed for {phi.label} at p")
+    return 0.5 * (lo + hi), reached
+
+
+def _unreachable(phi: PhiFunction, p: float) -> UnreachableValueError:
+    """The error for a p beyond sup phi over the open domain."""
+    return UnreachableValueError(
+        f"{phi.label}: p = {p:g} exceeds sup phi = "
+        f"{phi.evaluate(_domain_cap(phi)):g} on the open domain")
+
 
 def phi_inverse(phi: PhiFunction, p: float) -> float:
     """Inverse of phi on its positive branch: the lambda with phi(lambda) = p.
@@ -543,17 +528,10 @@ def phi_inverse(phi: PhiFunction, p: float) -> float:
         raise DomainError(f"phi_inverse needs p >= 0, got {p}")
     if p == 0.0:
         return 0.0
-    if phi.analytic_inverse is not None:
-        return float(phi.analytic_inverse(p))
-    cap = _domain_cap(phi)
-    lo, hi, reached = _bisect(
-        phi.evaluate, p, cap, 1e-14, MAX_ITER,
-        f"phi_inverse bracketing failed for {phi.label} at p={p:g}")
-    if not reached:
-        raise UnreachableValueError(
-            f"{phi.label}: p = {p:g} exceeds sup phi = "
-            f"{phi.evaluate(cap):g} on the open domain")
-    return 0.5 * (lo + hi)
+    roots, reached = _inverse_many(phi, np.array([p], dtype=float))
+    if not reached[0]:
+        raise _unreachable(phi, p)
+    return float(roots[0])
 
 
 def psi(phi: PhiFunction, p: float) -> float:

@@ -1,8 +1,9 @@
-"""Exact test oracles: partitions materialized block by block, the
-exhaustive partition optimum, the whole-array series scan, the optimized
-bound with every ratio's series summed, exact single-path steppers,
-single-time tail counts by enumerating every sign path, and the
-single-time floor from the whole binomial row.
+"""Exact test oracles: the numeric conjugate and inverse one point at a
+time, partitions materialized block by block, the exhaustive partition
+optimum, the whole-array series scan, the optimized bound with every
+ratio's series summed, exact single-path steppers, single-time tail
+counts by enumerating every sign path, and the single-time floor from
+the whole binomial row.
 
 The library evaluates the bound through log-space boundaries and
 simulates paths in float64 blocks; the oracles here compute the same
@@ -23,10 +24,106 @@ import numpy as np
 from lilbound.engine import (_DIVERGENCE_RUN, DEFAULT_KMAX, DEFAULT_RATIOS,
                              DEFAULT_TOL, BoundReport, NormingSequence,
                              SigmaProfile, _integer_boundaries, block_sum)
-from lilbound.errors import DomainError
-from lilbound.phi import PhiFunction, conjugate, conjugate_many
+from lilbound.errors import (DomainError, NonconvergenceError,
+                             UnreachableValueError)
+from lilbound.phi import (CONJUGATE_TOL, MAX_ITER, PhiFunction, _domain_cap,
+                          conjugate, conjugate_many)
 from lilbound.models import _chaos_values, _check_chaos_range
 from lilbound.verify import _ratio_toward_zero, _sign_matrix
+
+
+# ---------------------------------------------------------------------------
+# the numeric conjugate and inverse, one point at a time
+# ---------------------------------------------------------------------------
+
+def _scalar_slope(phi: PhiFunction, lam: float, cap: float) -> float:
+    """Two-sided difference quotient, one-sided against the domain edge."""
+    h = 1e-6 * max(1.0, abs(lam))
+    hi = min(lam + h, cap)
+    lo = max(lam - h, 0.0)
+    if hi <= lo:
+        return math.inf
+    try:
+        num = phi.evaluate(hi) - phi.evaluate(lo)
+    except OverflowError:
+        return math.inf
+    if math.isnan(num):
+        return math.inf
+    return num / (hi - lo)
+
+
+def _scalar_bisect(f: Callable[[float], float], target: float, cap: float,
+                   rtol: float, max_iter: int, failure: str):
+    """Bracket, then bisect, where the nondecreasing f first reaches target
+    on [0, cap]; returns (lo, hi, reached).
+
+    The right end doubles from min(1, cap) until f reaches target there;
+    at a finite edge f never reaches, (lo, cap, False) returns with no
+    halving.  Halving stops once hi - lo <= rtol * max(1, hi); 601
+    doublings short of target and edge raise NonconvergenceError(failure).
+    """
+    lo, hi = 0.0, min(1.0, cap)
+    for _ in range(602):
+        if f(hi) >= target:
+            break
+        if hi >= cap:
+            return lo, hi, False
+        lo, hi = hi, min(hi * 2.0, cap)
+    else:
+        raise NonconvergenceError(failure)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if f(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= rtol * max(1.0, hi):
+            break
+    return lo, hi, True
+
+
+def scalar_conjugate(phi: PhiFunction, u: float, tol: float = CONJUGATE_TOL,
+                     max_iter: int = MAX_ITER):
+    """sup(lambda*u - phi(lambda)) by bisection on the difference
+    quotient in plain Python floats, the closed forms ignored; returns
+    (value, residual), with (0, 0) at u = 0 and the edge value where the
+    slope never reaches u."""
+    if u == 0.0:
+        return 0.0, 0.0
+    cap = _domain_cap(phi)
+
+    def objective(lam):
+        return lam * u - phi.evaluate(lam)
+
+    lo, hi, reached = _scalar_bisect(
+        lambda lam: _scalar_slope(phi, lam, cap), u, cap, 1e-13, max_iter,
+        f"conjugate bracketing failed for {phi.label} at u={u:g}")
+    if not reached:  # the objective rises up to the domain edge
+        return max(objective(cap), 0.0), 0.0
+    lam = 0.5 * (lo + hi)
+    f_lo, f_mid, f_hi = objective(lo), objective(lam), objective(hi)
+    value = max(f_lo, f_mid, f_hi, 0.0)
+    residual = value - min(f_lo, f_mid, f_hi)
+    if not math.isfinite(value) or residual > max(tol, 1e-12 * value):
+        raise NonconvergenceError(
+            f"conjugate of {phi.label} at u={u:g} stalled "
+            f"(residual {residual:.3e})", residual=residual)
+    return value, residual
+
+
+def scalar_phi_inverse(phi: PhiFunction, p: float) -> float:
+    """The lambda with phi(lambda) = p > 0 by bisection on phi in plain
+    Python floats, the closed form ignored; an UnreachableValueError past
+    sup phi."""
+    cap = _domain_cap(phi)
+    lo, hi, reached = _scalar_bisect(
+        phi.evaluate, p, cap, 1e-14, MAX_ITER,
+        f"phi_inverse bracketing failed for {phi.label} at p={p:g}")
+    if not reached:
+        raise UnreachableValueError(
+            f"{phi.label}: p = {p:g} exceeds sup phi = "
+            f"{phi.evaluate(cap):g} on the open domain")
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

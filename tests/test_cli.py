@@ -322,6 +322,27 @@ def test_bound_on_tabulated_generator(tmp_path, capsys):
     assert numeric["bound"] == pytest.approx(analytic["bound"], rel=1e-5)
 
 
+def test_conjugate_command_solves_a_table_grid_once(tmp_path, capsys,
+                                                  bisections):
+    """200 points of a table's conjugate in one lockstep solve, equal to
+    the points solved one at a time by the scalar oracle."""
+    from lilbound.phi import phi_from_csv
+    from oracles import scalar_conjugate
+    table = tmp_path / "phi.csv"
+    lams = np.arange(801) / 20.0
+    np.savetxt(table, np.column_stack([lams, lams * lams / 2.0]),
+               delimiter=",", fmt="%.17g")
+    grid = np.linspace(0.0, 50.0, 200)
+    code, out, _ = run_cli(capsys, ["conjugate", "--phi", f"csv:{table}",
+                                    "--u", ",".join(map(repr, grid.tolist())),
+                                    "--json"])
+    assert code == EXIT_OK
+    assert bisections == [199]  # u = 0 is exactly 0, with no solve
+    phi = phi_from_csv(str(table))
+    assert json.loads(out)["phi_star"] == [
+        scalar_conjugate(phi, float(u))[0] for u in grid]
+
+
 def test_bad_grid_spec_exits_2(capsys):
     code, _, err = run_cli(capsys, ["bound", "--u-grid", "log:1:8"])
     assert code == EXIT_DOMAIN

@@ -493,6 +493,28 @@ def test_prefix_holds_too_few_ratios_to_diverge():
     assert _PREFIX - 1 < _DIVERGENCE_RUN
 
 
+@pytest.mark.parametrize("profile", ["chaos:d=1", "chaos:d=2", "chaos:d=3",
+                                     "weightedA:beta=1", "powerlaw:gamma=0.5",
+                                     "powerlaw:gamma=1,m=log"])
+def test_block_arguments_heads_do_not_depend_on_k_max(profile):
+    """A _PREFIX-term call of _block_arguments gives, bit for bit, the
+    first _PREFIX entries of each ratio's k_max-term arguments (the first
+    k_max when k_max is shorter), so the ratio family's heads could come
+    from it."""
+    sigma = (profile_from_id(profile) if profile.startswith("powerlaw")
+             else model_from_id(profile).sigma_profile())
+    for v, ratios, k_max in ((V2, None, DEFAULT_KMAX),
+                             (iterated_log_norming(1.0), [2.0, 3.5, 32.0],
+                              1000),
+                             (V2, [2.0, 7.0], 5)):
+        got, heads = engine._ratio_family(v, sigma, ratios, DEFAULT_TOL,
+                                          k_max)
+        short = np.stack([_block_arguments(v, sigma, r, min(_PREFIX, k_max))
+                          for r in got])
+        assert short.shape == heads.shape
+        assert short.tobytes() == heads.tobytes()
+
+
 def test_stacked_stop_test_equals_the_scan_row_by_row():
     """One stop test over a 2-D array of prefixes finds, in each row, the
     first stop and residual _scan_terms finds there, with zeros, NaN,

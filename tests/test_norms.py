@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from lilbound import DomainError, Sample, cosh_phi, estimate_norms, phi2
+from lilbound import (DomainError, Sample, chi_square_phi, cosh_phi,
+                      estimate_norms, phi2)
 from lilbound.errors import CenteringError
 from lilbound.norms import (NormEstimate, _logsumexp, bphi_norm,
                             gnorm_tail_bound, gpsi_norm, tail_function)
@@ -77,6 +78,27 @@ def test_bounded_table_generator_yields_infinite_norm():
     with pytest.warns(RuntimeWarning):
         b, _ = bphi_norm(sign_sample(), small)
     assert b == math.inf
+
+
+def test_chi_square_norm_of_signs_is_finite():
+    # the sign sample's log-MGF log cosh(lambda) passes 13.4, the sup of
+    # chi2 at the clamped domain edge the bisection searched up to; chi2
+    # is unbounded, and chi2 >= lambda^2/2 makes its norm the smaller
+    b_chi2, lam_max = bphi_norm(sign_sample(), chi_square_phi())
+    b_phi2, _ = bphi_norm(sign_sample(), phi2())
+    assert 0.0 < b_chi2 <= b_phi2
+    assert lam_max > 14.0
+
+
+@pytest.mark.parametrize("estimator", [bphi_norm, gpsi_norm])
+def test_norm_estimators_solve_their_grid_once(estimator, bisections):
+    lams = np.arange(801) / 20.0
+    table = phi_from_table(lams, lams * lams / 2.0)
+    sample = Sample(np.random.default_rng(5).standard_normal(5000))
+    value, _ = estimator(sample, table)
+    assert len(bisections) == 1 and bisections[0] > 1
+    # the interpolated table is least like lambda^2/2 next to 0
+    assert value == pytest.approx(estimator(sample, phi2())[0], rel=0.02)
 
 
 def test_tail_function_takes_the_larger_side():

@@ -22,9 +22,10 @@ from lilbound import (
 )
 from lilbound import phi as phi_module
 from lilbound.errors import UnreachableValueError
-from lilbound.phi import (CONJUGATE_TOL, _conjugate_numeric,
-                          _conjugate_numeric_many, conjugate_many,
-                          phi_from_table, phi_inverse, psi, validate_phi)
+from lilbound.phi import (CONJUGATE_TOL, _conjugate_numeric_many,
+                          conjugate_many, phi_from_table, phi_inverse, psi,
+                          validate_phi)
+from oracles import scalar_conjugate, scalar_phi_inverse
 
 
 def numeric_only(phi):
@@ -150,7 +151,7 @@ def test_power_family_rejects_degenerate_exponent():
 
 
 # ---------------------------------------------------------------------------
-# the array solver against the scalar one
+# the lockstep solver against the scalar oracle
 # ---------------------------------------------------------------------------
 
 def quadratic_table():
@@ -168,23 +169,19 @@ def test_conjugate_many_bit_identical_to_scalar_on_table():
     us = np.concatenate([[0.0], np.linspace(0.01, 39.9, 97),
                          [39.99, 40.0, 40.01, 45.0, 1e3, 1e6, 1e308],
                          [3.0, 0.5, 3.0, 1e6, 0.0, 45.0, 0.5, 3.0]])
-    expected = [conjugate(table, float(u)) for u in us]
+    expected = [scalar_conjugate(table, float(u))[0] for u in us]
     np.testing.assert_array_equal(conjugate_many(table, us), expected)
     assert conjugate_many(table, us)[0] == 0.0
 
 
-def test_points_past_the_last_slope_join_the_lockstep_solve(monkeypatch):
-    # they take the edge value inside the array solve: no point goes
-    # through the scalar solver on its own
+def test_points_past_the_last_slope_join_the_lockstep_solve(bisections):
+    # they take the edge value inside the one array solve: no point is
+    # solved on its own
     table = quadratic_table()
     us = np.array([10.0, 40.0, 45.0, 1e3])
-    expected = [conjugate(table, float(u)) for u in us]
-
-    def no_scalar_solve(*args):
-        raise AssertionError("the array solver fell back to the scalar one")
-
-    monkeypatch.setattr(phi_module, "_conjugate_numeric", no_scalar_solve)
+    expected = [scalar_conjugate(table, float(u))[0] for u in us]
     np.testing.assert_array_equal(conjugate_many(table, us), expected)
+    assert bisections == [4]
 
 
 def test_conjugate_at_the_domain_edge_never_exceeds_the_exact_value():
@@ -195,7 +192,7 @@ def test_conjugate_at_the_domain_edge_never_exceeds_the_exact_value():
     for value, u in zip(conjugate_many(table, us), us):
         exact = 40 * Fraction(float(u)) - 800
         assert Fraction(float(value)) <= exact
-        assert Fraction(conjugate(table, float(u))) <= exact
+        assert Fraction(scalar_conjugate(table, float(u))[0]) <= exact
         assert value == pytest.approx(float(exact), rel=1e-10)
 
 
@@ -208,7 +205,7 @@ def test_small_range_table_takes_the_edge_value_far_past_its_slope():
     us = np.array([0.01, 0.05, 1.0, 1e4])
     values = conjugate_many(table, us)
     np.testing.assert_array_equal(
-        values, [conjugate(table, float(u)) for u in us])
+        values, [scalar_conjugate(table, float(u))[0] for u in us])
     for value, u in zip(values[1:], us[1:]):
         exact = (Fraction(lams[-1]) * Fraction(float(u))
                  - Fraction(lams[-1] * lams[-1] / 2.0))
@@ -221,6 +218,8 @@ def test_unbounded_slope_search_without_an_edge_fails_cleanly():
     from lilbound.phi import PhiFunction
     linear = PhiFunction(label="linear", evaluate=np.abs)
     with pytest.raises(NonconvergenceError, match="bracketing"):
+        scalar_conjugate(linear, 2.0)
+    with pytest.raises(NonconvergenceError, match="bracketing"):
         conjugate(linear, 2.0)
     with pytest.raises(NonconvergenceError, match="bracketing"):
         conjugate_many(linear, np.array([0.5, 2.0]))
@@ -232,7 +231,7 @@ def test_conjugate_many_matches_scalar_on_power_family(q):
     # the two solvers agree to rounding here, not bit for bit
     phi = numeric_only(power_phi(q))
     us = np.linspace(0.0, 20.0, 256)
-    expected = [conjugate(phi, float(u)) for u in us]
+    expected = [scalar_conjugate(phi, float(u))[0] for u in us]
     np.testing.assert_allclose(conjugate_many(phi, us), expected,
                                rtol=1e-12, atol=0.0)
 
@@ -267,7 +266,7 @@ def test_conjugate_many_keeps_shape_and_rejects_negative():
 def test_array_solver_stall_reports_scalar_residual():
     phi = numeric_only(phi2())
     with pytest.raises(NonconvergenceError) as scalar:
-        _conjugate_numeric(phi, 2.5, CONJUGATE_TOL, 2)
+        scalar_conjugate(phi, 2.5, CONJUGATE_TOL, 2)
     with pytest.raises(NonconvergenceError) as lockstep:
         _conjugate_numeric_many(phi, np.array([2.5]), CONJUGATE_TOL, 2)
     assert lockstep.value.residual == scalar.value.residual
@@ -277,11 +276,54 @@ def test_array_solver_stall_reports_scalar_residual():
     worst = 0.0
     for u in us:
         with pytest.raises(NonconvergenceError) as one:
-            _conjugate_numeric(phi, u, CONJUGATE_TOL, 2)
+            scalar_conjugate(phi, u, CONJUGATE_TOL, 2)
         worst = max(worst, one.value.residual)
     with pytest.raises(NonconvergenceError) as many:
         _conjugate_numeric_many(phi, np.array(us), CONJUGATE_TOL, 2)
     assert many.value.residual == worst
+
+
+# at 7 (q = 3) and 15.017337646208873 (phi2) the closed form's power
+# rounds differently as a scalar ** and as numpy's array power
+ONE_POINT_LEVELS = [0.0, 1e-8, 1e-3, 0.5, 1.0, 2.5, 7.0, 15.017337646208873,
+                    39.99, 40.0, 40.01, 45.0, 1e3, 1e6, 1e300]
+
+
+@pytest.mark.parametrize("make", [phi2, cosh_phi, chi_square_phi,
+                                  lambda: power_phi(1.5),
+                                  lambda: power_phi(3.0), quadratic_table,
+                                  lambda: numeric_only(chi_square_phi())],
+                         ids=["phi2", "cosh", "chi2", "power1.5", "power3",
+                              "table", "chi2-numeric"])
+def test_conjugate_is_conjugate_many_of_one_point(make):
+    phi = make()
+    for u in ONE_POINT_LEVELS:
+        assert conjugate(phi, u) == conjugate_many(phi, [u])[0], u
+
+
+def test_table_inverse_bit_identical_to_scalar_oracle(bisections):
+    # every p in one lockstep solve, each on the oracle's steps
+    table = quadratic_table()
+    ps = np.concatenate([np.geomspace(1e-12, 799.0, 97), [4.5, 1.0, 800.0]])
+    roots, reached = phi_module._inverse_many(table, ps)
+    assert bisections == [len(ps)]
+    assert reached.tolist() == [True] * 99 + [False]
+    np.testing.assert_array_equal(
+        roots[:-1], [scalar_phi_inverse(table, float(p)) for p in ps[:-1]])
+    for p in ps[:-1]:
+        assert phi_inverse(table, float(p)) == scalar_phi_inverse(table,
+                                                                   float(p))
+    with pytest.raises(UnreachableValueError) as lockstep:
+        phi_inverse(table, 800.0)
+    with pytest.raises(UnreachableValueError) as scalar:
+        scalar_phi_inverse(table, 800.0)
+    assert str(lockstep.value) == str(scalar.value)
+
+
+def test_numeric_inverse_matches_scalar_oracle():
+    for phi in (numeric_only(chi_square_phi()), numeric_only(cosh_phi())):
+        for p in (1e-9, 0.25, 1.0, 4.0, 13.0):
+            assert phi_inverse(phi, p) == scalar_phi_inverse(phi, p)
 
 
 def test_table_generator_evaluates_arrays_elementwise():
@@ -391,6 +433,44 @@ def test_psi_at_two_for_quadratic_generator():
     assert psi(phi2(), 2.0) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(DomainError):
         psi(phi2(), 1.5)
+
+
+CHI2_INVERSE_LEVELS = [1e-300, 1e-30, 1e-12, 1e-6, 0.01, 0.1, 0.24, 0.5,
+                       1.0, 2.0, 5.0, 13.3155, 13.4, 17.0, 25.0, 31.9,
+                       32.0, 40.0, 1e3, 1e300]
+
+
+def test_chi_square_inverse_matches_50_digits():
+    # with t = sqrt2 lam, phi(lam) = p reads -t - log1p(-t) = 2p; in
+    # w = -log1p(-t) that is w - 1 + exp(-w) = 2p, which Newton's method
+    # solves from w = 2 sqrt(p); the left side cancels to about 2p, so
+    # the working precision is 50 digits past p's decimal exponent
+    mpmath = pytest.importorskip("mpmath")
+    phi = chi_square_phi()
+    roots = phi.analytic_inverse(np.array(CHI2_INVERSE_LEVELS))
+    for p, root in zip(CHI2_INVERSE_LEVELS, roots):
+        with mpmath.workdps(50 + max(0, -math.floor(math.log10(p)))):
+            target = 2 * mpmath.mpf(p)
+            w = 2 * mpmath.sqrt(mpmath.mpf(p))
+            for _ in range(100):
+                w -= (w - 1 + mpmath.exp(-w) - target) / -mpmath.expm1(-w)
+            exact = -mpmath.expm1(-w) / mpmath.sqrt(2)
+            assert abs(mpmath.mpf(float(root)) - exact) <= 4e-16 * exact, p
+        assert phi_inverse(phi, p) == root
+    assert phi.analytic_inverse(np.array([0.0]))[0] == 0.0
+    assert phi_inverse(phi, 0.0) == 0.0
+
+
+def test_chi_square_inverse_reaches_every_level():
+    # phi is unbounded toward the edge 1/sqrt2: no level is beyond it,
+    # and the inverse stays in the closed domain.  13.4 was past the sup
+    # of phi at the clamped edge the bisection searched up to.  Near the
+    # edge phi' is ~1e12, so one rounding of lambda moves phi by 1e-4.
+    phi = chi_square_phi()
+    for p in (13.4, 100.0, 1e300, math.inf):
+        assert phi_inverse(phi, p) <= phi.lambda0
+    for p, rel in ((0.5, 1e-15), (5.0, 1e-12), (13.4, 1e-4)):
+        assert phi.evaluate(phi_inverse(phi, p)) == pytest.approx(p, rel=rel)
 
 
 def test_table_generator_conjugate_and_unreachable_inverse():
