@@ -39,9 +39,8 @@ from .norms import Sample, estimate_norms
 from .phi import (PhiFunction, chi_square_phi, conjugate_many, cosh_phi,
                   phi_from_csv, phi2, power_phi)
 from .rng import check_seed
-from .verify import (CENSOR_COUNT, SIGN_KERNEL_MAX_DEGREE, TailEstimate,
-                     calibrate_constant, empirical_sup_tail, exact_sup_tail,
-                     single_time_tail)
+from .verify import (CENSOR_COUNT, TailEstimate, calibrate_constant,
+                     empirical_sup_tail, exact_sup_tail, single_time_tail)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -501,8 +500,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_models(args: argparse.Namespace) -> int:
-    print(f"models:   chaos:d=D          degree-D sign chaos (pruned sign "
-          f"kernel for D<={SIGN_KERNEL_MAX_DEGREE})")
+    print("models:   chaos:d=D          degree-D sign chaos")
     print("          weightedA:beta=B   geometrically weighted signs, "
           "noise scale B")
     print("          weightedA:beta=B,r=R  same weights, symmetric noise "

@@ -24,10 +24,12 @@ and are rounded once, at the final division.
 Weighted models work in float64 throughout, in a fixed order.
 
 verify dispatches on sign_sum_degree alone: a model with one (sign
-chaos) is counted on the lattice of sign sums, and for degrees 1 to 3
-simulated from the words of the sign stream, bounded by popcounts and
-evaluated only where a bound can move a path's extremum; every other
-simulation goes through noise_block and prefix_values.
+chaos) is counted on the lattice of sign sums, and simulated from the
+words of the sign stream, bounded by popcounts and evaluated only where
+a bound can move a path's extremum; the weighted models' simulations go
+through noise_block and prefix_values.  _chaos_numerators is the one
+encoding of the recurrence: the values, the kernel's bounds and its
+zone table all take it.
 """
 from __future__ import annotations
 
@@ -92,36 +94,74 @@ class MartingaleModel:
 # degree-d sign chaos
 # ---------------------------------------------------------------------------
 
-def _chaos_values(d: int, p1: np.ndarray, n,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
-    """S_d(n) from int64 sign sums P1(n), for sign noise and any d.
+def _chaos_numerators(d: int, p1: np.ndarray, n, work=None,
+                      passes=None) -> np.ndarray:
+    """N_d = d! S_d at the int64 sign sums p1 and times n (an int or an
+    array that broadcasts to p1's shape), int64.
 
     For +-1 signs N_j = j! e_j satisfies N_(j+1) = P1 N_j - j (n - j +
-    1) N_(j-1), N_0 = 1, N_1 = P1.  int64 arithmetic wraps exactly mod
-    2^64, so N_d is exact where _check_chaos_range passes, whatever
-    wraps on the way; the one rounding is the final division by d!.
+    1) N_(j-1), N_0 = 1, N_1 = P1, at real (P1, n) too.  int64
+    arithmetic wraps exactly mod 2^64, so N_d is exact where |N_d| <
+    2^63 (_check_chaos_range), whatever wraps on the way.  N_1 is p1
+    itself; the rest take turns in min(d - 1, 3) int64 buffers, the
+    arrays of work (each at least p1's size) if given, else fresh ones.
+    passes, a bool array of N_d's shape if given, is and-ed with N_j >= 0
+    for every j < d.
     """
-    prev, num = 1, p1
-    if d > 1:  # N_2 = P1^2 - n, in place: one temporary fewer
-        prev, num = p1, p1 * p1
-        num -= n
+    if d == 1:
+        return p1
+    if passes is not None:
+        passes &= p1 >= 0
+
+    def buffer(i):
+        return None if work is None else work[i][:p1.size].reshape(p1.shape)
+
+    prev, num = p1, np.multiply(p1, p1, out=buffer(0))
+    num -= n
     for j in range(2, d):
-        step = prev * (n - (j - 1))
+        if passes is not None:
+            passes &= num >= 0
+        step = np.multiply(prev, n, out=buffer(1))  # j (n - j + 1) N_(j-1)
+        if j > 2:  # N_(j-1) is not needed past this step; at j = 2 it
+            prev *= j - 1  # is p1, and j - 1 = 1
+        step -= prev
         step *= j
-        prev, num = num, p1 * num
-        num -= step
-    return np.divide(num, float(math.factorial(d)), out=out)
+        if j == d - 1:  # the last step, in place
+            num *= p1
+            num -= step
+        else:
+            new = np.multiply(p1, num, out=buffer(2) if j == 2 else prev)
+            new -= step
+            prev, num = num, new
+    return num
 
 
-def _check_chaos_range(d: int, p: int, n: int) -> None:
-    """DomainError unless int64 holds _chaos_values' numerator N_d at
-    every |P1| <= p and time n' <= n.  Two bounds on |N_d|: the
+def _chaos_values(d: int, p1: np.ndarray, n,
+                  out: Optional[np.ndarray] = None, work=None) -> np.ndarray:
+    """S_d(n) from int64 sign sums P1(n), for sign noise and any d: N_d
+    from _chaos_numerators (with its work buffers), rounded once, by
+    the division by d!."""
+    return np.divide(_chaos_numerators(d, p1, n, work),
+                     float(math.factorial(d)), out=out)
+
+
+def _chaos_fits(d: int, p: int, n: int, walks: bool = True) -> bool:
+    """Whether int64 holds _chaos_values' numerator N_d at every integer
+    |P1| <= p and time n' in [1, n].  Two bounds on |N_d|: the
     recurrence in absolute values, |n' - j + 1| <= max(n - j + 1, j - 1)
-    holding on the degenerate prefix n' < d too, and d! C(n, d)."""
+    holding on the degenerate prefix n' < d too, and, where walks is
+    true and only the sign sums of walks count, d! C(n, d)."""
     prev, bound = 1, p
     for j in range(1, d):
         prev, bound = bound, p * bound + j * max(n - j + 1, j - 1) * prev
-    if min(bound, math.perm(n, d)) >= 2 ** 63:
+    if walks:
+        bound = min(bound, math.perm(n, d))
+    return bound < 2 ** 63
+
+
+def _check_chaos_range(d: int, p: int, n: int) -> None:
+    """DomainError unless _chaos_fits(d, p, n)."""
+    if not _chaos_fits(d, p, n):
         raise DomainError(f"degree-{d} chaos passes int64 at |P1| <= {p}, "
                           f"n <= {n}; lower the degree or the horizon")
 

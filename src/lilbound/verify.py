@@ -11,17 +11,20 @@ paths with the counter-based generator so results are bit-identical for a
 fixed seed no matter how many workers run.  It only counts maxima past
 levels u >= min(grid), so it asks for maxima raised to that level, which
 the sign-chaos kernel gets while evaluating few steps exactly.  Models
-dispatch on sign_sum_degree alone.  Sign chaos of degree 1 to 3 is
+dispatch on sign_sum_degree alone.  Sign chaos of every degree is
 simulated from the words of the sign stream, in tiles of paths x words:
 popcounts give the sign sum at every word boundary, a walk from b to e
 over L steps stays in [(b + e - L)/2, (b + e + L)/2], and that one rule
-bounds it over each byte, word and group of 16 words.  Only the bytes
-that can move a path's running max or min are evaluated, step by step,
-with the arithmetic of prefix_values.  exact_sup_tail counts the 2^N
-sign paths of sign chaos of any degree by a dynamic program over the
-sign-sum lattice; every other run goes through prefix_values, on a
-reused value tile or by enumeration.  Exact tails are rationals, for
-small horizons.
+bounds it over each byte, word and group of 16 words.  One rule bounds
+the numerator N_d = d! S_d over such a box for every d: past a zone
+about P1 = 0 it is monotone in the sign sum and in time, so corners
+bound it, and inside the zone a table of its exact extremes, built once
+per call, does.  Only the bytes that can move a path's running max or
+min are evaluated, step by step, with the arithmetic of prefix_values.
+exact_sup_tail counts the 2^N sign paths of sign chaos of any degree by
+a dynamic program over the sign-sum lattice; the weighted models go
+through prefix_values, on a reused value tile or by enumeration.  Exact
+tails are rationals, for small horizons.
 single_time_tail gives the single-time floor: exact integer binomial
 sums up to time FLOOR_MAX_TIME, rounded toward zero, so verify imports
 no scipy; the sum stops once the rest of the row cannot change a
@@ -38,6 +41,7 @@ steps skips it (np.fmax, np.fmin).
 """
 from __future__ import annotations
 
+import bisect
 import math
 import mmap
 import os
@@ -54,8 +58,8 @@ import numpy as np
 from .engine import (DEFAULT_TOL, NormingSequence, bound_at_least,
                      optimized_bound)
 from .errors import CalibrationError, DomainError
-from .models import (MartingaleModel, _chaos_values, _check_chaos_range,
-                     chaos_model)
+from .models import (MartingaleModel, _chaos_fits, _chaos_numerators,
+                     _chaos_values, _check_chaos_range, chaos_model)
 from .rng import stream_words
 
 # 99% two-sided normal quantile, frozen so intervals never drift with scipy
@@ -74,8 +78,6 @@ STEP_BLOCK = 1024
 TILE_WORDS = 128
 GROUP_WORDS = 16
 CENSOR_COUNT = 10
-#: the chaos degrees whose numerator bounds the pruned sign kernel holds
-SIGN_KERNEL_MAX_DEGREE = 3
 ENUM_MAX_HORIZON = 20
 ENUM_BLOCK = 1 << 16  # sign paths per enumerated block
 # the exact single-time floor stops its walk of n0-bit bigints a few
@@ -282,18 +284,16 @@ def _chunk_maxima(model: MartingaleModel, denom: np.ndarray, seed: int,
 
     A test "> u" with u >= u_min cannot tell these from the true maxima,
     and they let the sign-chaos kernel skip every byte of steps that
-    cannot move them.  Sign chaos of degree 1 to 3, whose numerator
-    bounds the kernel holds, goes to that kernel.  Other models run a
-    chunk of paths at a time through prefix_values, into one float64
-    tile of (paths x STEP_BLOCK) values reused for every step block,
-    where the divide, max and min run in place; their float64 sums
-    depend on the order of addition, so they keep the cumsum.  The
-    absolute max comes from the signed max and min.
+    cannot move them.  Sign chaos of every degree goes to that kernel.
+    The weighted models run a chunk of paths at a time through
+    prefix_values, into one float64 tile of (paths x STEP_BLOCK) values
+    reused for every step block, where the divide, max and min run in
+    place; their float64 sums depend on the order of addition, so they
+    keep the cumsum.  The absolute max comes from the signed max and min.
     """
-    d = model.sign_sum_degree
-    if 1 <= d <= SIGN_KERNEL_MAX_DEGREE:
-        best, worst = _sign_chaos_extrema(d, denom, seed, path_lo, path_hi,
-                                          u_min)
+    if model.sign_sum_degree:
+        best, worst = _sign_chaos_extrema(model.sign_sum_degree, denom, seed,
+                                          path_lo, path_hi, u_min)
         return best, np.maximum(best, -worst)
     horizon = denom.size
     best = np.full(path_hi - path_lo, u_min, dtype=float)
@@ -315,53 +315,120 @@ def _chunk_maxima(model: MartingaleModel, denom: np.ndarray, seed: int,
     return best, np.maximum(best, -worst)
 
 
-def _numerator_bounds(d: int, top: np.ndarray, n0: np.ndarray, width,
-                      times=None) -> Tuple[np.ndarray, np.ndarray]:
-    """Upper and lower bounds on the integer numerator N of S_d = N / (1,
-    2, 6)[d-1] over a box: sign sums P1 in [top - width, top], times n
-    in [n0, n0 + times - 1], times being width unless given.  int64 in,
-    int64 out; width and times may be arrays.
+# values _zone_table evaluates at a time, at most, so that its
+# temporaries stay at a few hundred KiB whatever the horizon
+ZONE_VALUES = 1 << 16
+# bounds on N_d that say nothing: the kernel's int64 checks keep every
+# value it evaluates exactly below 2^63 in size
+_ANY = 2 ** 63 - 1
 
-    N_1 = P1.  N_2 = P1^2 - n: the largest |P1| of the range at n0
-    above, the smallest (0 if the range holds 0) at the last time
-    below.  N_3 = P1 (P1^2 - 3n + 2) is linear in n, so its max over
-    the times is taken at n0 for P1 >= 0 and at the last time (3 (times
-    - 1) |P1| more) for P1 < 0; over P1 it is taken at an end of the
-    range or at the local max -sqrt(n - 2/3), worth 2 (n - 2/3)^(3/2) <=
-    2 r^3 with r = isqrt(last time) + 1.  N_3 is odd in P1, so its min
-    over the box is minus its max over [-top, width - top].
+
+def _zone_table(d: int, horizon: int
+                ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The zone of degree-d chaos per byte of steps, as three int64 (8 x
+    words) arrays indexed like the kernel's byte tables, or None where
+    it is empty.
+
+    At a time n >= d - 1 the P1 >= 0 where some N_j, j < d, is negative
+    form an interval [0, z(n)), by interlacing, and z is nondecreasing.
+    Byte 8w + q, whose last time is t = 64w + 8q + 8, holds z(t) and the
+    max and min of N_d over the integers P1 in [0, z(n)] at the times n
+    in [d, t]: -_ANY and _ANY, which move no bound, where t < d.  For
+    odd d the min is taken with the negated max, so that the mirror
+    (-z, 0] reads off the same pair.
+
+    N_(d-1) is the characteristic polynomial of the tridiagonal matrix
+    with zero diagonal and off-diagonal sqrt(i (n - i + 1)) <= sqrt((d -
+    2) n), i < d - 1, so by Gershgorin's theorem and interlacing every
+    root of N_1 .. N_(d-1) lies below reach(n) = 2 sqrt((d - 2) n).  The
+    times come in blocks of rows, each enumerated at every integer P1 in
+    [0, z] for the z of its last time, found at the integers up to that
+    reach.  Past the horizon, and from the first block that int64 does
+    not hold at that reach on, z is 2^62 and the extremes are _ANY and
+    -_ANY: every box that ends there meets the zone, and passes its
+    test.  N_2(0, n) = -n < 0, so the zone is empty just for d <= 2.
+    """
+    if d <= 2:
+        return None
+
+    def reach(n):
+        return math.isqrt(4 * (d - 2) * n) + 1
+
+    n_words = -(-horizon // 64)
+    z = np.full(8 * n_words, 2 ** 62)
+    high, low = np.full(z.size, _ANY), np.full(z.size, -_ANY)
+    z[:d // 8], high[:d // 8], low[:d // 8] = 0, -_ANY, _ANY
+    running = (-_ANY, _ANY)
+    rows = max(1, ZONE_VALUES // reach(max(d, horizon)))
+    for start in range(d, horizon + 1, rows):
+        n = np.arange(start, min(start + rows, horizon + 1))
+        if not _chaos_fits(d, reach(n[-1]), int(n[-1]), walks=False):
+            break
+        passes = np.ones(reach(n[-1]) + 1, dtype=bool)  # z at the last row
+        _chaos_numerators(d, np.arange(passes.size), n[-1], passes=passes)
+        width = int(np.argmax(passes)) + 1
+        p1 = np.broadcast_to(np.arange(width), (n.size, width))
+        passes = np.ones(p1.shape, dtype=bool)
+        values = _chaos_numerators(d, p1, n[:, None], passes=passes)
+        zn = np.argmax(passes, axis=1)
+        # the extremes from time d on; past z(n), P1 = 0's value
+        np.copyto(values, values[:, :1], where=p1 > zn[:, None])
+        top = np.maximum.accumulate(np.maximum(values.max(1), running[0]))
+        bottom = np.minimum.accumulate(np.minimum(values.min(1), running[1]))
+        running = (top[-1], bottom[-1])
+        at = n % 8 == 0  # the last times of bytes
+        k = n[at] // 8 - 1
+        z[k], high[k], low[k] = zn[at], top[at], bottom[at]
+    if d % 2:
+        np.minimum(low, -high, out=low)
+    return tuple(t.reshape(n_words, 8).T.copy() for t in (z, high, low))
+
+
+def _numerator_bounds(d: int, top: np.ndarray, n0, width, times=None,
+                      zone=None) -> Tuple[np.ndarray, np.ndarray]:
+    """Upper and lower bounds on the integer numerator N_d = d! S_d over
+    a box: sign sums P1 in [top - width, top] and times in [n0, last],
+    last = n0 + times - 1, times being width unless given; int64 in and
+    out, and width and times may be arrays.  zone is _zone_table's (z,
+    high, low) at the box's last time, or None where the zone is empty.
+
+    Corner rule: where N_1 .. N_(d-1) are all >= 0 at the corner of a
+    part of the box with P1 >= 0 (its least P1, time last), they are >=
+    0 over the part, and by de_j/dP1 = e_(j-1) + e_(j-3)/3 + ... and
+    de_j/dn = -(e_(j-2)/2 + e_(j-4)/4 + ...), by induction on j, N_d
+    rises in P1 and falls in n there.  N_d(-P1) = (-1)^d N_d(P1) mirrors
+    the part below 0.  So for even d the bounds are N_d at (max |P1|,
+    n0) and (min |P1|, last); for odd d, N_d at top and at bottom, each
+    at the time that pushes it outward: n0 for P1 >= 0, last below.
+    The test fails just where a part reaches into [0, z(last)) or its
+    mirror, and such a box takes in the zone's extremes: they bound N_d
+    at P1 < z(n), and from z(n) on it rises from N_d(z(n), n).
     """
     bottom = top - width
-    if d == 1:
+    if d == 1:  # N_1 = P1 at every time
         return top, bottom
     last = n0 + ((width if times is None else times) - 1)
-    if d == 2:
-        high = np.maximum(np.abs(top), np.abs(bottom))
-        high *= high
-        high -= n0
-        low = np.maximum(bottom, -top)
-        np.maximum(low, 0, out=low)
-        low *= low
-        low -= last
-        return high, low
-    root_lo = np.sqrt(n0).astype(np.int64) - 1
-    root_hi = np.sqrt(last).astype(np.int64) + 1
-    local_max = 2 * root_hi ** 3
-    slope = 3 * (last - n0)
-
-    def cubic_max(lo, hi):
-        out = None
-        for p in (lo, hi):
-            value = p * p
-            value -= 3 * n0 - 2
-            value *= p
-            value -= slope * np.minimum(p, 0)
-            out = value if out is None else np.maximum(out, value, out=out)
-        inside = (lo <= -root_lo) & (hi >= -root_hi)
-        np.maximum(out, local_max, out=out, where=inside)
-        return out
-
-    return cubic_max(bottom, top), -cubic_max(-top, -bottom)
+    if d % 2:
+        span = last - n0
+        upper = _chaos_numerators(d, top, (top < 0) * span + n0)
+        lower = _chaos_numerators(d, bottom, (bottom >= 0) * span + n0)
+        if zone is None:
+            return upper, lower
+        z, high, low = zone
+        met = np.maximum(bottom, -top) < z
+        outer = (np.where(bottom > 0, high, -low),
+                 np.where(top < 0, -high, low))
+    else:
+        far = np.maximum(top, -bottom)
+        near = np.maximum(np.maximum(bottom, -top), 0)
+        upper = _chaos_numerators(d, far, n0)
+        lower = _chaos_numerators(d, near, last)
+        if zone is None:
+            return upper, lower
+        z, *outer = zone
+        met = near < z
+    return (np.maximum(upper, np.where(met, outer[0], -_ANY), out=upper),
+            np.minimum(lower, np.where(met, outer[1], _ANY), out=lower))
 
 
 def _may_move(d: int, upper: np.ndarray, lower: np.ndarray, lo: np.ndarray,
@@ -370,7 +437,7 @@ def _may_move(d: int, upper: np.ndarray, lower: np.ndarray, lo: np.ndarray,
     """Where a run of steps with numerator bounds [lower, upper] and
     denominators in [lo, hi] may raise best or lower worst.
 
-    A step's value is fl(fl(N) / scale) / denom, the operations of
+    A step's value is fl(fl(N) / d!) / denom, the operations of
     prefix_values, and correctly rounded arithmetic is monotone: the
     value is nondecreasing in N, and in denom it falls for N >= 0 and
     rises for N < 0.  So the same operations on upper, over lo or hi
@@ -379,7 +446,7 @@ def _may_move(d: int, upper: np.ndarray, lower: np.ndarray, lo: np.ndarray,
     denominators asks the same.  A value equal to best or worst moves
     neither.
     """
-    scale = (1.0, 2.0, 6.0)[d - 1]
+    scale = float(math.factorial(d))
     top = np.divide(upper, scale)
     alive = np.divide(top, lo) > best
     alive |= np.divide(top, hi) > best
@@ -398,14 +465,44 @@ _GAINS = np.cumsum(2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
 _GAINS_FLOAT = _GAINS.astype(float)
 _PLANES = np.arange(8, dtype=np.int64)[:, None]
 # words, and bytes, taken at a time by the word and the byte stage, so
-# that their temporaries stay at 64 KiB; the byte stage's two (8 x
-# bytes) planes, reused from slice to slice, take 512 KiB each
+# that their temporaries stay at 64 KiB
 SLICE = 8192
+# values that _byte_extrema's two (8 x bytes) planes and the
+# recurrence's min(d - 1, 3) buffers hold between them (1.5 MiB, and at
+# most 8 SLICE, 512 KiB, each), reused from call to call; the values at
+# word ends fill them as many rows of a tile at a time as fit, all of
+# them at d <= 2
+PLANE_VALUES = 24 * SLICE
+
+
+def _walk_limits(d: int, horizon: int) -> np.ndarray:
+    """Per step of the horizon, the largest |P1| at which _chaos_fits
+    holds at the end of the step's block of STEP_BLOCK steps: the check
+    prefix_values makes of a block, so every walk it takes passes."""
+    ends = np.minimum(np.arange(1, -(-horizon // STEP_BLOCK) + 1) * STEP_BLOCK,
+                      horizon)
+    limits = [bisect.bisect_left(range(end + 1), True, key=lambda p: not
+                                 _chaos_fits(d, p, int(end))) - 1
+              for end in ends]
+    return np.repeat(limits, STEP_BLOCK)[:horizon]
+
+
+def _check_walks(d: int, p1: np.ndarray, n, limits: np.ndarray) -> None:
+    """DomainError, as prefix_values raises it, where a walk's sign sum
+    p1 at a time n inside the horizon passes _walk_limits' limits."""
+    n = np.broadcast_to(n, p1.shape)
+    over = np.abs(p1) > limits[np.minimum(n, limits.size) - 1]
+    over &= n <= limits.size
+    if over.any():
+        i = np.argmax(over)
+        _check_chaos_range(d, int(abs(p1.flat[i])), min(
+            -(-int(n.flat[i]) // STEP_BLOCK) * STEP_BLOCK, limits.size))
 
 
 def _byte_extrema(d: int, byte: np.ndarray, before: np.ndarray,
                   k: np.ndarray, per_plane: np.ndarray, ints: np.ndarray,
-                  floats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                  floats: np.ndarray, *work: np.ndarray, limits=None
+                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Max and min of the statistic over the steps of bytes k of the sign
     stream, given their bits and P1 before each; per_plane[j, k] is
     denom at step 8k + j, NaN before n_min and past the horizon.
@@ -414,7 +511,9 @@ def _byte_extrema(d: int, byte: np.ndarray, before: np.ndarray,
     step 8k+j is before + _GAINS[j, byte], the recurrence runs on it in
     int64, and the quotient by denom is taken once, as in prefix_values.
     The planes are written into the int64 and float64 buffers ints and
-    floats, reused from call to call.
+    floats, and the recurrence into the int64 buffers work, all reused
+    from call to call.  Given limits, the sign sums are checked against
+    them first (_check_walks).
     """
     size = 8 * byte.size
     value = floats[:size].reshape(8, -1)
@@ -426,7 +525,9 @@ def _byte_extrema(d: int, byte: np.ndarray, before: np.ndarray,
         p1 = np.take(_GAINS, byte, axis=1, out=ints[:size].reshape(8, -1))
         p1 += before
         n = np.add(_PLANES, 8 * k + 1, out=value.view(np.int64))
-        p1 = _chaos_values(d, p1, n, out=p1.view(float))
+        if limits is not None:
+            _check_walks(d, p1, n, limits)
+        p1 = _chaos_values(d, p1, n, out=p1.view(float), work=work)
     np.take(per_plane, k, axis=1, out=value, mode="clip")
     np.divide(p1, value, out=value)
     # a step before n_min or past the horizon has a NaN denominator,
@@ -435,13 +536,16 @@ def _byte_extrema(d: int, byte: np.ndarray, before: np.ndarray,
 
 
 def _byte_stage(d: int, bits: np.ndarray, w: np.ndarray, path: np.ndarray,
-                before: np.ndarray, byte_lo: np.ndarray, byte_hi: np.ndarray,
-                per_plane: np.ndarray, best: np.ndarray, worst: np.ndarray,
-                planes: Tuple[np.ndarray, np.ndarray]) -> None:
+                before: np.ndarray, tables: tuple, zone: Optional[tuple],
+                best: np.ndarray, worst: np.ndarray,
+                planes: Sequence[np.ndarray]) -> None:
     """Raise best[path] and lower worst[path] by the bytes of stream
     words w of those paths that pass the byte test, given each word's
-    bits and P1 before it; byte q of word w has denominators in
-    [byte_lo[q, w], byte_hi[q, w]], and planes are _byte_extrema's.
+    bits and P1 before it, the kernel's per-byte tables, its zone table
+    at the same rows (or None) and _byte_extrema's buffers.  The tables
+    hold the least and the greatest denominator of byte 8w + q at [q, w]
+    (NaN past the horizon; no row past it in the first word), per_plane
+    and _byte_extrema's limits.
 
     SLICE bytes at a time, laid out as (bytes x words) so that the
     tests run along the words.  From per-byte popcounts, the top of byte
@@ -450,6 +554,7 @@ def _byte_stage(d: int, bits: np.ndarray, w: np.ndarray, path: np.ndarray,
     multiply by _BYTE_PREFIX being borrow-free.  A byte past the
     horizon has no row or a NaN range, which no byte test passes.
     """
+    byte_lo, byte_hi, per_plane, limits = tables
     nq = byte_lo.shape[0]
     q8 = 8 * np.arange(nq)[:, None]
     step = SLICE // nq
@@ -466,7 +571,9 @@ def _byte_stage(d: int, bits: np.ndarray, w: np.ndarray, path: np.ndarray,
         top += before[part]
         at_w = w[part]
         n0 = (64 * at_w + 1) + q8
-        upper, lower = _numerator_bounds(d, top, n0, 8)
+        upper, lower = _numerator_bounds(
+            d, top, n0, 8, None,
+            zone and tuple(np.take(t, at_w, axis=1) for t in zone))
         rows = path[part]
         at = np.flatnonzero(_may_move(
             d, upper, lower, np.take(byte_lo, at_w, axis=1),
@@ -477,18 +584,21 @@ def _byte_stage(d: int, bits: np.ndarray, w: np.ndarray, path: np.ndarray,
         byte = word_bits.view(np.uint8).reshape(-1, 8)[word, q]
         p1 = top.reshape(-1)[at]
         p1 -= ones.view(np.uint8).reshape(-1, 8)[word, q]
-        high, low = _byte_extrema(d, byte, p1, 8 * at_w[word] + q, per_plane,
-                                  *planes)
-        np.fmax.at(best, rows[word], high)
-        np.fmin.at(worst, rows[word], low)
+        k, rows = 8 * at_w[word] + q, rows[word]
+        for i in range(0, at.size, planes[0].size // 8):
+            part = slice(i, i + planes[0].size // 8)
+            high, low = _byte_extrema(d, byte[part], p1[part], k[part],
+                                      per_plane, *planes, limits=limits)
+            np.fmax.at(best, rows[part], high)
+            np.fmin.at(worst, rows[part], low)
 
 
 def _sign_chaos_extrema(d: int, denom: np.ndarray, seed: int, path_lo: int,
                         path_hi: int, u_min: float
                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """max(max, u_min) and min(min, -u_min) of degree-d sign chaos (d <=
-    3) over the steps where denom is not NaN, for paths [path_lo,
-    path_hi), from the bits of the stream.
+    """max(max, u_min) and min(min, -u_min) of degree-d sign chaos over
+    the steps where denom is not NaN, for paths [path_lo, path_hi), from
+    the bits of the stream.
 
     Byte k of a path's stream words holds steps 8k .. 8k+7, bit j being
     step 8k+j: the draws of rademacher_block.  The words come in tiles
@@ -506,9 +616,13 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, seed: int, path_lo: int,
     so the halving is exact), a group's of GROUP_WORDS words is the
     union of its words', and a byte's top is P1 before it plus its ones
     (L = 8).  Each level is tested over the denominators of its own
-    steps, and _byte_extrema evaluates the bytes that pass exactly.  A
-    tile of one word goes straight to the byte test, which prunes all
-    the other two would.
+    steps and reads the zone table, built once per call by _zone_table,
+    at its last byte; _byte_extrema evaluates the bytes that pass
+    exactly.  A tile of one word goes straight to the byte test, which
+    prunes all the other two would.  A tile whose box corners int64
+    does not hold reads a zone that takes in every box instead, and
+    evaluates all its steps, checking each walk's sign sums as
+    prefix_values does (_walk_limits).
     """
     n_paths = path_hi - path_lo
     horizon = denom.size
@@ -529,8 +643,18 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, seed: int, path_lo: int,
     # groups of GROUP_WORDS words: first time, times, denominator range
     group_starts = np.arange(0, n_words, GROUP_WORDS)
     group_n0 = 64 * group_starts + 1
-    group_times = 64 * (np.minimum(group_starts + GROUP_WORDS, n_words)
-                        - group_starts)
+    group_ends = np.minimum(group_starts + GROUP_WORDS, n_words)
+    group_times = 64 * (group_ends - group_starts)
+
+    def levels(zone):  # a zone table at each byte's, word's, group's end
+        if zone is None:
+            return None, None, None
+        word = tuple(t[7] for t in zone)
+        return (tuple(t[:nq] for t in zone), word,
+                tuple(t[group_ends - 1] for t in word))
+
+    pruned = (levels(_zone_table(d, horizon)), None)
+    unpruned = None  # the zone that takes in every box, and limits
     group_lo = np.fmin.reduceat(lo_den, group_starts)
     group_hi = np.fmax.reduceat(hi_den, group_starts)
     best = np.full(n_paths, u_min, dtype=float)
@@ -539,10 +663,13 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, seed: int, path_lo: int,
     size = tile_paths * min(TILE_WORDS, n_words)
     edges = np.empty(size + tile_paths, dtype=np.int64)
     pairs = np.empty(size, dtype=np.int64)
-    # the byte planes; the float one holds the word-end values first
-    plane_size = 8 * min(SLICE, 8 * size)
-    planes = (np.empty(plane_size, dtype=np.int64),
-              np.empty(max(plane_size, size)))
+    # the byte planes, the float one holding the word-end values first,
+    # and the recurrence's buffers, which serve both
+    plane_size = min(PLANE_VALUES // (2 + min(d - 1, 3)), 8 * SLICE,
+                     64 * size)
+    planes = (np.empty(plane_size, dtype=np.int64), np.empty(plane_size),
+              *(np.empty(plane_size, dtype=np.int64)
+                for _ in range(min(d - 1, 3))))
 
     for t0 in range(0, n_paths, tile_paths):
         # the tile's paths: their maxima and minima, P1 before each tile
@@ -564,23 +691,40 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, seed: int, path_lo: int,
             np.cumsum(edge.reshape(-1), out=edge.reshape(-1))
             edge[1:] -= edge[:-1, nw:].copy()
             carry[:] = edge[:, nw]
-            if d > 1:  # |P1| inside a word is at most 64 past its ends
-                _check_chaos_range(d, int(max(edge.max(), -edge.min())) + 64,
-                                   64 * (w0 + nw))
+            (byte_zone, word_zone, group_zone), limits = pruned
+            if d > 1 and not _chaos_fits(
+                    d, int(max(edge.max(), -edge.min())) + 64, 64 * (w0 + nw),
+                    walks=False):
+                # int64 does not hold every corner the bounds evaluate:
+                # |P1| is at most 64 past the words' ends
+                unpruned = unpruned or (levels(tuple(
+                    np.full((8, n_words), v) for v in (2 ** 62, _ANY, -_ANY))),
+                    _walk_limits(d, horizon))
+                (byte_zone, word_zone, group_zone), limits = unpruned
+            tables = (byte_lo, byte_hi, per_plane, limits)
             full = min(nw, horizon // 64 - w0)
-            if full > 0:  # the exact values at word ends inside the horizon
-                n_end = 64 * np.arange(w0 + 1, w0 + full + 1)
-                value = planes[1][:n * full].reshape(n, full)
-                sums = edge[:, 1:full + 1]
+            n_end = 64 * np.arange(w0 + 1, w0 + full + 1)
+            rows = plane_size // max(full, 1)
+            # the exact values at word ends inside the horizon, for as
+            # many paths at a time as a plane holds
+            for r in range(0, n if full > 0 else 0, rows):
+                part = slice(r, r + rows)
+                sums = edge[part, 1:full + 1]
+                value = planes[1][:sums.size].reshape(sums.shape)
+                if limits is not None:
+                    _check_walks(d, sums, n_end, limits)
                 if d > 1:  # S_d in place of P1
-                    sums = _chaos_values(d, sums, n_end, out=value)
+                    sums = _chaos_values(d, sums, n_end, out=value,
+                                         work=planes[2:])
                 np.divide(sums, denom[n_end - 1], out=value)
-                np.fmax(high, np.fmax.reduce(value, axis=1), out=high)
-                np.fmin(low, np.fmin.reduce(value, axis=1), out=low)
+                np.fmax(high[part], np.fmax.reduce(value, axis=1),
+                        out=high[part])
+                np.fmin(low[part], np.fmin.reduce(value, axis=1),
+                        out=low[part])
             if nw == 1:  # the byte test is the finest of the three
                 _byte_stage(d, words.reshape(-1), np.broadcast_to(w0, n),
-                            np.arange(n), edge[:, 0], byte_lo, byte_hi,
-                            per_plane, high, low, planes)
+                            np.arange(n), edge[:, 0], tables, byte_zone,
+                            high, low, planes)
                 continue
             # pair[:, w] = b + e, the boundary sums around word w0 + w
             pair = pairs[:n * nw].reshape(n, nw)
@@ -592,8 +736,9 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, seed: int, path_lo: int,
             width = (top - np.minimum.reduceat(pair, group, axis=1)) // 2 + 64
             top = (top + 64) // 2
             g = slice(w0 // GROUP_WORDS, w0 // GROUP_WORDS + group.size)
-            upper, lower = _numerator_bounds(d, top, group_n0[g], width,
-                                             group_times[g])
+            upper, lower = _numerator_bounds(
+                d, top, group_n0[g], width, group_times[g],
+                group_zone and tuple(t[g] for t in group_zone))
             alive = _may_move(d, upper, lower, group_lo[g], group_hi[g],
                               high[:, None], low[:, None])
             # the words of surviving groups, SLICE at a time
@@ -611,12 +756,14 @@ def _sign_chaos_extrema(d: int, denom: np.ndarray, seed: int, path_lo: int,
                 top = (pair.reshape(-1)[at] + 64) // 2
                 bits = words.reshape(-1)[at]
                 w += w0
-                upper, lower = _numerator_bounds(d, top, 64 * w + 1, 64)
+                upper, lower = _numerator_bounds(
+                    d, top, 64 * w + 1, 64, None,
+                    word_zone and tuple(t[w] for t in word_zone))
                 hit = np.flatnonzero(_may_move(d, upper, lower, lo_den[w],
                                                hi_den[w], high[path],
                                                low[path]))
                 _byte_stage(d, bits[hit], w[hit], path[hit], before[hit],
-                            byte_lo, byte_hi, per_plane, high, low, planes)
+                            tables, byte_zone, high, low, planes)
     return best, worst
 
 

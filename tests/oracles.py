@@ -327,6 +327,63 @@ def optimized_bound_oracle(v: NormingSequence, sigma: SigmaProfile,
 # exact single-path steppers
 # ---------------------------------------------------------------------------
 
+def elementary_symmetric_prefix(d: int, signs: np.ndarray, state=None):
+    """e_d of each row's +-1 signs after every step of a (paths x steps)
+    block, by the DP over the signs, e_j <- e_j + eps e_(j-1) for j = d
+    down to 1 (all j at once, from the values before the step), in
+    Python ints.
+
+    state holds e_0 .. e_d of every path before the block, as a (d + 1)
+    x paths object array (None at the start); returns (an object array
+    of e_d, the state after)."""
+    paths, steps = np.shape(signs)
+    if state is None:
+        state = np.zeros((d + 1, paths), dtype=object)
+        state[0] = 1
+    e = state.copy()
+    signs = np.asarray(signs).astype(object).T
+    out = np.empty((steps, paths), dtype=object)
+    for i in range(steps):
+        e[1:] += signs[i] * e[:-1]
+        out[i] = e[d]
+    return out.T, e
+
+
+def elementary_symmetric_lattice(d: int, horizon: int):
+    """e_d of every walk of up to horizon +-1 steps, by the same DP over
+    the signs in Python ints, on the lattice of its plus count:
+    table[n][k] is e_d after n steps of which k are +1."""
+    # e[j][k] at time n; a walk at time n with k plus signs ends in a
+    # plus sign (from k - 1 at n - 1) or, for k = 0, a minus sign
+    e = [[1]] + [[0] for _ in range(d)]
+    table = [e[d]]
+    for n in range(1, horizon + 1):
+        e = [[1] * (n + 1)] + [
+            [e[j][0] - e[j - 1][0]] + [e[j][k - 1] + e[j - 1][k - 1]
+                                       for k in range(1, n + 1)]
+            for j in range(1, d + 1)]
+        table.append(e[d])
+    return table
+
+
+def chaos_numerator(d: int, p: int, n: int) -> int:
+    """N_d = d! e_d of n signs summing to p, as a polynomial in (p, n),
+    in Python ints.  With a = (n + p)/2 plus signs and b = (n - p)/2
+    minus signs, e_d = sum_k C(a, k) C(b, d - k) (-1)^(d - k) with the
+    binomials as polynomials, so it holds at any integers p and n (a
+    walk's or not); each falling factor a - i is (n + p - 2i)/2."""
+    total = 0
+    for k in range(d + 1):
+        term = math.comb(d, k) * (-1) ** (d - k)
+        for i in range(k):
+            term *= n + p - 2 * i
+        for i in range(d - k):
+            term *= n - p - 2 * i
+        total += term
+    assert total % 2 ** d == 0
+    return total // 2 ** d
+
+
 class ChaosState:
     """Exact elementary-symmetric coefficients of the signs seen so far.
 

@@ -5,6 +5,7 @@ code, so there is no subprocess overhead and capsys sees the output.
 """
 import argparse
 import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -596,6 +597,33 @@ def test_chaos_of_any_degree_is_simulated_unless_past_int64(
         assert err.count("\n") == 1
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("d,horizon,digest", [
+    (10, 100, "994f8839c5a0dc5ab3c663ae5ffe5a20"
+              "fe8e6ed4ebc411e4b168d6dbce9c60ce"),
+    (12, 20, "5f3857a927675f119ff95fb2468f9bd5"
+             "da625ed5394805daef5714622db7c9cb"),
+    (13, 30, "f846bc77a5cf75132a673111df048c3f"
+             "2c158907a29716b6ac24239a3973cbc2"),
+    (16, 20, "6a9d8a4543d3d3c272705c5ee92f18db"
+             "4b9025d96032fdcc3d78c89002edbfd8"),
+])
+def test_high_degree_chaos_at_a_short_horizon_is_simulated(
+        tmp_path, capsys, monkeypatch, d, horizon, digest):
+    # int64 holds every value a walk takes up to the horizon, as
+    # prefix_values checks its blocks, but not N_d at the corners of the
+    # boxes of its stream words, so the kernel evaluates every step and
+    # checks the walks' sign sums.  tails.csv as prefix_values wrote it
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setenv("LILBOUND_THREADS", "2")
+    code, _, err = run_cli(capsys, [
+        "simulate", "--paths", "1000", "--horizon", str(horizon), "--model",
+        f"chaos:d={d}", "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(
+        (tmp_path / "tails.csv").read_bytes()).hexdigest() == digest
 
 
 def test_path_count_beyond_any_array_exits_2(tmp_path, capsys):
