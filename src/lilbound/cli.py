@@ -168,7 +168,10 @@ def parse_grid(spec: str, what: str) -> np.ndarray:
             if n > MAX_GRID_POINTS:
                 raise ValueError(f"at most {MAX_GRID_POINTS} points")
             space = np.geomspace if parts[0] == "log" else np.linspace
-            grid = space(lo, hi, n)
+            # endpoints of opposite signs make geomspace NaN, which the
+            # finiteness check below reports
+            with np.errstate(invalid="ignore"):
+                grid = space(lo, hi, n)
         elif len(parts) == 1:
             grid = np.array([float(x) for x in spec.split(",") if x])
     except ValueError as exc:
@@ -429,20 +432,11 @@ def _exact_as_estimate(exact) -> TailEstimate:
 
 
 def _lower_bounds(model, v, horizon: int, u_grid: np.ndarray) -> np.ndarray:
-    """Single-time floor at the horizon; zero when no exact tail exists.
-
-    The thresholds are u * v(j0) with j0 = horizon - n_min + 1, the
-    norming index verify pairs with model time horizon.  They are
-    single_time_lower_bound's u * v(n0) for n0 = j0, not for n0 = horizon
-    (the two differ for chaos with d >= 2), and go to one
-    single_time_tail call, which walks the binomial row outward from
-    its middle until no rounded tail can change.
-    """
-    j0 = horizon - (model.n_min - 1)
+    """Single-time floor: the run's own statistic at the horizon, on the
+    same denominator and float test as its sup-tail, so it is never above
+    the exact sup-tail; zero when no exact tail exists."""
     try:
-        scale = float(v.evaluate(j0))
-        return single_time_tail(model, horizon,
-                                [float(u) * scale for u in u_grid])
+        return single_time_tail(model, horizon, u_grid, v)
     except DomainError:
         return np.zeros(len(u_grid))
 

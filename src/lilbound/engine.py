@@ -403,7 +403,9 @@ def _ratio_family(v: NormingSequence, sigma: SigmaProfile,
                   k_max: int):
     """The distinct ratios searched, sorted, and the first _PREFIX block
     arguments of each as the rows of one array; a DomainError for an
-    empty or invalid family or a tolerance outside (0, 1)."""
+    empty or invalid family or a tolerance outside (0, 1).  The heads are
+    computed on their own, so only a ratio summed in full pays for its
+    k_max arguments."""
     ratios = sorted({float(r) for r in
                      (DEFAULT_RATIOS if ratio_grid is None else ratio_grid)})
     if not ratios or not all(2 <= r < math.inf for r in ratios):
@@ -411,7 +413,7 @@ def _ratio_family(v: NormingSequence, sigma: SigmaProfile,
                           "finite values >= 2")
     if not 0 < tol < 1:
         raise DomainError(f"tolerance must be in (0, 1), got {tol}")
-    heads = np.stack([_block_arguments(v, sigma, r, k_max)[:_PREFIX]
+    heads = np.stack([_block_arguments(v, sigma, r, min(_PREFIX, k_max))
                       for r in ratios])
     return ratios, heads
 

@@ -9,9 +9,12 @@ Two norms of a centered random variable xi are estimated from i.i.d. draws:
   * the moment-growth norm: sup over p >= 2 of |xi|_p / psi(p) with
     psi(p) = p / phi_inverse(p).
 
-Both are positively homogeneous; the exponential-moment estimator works on
-the max-abs-normalized sample and rescales, so the homogeneity is exact
-(the data-dependent lambda grid co-scales with the sample).  The grids are
+Both are positively homogeneous.  The centering check and both estimators
+first divide the sample by a power of two near max|x|, which is exact, so
+no mean or moment overflows even near the float range; the
+exponential-moment estimator then works on the max-abs-normalized centered
+sample and rescales, so its homogeneity is exact (the data-dependent
+lambda grid co-scales with the sample).  The grids are
 capped where the empirical moment estimates become noise: lambda where the
 empirical MGF's relative standard error passes 50%, p at log2(M).
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -99,16 +102,27 @@ def tail_function(sample: Sample, x: float) -> float:
     return max(right, left)
 
 
+def _unit_scaled(values: np.ndarray) -> Tuple[np.ndarray, float]:
+    """(values / s, s) for the power of two s with max|values| / s in
+    [1, 2), or s = 1 for an all-zero sample.  The division is exact
+    (short of subnormals), and the quotients' sums, squares and moments
+    cannot overflow."""
+    top = float(np.max(np.abs(values)))
+    s = math.ldexp(1.0, math.frexp(top)[1] - 1) if top else 1.0
+    return values / s, s
+
+
 def _check_centering(values: np.ndarray) -> float:
-    mean = float(values.mean())
-    sd = float(values.std())
+    unit, s = _unit_scaled(values)
+    mean = float(unit.mean())
+    sd = float(unit.std())
     m = len(values)
     if abs(mean) > 3.0 * sd / math.sqrt(m):
         raise CenteringError(
-            f"sample mean {mean:g} is more than 3 standard errors from 0 "
-            f"(se = {sd / math.sqrt(m):g}); the norms are defined for "
-            f"centered variables")
-    return abs(mean)
+            f"sample mean {mean * s:g} is more than 3 standard errors from "
+            f"0 (se = {sd * s / math.sqrt(m):g}); the norms are defined "
+            f"for centered variables")
+    return abs(mean) * s
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -178,7 +192,8 @@ def bphi_norm(sample: Sample, phi: PhiFunction) -> tuple:
     removes estimation noise.
     """
     _check_centering(sample.values)
-    centered = sample.values - sample.values.mean()
+    unit, unit_scale = _unit_scaled(sample.values)
+    centered = unit - unit.mean()
     scale = float(np.max(np.abs(centered)))
     if scale == 0.0:
         return 0.0, LAMBDA_GRID_START
@@ -198,7 +213,7 @@ def bphi_norm(sample: Sample, phi: PhiFunction) -> tuple:
             f"range of {phi.label} ({_unreachable(phi, p[i])}); norm "
             f"reported as +inf", RuntimeWarning, stacklevel=2)
         return math.inf, float(grid[i])
-    return float((roots / grid).max()) * scale, lam_max
+    return float((roots / grid).max()) * scale * unit_scale, lam_max
 
 
 def gpsi_norm(sample: Sample, phi: PhiFunction) -> tuple:
@@ -207,7 +222,7 @@ def gpsi_norm(sample: Sample, phi: PhiFunction) -> tuple:
     The p grid runs over integers and half-integers in [2, log2(M)];
     p = 2 is always included so tiny samples still produce an estimate.
     """
-    v = np.abs(sample.values)
+    v, unit_scale = _unit_scaled(np.abs(sample.values))
     p_max = max(2.0, math.log2(sample.size))
     grid = np.arange(2.0, p_max + 1e-9, 0.5)
     if len(grid) == 0:
@@ -217,7 +232,8 @@ def gpsi_norm(sample: Sample, phi: PhiFunction) -> tuple:
         raise _unreachable(phi, grid[np.argmin(reached)])
     moments = np.array([float(np.mean(v ** p)) ** (1.0 / p) for p in grid])
     # psi(p) = p / phi_inverse(p)
-    return max(0.0, float((moments / (grid / roots)).max())), float(grid[-1])
+    g_hat = float((moments / (grid / roots)).max()) * unit_scale
+    return max(0.0, g_hat), float(grid[-1])
 
 
 def gnorm_tail_bound(g_norm: float, u: float, c3: float) -> float:

@@ -25,7 +25,8 @@ exact_sup_tail counts the 2^N sign paths of sign chaos of any degree by
 a dynamic program over the sign-sum lattice; the weighted models go
 through prefix_values, on a reused value tile or by enumeration.  Exact
 tails are rationals, for small horizons.
-single_time_tail gives the single-time floor: exact integer binomial
+single_time_tail gives the single-time floor, the statistic's own tail
+at one time, so never above the exact sup-tail: exact integer binomial
 sums up to time FLOOR_MAX_TIME, rounded toward zero, so verify imports
 no scipy; the sum stops once the rest of the row cannot change a
 rounded tail.  On top of those sit the calibration of the bound's constant,
@@ -33,11 +34,12 @@ an enumeration check of the Doob maximal-moment step, and
 iterated-logarithm trajectory statistics.
 
 Normalization matches the bound engine: model time n pairs with norming
-index n - n_min + 1, so the first non-degenerate time gets v(1) and the
-empirical tail and the block-sum bound divide by identical arrays.  That
-array's size is the horizon, and it is NaN at the degenerate times n <
-n_min: a NaN step never passes a "> u" test, and every max and min over
-steps skips it (np.fmax, np.fmin).
+index n - n_min + 1, so the first non-degenerate time gets v(1) and
+every tail here, the floor too, and the block-sum bound divide by
+identical arrays (_normalizer).  That array's size is the horizon, and
+it is NaN at the degenerate times n < n_min: a NaN step never passes a
+"> u" test, and every max and min over steps skips it (np.fmax,
+np.fmin).
 """
 from __future__ import annotations
 
@@ -56,7 +58,7 @@ from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 import numpy as np
 
 from .engine import (DEFAULT_TOL, NormingSequence, bound_at_least,
-                     optimized_bound)
+                     constant_norming, optimized_bound)
 from .errors import CalibrationError, DomainError
 from .models import (MartingaleModel, _chaos_fits, _chaos_numerators,
                      _chaos_values, _check_chaos_range, chaos_model)
@@ -1075,53 +1077,53 @@ def _binomial_tails(n0: int, passes: np.ndarray, n_levels: int) -> list:
     return tails
 
 
-def single_time_tail(model: MartingaleModel, n0: int,
-                     thresholds: Sequence[float]) -> np.ndarray:
-    """P(S(n0)/sigma(n0) > x) for each threshold x, never above the truth.
+def single_time_tail(model: MartingaleModel, n0: int, u_grid: Sequence[float],
+                     v: NormingSequence = constant_norming()) -> np.ndarray:
+    """P(S(n0) / denom > u) per level u, never above the truth.
 
-    A model with a sign_sum_degree d is a function of the sign sum, so
-    the tail is an exact integer sum of binomial coefficients C(n0, k)
-    over the k whose value passes x (the same float test as simulation),
+    denom = sigma(n0) v(n0 - n_min + 1) is _normalizer's at n0 and the
+    test is the sup-tails' own, so with the same v this is a floor on
+    the exact sup-tail at horizon n0; the default v = 1 gives
+    P(S(n0)/sigma(n0) > u).  A model with a sign_sum_degree d is a
+    function of the sign sum, so the tail is an exact integer sum of
+    binomial coefficients C(n0, k) over the k whose value passes u,
     divided by 2^n0 and rounded toward zero, so it is a certified floor.
     One walk over k, outward from the middle of the row, adds each
-    C(n0, k) to the bucket of how many thresholds its value passes;
-    suffix sums of the buckets give every tail.  The walk stops as soon
-    as the coefficients left cannot change any rounded tail (see
+    C(n0, k) to the bucket of how many levels its value passes; suffix
+    sums of the buckets give every tail.  The walk stops as soon as the
+    coefficients left cannot change any rounded tail (see
     _binomial_tails), so its floats are those of the whole row.  It
     holds O(n0) bits; a row it must walk to the end takes O(n0^2) time,
     so n0 is capped at FLOOR_MAX_TIME.  Other sign-noise models
     enumerate all 2^n0 paths block by block when n0 <= ENUM_MAX_HORIZON,
     where count / 2^n0 is an exact float.
     """
-    if n0 < model.n_min:
-        raise DomainError(f"time {n0} precedes first non-degenerate time "
-                          f"{model.n_min}")
-    xs = np.asarray(thresholds, dtype=float)
-    sig = float(model.sigma_exact(np.array([float(n0)]))[0])
     d = model.sign_sum_degree
-    if d:
-        if n0 > FLOOR_MAX_TIME:
-            raise DomainError(f"time {n0} exceeds the exact single-time "
-                              f"cap {FLOOR_MAX_TIME}")
-        _check_chaos_range(d, n0, n0)
-        p1 = np.arange(-n0, n0 + 1, 2, dtype=np.int64)
-        svals = _chaos_values(d, p1, n0) / sig
-        # value k passes threshold x exactly when it passes more sorted
-        # thresholds than lie strictly below x
-        ordered = np.sort(xs)
-        passes = np.searchsorted(ordered, svals, side="left")
-        tails = _binomial_tails(n0, passes, len(xs))
-        below = np.searchsorted(ordered, xs, side="left")
-        return np.array([_ratio_toward_zero(tails[i], 1 << n0)
-                         for i in below.tolist()])
-    if model.noise_kind == "rademacher" and n0 <= ENUM_MAX_HORIZON:
-        counts = np.zeros(len(xs), dtype=np.int64)
+    if d and n0 > FLOOR_MAX_TIME:
+        raise DomainError(f"time {n0} exceeds the exact single-time cap "
+                          f"{FLOOR_MAX_TIME}")
+    if not d and (model.noise_kind != "rademacher" or n0 > ENUM_MAX_HORIZON):
+        raise DomainError(f"no exact single-time tail for model "
+                          f"{model.label} at n0={n0}")
+    denom = _normalizer(model, v, n0)[-1]
+    us = np.asarray(u_grid, dtype=float)
+    if not d:
+        counts = np.zeros(len(us), dtype=np.int64)
         for values in _sign_path_values(model, n0):
-            final = values[:, -1] / sig
-            counts += [np.count_nonzero(final > x) for x in xs]
+            final = values[:, -1] / denom
+            counts += [np.count_nonzero(final > u) for u in us]
         return counts / (1 << n0)
-    raise DomainError(f"no exact single-time tail for model {model.label} "
-                      f"at n0={n0}")
+    _check_chaos_range(d, n0, n0)
+    p1 = np.arange(-n0, n0 + 1, 2, dtype=np.int64)
+    stat = _chaos_values(d, p1, n0) / denom
+    # value k passes level u exactly when it passes more sorted levels
+    # than lie strictly below u
+    ordered = np.sort(us)
+    passes = np.searchsorted(ordered, stat, side="left")
+    tails = _binomial_tails(n0, passes, len(us))
+    below = np.searchsorted(ordered, us, side="left")
+    return np.array([_ratio_toward_zero(tails[i], 1 << n0)
+                     for i in below.tolist()])
 
 
 # ---------------------------------------------------------------------------

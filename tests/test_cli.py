@@ -16,7 +16,7 @@ import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from lilbound import verify
+from lilbound import Sample, estimate_norms, phi2, verify
 from lilbound.cli import (EXIT_CENSORED, EXIT_DIVERGENT, EXIT_DOMAIN,
                           EXIT_OK, RunConfig, load_config, main, parse_grid)
 from lilbound.errors import DomainError
@@ -193,6 +193,40 @@ def test_norm_missing_sample_file(capsys):
     assert "error:" in err
 
 
+def test_norm_of_an_uncentered_sample_near_the_float_range_exits_2(
+        tmp_path, capsys):
+    """A sum past the float range no longer reads as a centered sample
+    with g_norm=inf: the mean 1e308 is found, and the run exits 2."""
+    sample = tmp_path / "big.csv"
+    sample.write_text("1e308\n1e308\n1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["norm", "--sample", str(sample)])
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "1e+308" in err
+
+
+@pytest.mark.parametrize("unit,scale", [([1.0, -1.0, 3.0, -3.0], 1e200),
+                                        ([1.0, 1.0, -1.0, -1.0], 1e308)])
+def test_norm_of_a_centered_sample_near_the_float_range_is_finite(
+        tmp_path, capsys, unit, scale):
+    """The mean and moments are taken on the sample over a power of two,
+    so neither norm overflows where the raw sums and powers do."""
+    sample = tmp_path / "wide.csv"
+    sample.write_text("".join(f"{x * scale!r}\n" for x in unit))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, ["norm", "--sample", str(sample),
+                                        "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK, err
+    d = json.loads((tmp_path / "norms.json").read_text())
+    want = estimate_norms(Sample(np.array(unit)), phi2())
+    assert d["b_norm"] == pytest.approx(want.b_norm * scale, rel=1e-12)
+    assert d["g_norm"] == pytest.approx(want.g_norm * scale, rel=1e-12)
+
+
 @pytest.mark.parametrize("content", ["", "# lambda,phi\n# nothing yet\n"])
 def test_input_file_without_numbers_exits_2(tmp_path, capsys, content):
     """An empty or comments-only input file is one stderr line naming the
@@ -344,6 +378,27 @@ def test_conjugate_command_solves_a_table_grid_once(tmp_path, capsys,
         scalar_conjugate(phi, float(u))[0] for u in grid]
 
 
+@pytest.mark.parametrize("flag,spec", [
+    ("--u-grid", "log:-1:2:3"), ("--u-grid", "log:1:-2:3"),
+    ("--ratio-grid", "log:-2:4:3")])
+def test_log_grid_through_zero_exits_2_in_one_line(tmp_path, capsys, flag,
+                                                   spec):
+    """Endpoints of opposite signs give one error line, no numpy
+    warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, [
+            "bound", flag, spec, "--out-dir", str(tmp_path)])
+    assert code == EXIT_DOMAIN
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "finite" in err
+
+
+def test_all_negative_log_grid_is_valid():
+    assert parse_grid("log:-1:-2:3", "u grid").tolist() == \
+        [-1.0, -2.0 ** 0.5, -2.0]
+
+
 def test_bad_grid_spec_exits_2(capsys):
     code, _, err = run_cli(capsys, ["bound", "--u-grid", "log:1:8"])
     assert code == EXIT_DOMAIN
@@ -448,6 +503,22 @@ def test_verify_exact_sandwich(tmp_path, capsys):
     for text, value in zip(tails["w_fraction"], tails["w_hat"]):
         num, den = text.split("/")
         assert float(int(num)) / float(int(den)) == value
+
+
+@pytest.mark.parametrize("model,norming,horizon,u", [
+    ("chaos:d=1", "vr:1", "11", "3.417714703383647"),
+    ("weightedA:beta=1", "vr:2", "2", "1.9448461285391363")])
+def test_verify_floor_at_a_lattice_level_stays_below_the_exact_tail(
+        tmp_path, capsys, model, norming, horizon, u):
+    """u sits on a value of the statistic at the horizon, where u * v and
+    sigma * v round apart: the floor is the statistic's own tail, 0 like
+    the exact sup-tail, so verify exits 0."""
+    code, _, err = run_cli(capsys, [
+        "verify", "--exact", "--model", model, "--norming", norming,
+        "--horizon", horizon, "--u-grid", u, "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK, err
+    _, rows = read_csv(tmp_path / "sandwich.csv")
+    assert [row[:3] for row in rows] == [[float(u), 0.0, 0.0]]
 
 
 @pytest.mark.parametrize("exact", [[], ["--exact"]])

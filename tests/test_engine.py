@@ -515,6 +515,26 @@ def test_block_arguments_heads_do_not_depend_on_k_max(profile):
         assert short.tobytes() == heads.tobytes()
 
 
+@pytest.mark.parametrize("norming", ["vr:1", "vr:2", "const:1"])
+def test_ratio_family_heads_are_the_full_arguments_heads(norming):
+    """The ratio family computes only min(_PREFIX, k_max) block arguments
+    per ratio; they are, bit for bit, the first entries of the k_max-term
+    arrays that block_sum sums."""
+    v = norming_from_id(norming)
+    ratios = sorted({*DEFAULT_RATIOS, 2.5, 3.0, 5.0})
+    assert len(ratios) == 15
+    for profile in ("chaos:d=1", "chaos:d=2", "chaos:d=3",
+                    "weightedA:beta=1", "powerlaw:gamma=1,m=log"):
+        sigma = (profile_from_id(profile) if profile.startswith("powerlaw")
+                 else model_from_id(profile).sigma_profile())
+        for k_max in (16, _PREFIX, 512, DEFAULT_KMAX):
+            _, heads = engine._ratio_family(v, sigma, ratios, DEFAULT_TOL,
+                                            k_max)
+            full = np.stack([_block_arguments(v, sigma, r, k_max)[:_PREFIX]
+                             for r in ratios])
+            assert heads.tobytes() == full.tobytes(), (profile, k_max)
+
+
 def test_stacked_stop_test_equals_the_scan_row_by_row():
     """One stop test over a 2-D array of prefixes finds, in each row, the
     first stop and residual _scan_terms finds there, with zeros, NaN,

@@ -52,7 +52,8 @@ def test_uncentered_sample_is_rejected():
         estimate_norms(Sample(shifted), phi2())
 
 
-@pytest.mark.parametrize("factor", [0.25, 2.0, 16.0])
+@pytest.mark.parametrize("factor", [0.25, 2.0, 16.0, 2.0 ** -600,
+                                    2.0 ** 600])
 def test_norms_are_positively_homogeneous(factor):
     rng = np.random.default_rng(11)
     base = rng.standard_normal(4000)

@@ -29,6 +29,8 @@ from lilbound import (
     single_time_tail,
     weighted_iid_model,
 )
+from lilbound.cli import _lower_bounds, norming_from_id
+from lilbound.models import _chaos_values
 from lilbound.verify import wilson_interval, worker_count
 from oracles import (binomial_single_time_tail,
                      enumerated_single_time_tail)
@@ -264,6 +266,46 @@ def test_single_time_tail_rejects_unsupported_models():
         single_time_tail(chaos_model(12), 4096, [1.0])
     with pytest.raises(DomainError):
         single_time_tail(weighted_iid_model(weibull_r=2.0), 4, [1.0])
+
+
+def _levels_at(stat: np.ndarray) -> list:
+    """Every value of stat and its two float neighbours: the levels where
+    two roundings of one statistic can disagree."""
+    values = np.unique(stat)
+    return sorted({float(x) for x in np.concatenate([
+        values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])})
+
+
+def _floor_is_below_the_exact_tail(model, v, horizon, stat):
+    levels = _levels_at(stat)
+    floor = _lower_bounds(model, v, horizon, np.array(levels))
+    exact = exact_sup_tail(model, v, horizon, levels)
+    for u, lo, w in zip(levels, floor.tolist(), exact.w):
+        assert Fraction(lo) <= w, (model.label, v.label, horizon, u)
+
+
+@pytest.mark.parametrize("norming", ["vr:1", "vr:2", "const:1"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_verify_floor_is_below_the_exact_sup_tail_for_chaos(d, norming):
+    """The floor verify reports is the statistic's own tail at the
+    horizon, so at every level, the statistic's values included, it is
+    at most the exact sup-tail."""
+    model, v = chaos_model(d), norming_from_id(norming)
+    for horizon in range(d, verify.ENUM_MAX_HORIZON + 1):
+        p1 = np.arange(-horizon, horizon + 1, 2, dtype=np.int64)
+        stat = (_chaos_values(d, p1, horizon)
+                / verify._normalizer(model, v, horizon)[-1])
+        _floor_is_below_the_exact_tail(model, v, horizon, stat)
+
+
+@pytest.mark.parametrize("norming", ["vr:1", "vr:2"])
+def test_verify_floor_is_below_the_exact_sup_tail_for_weighted(norming):
+    model, v = weighted_iid_model(beta=1.0), norming_from_id(norming)
+    for horizon in range(1, 11):
+        final = np.concatenate([values[:, -1] for values in
+                                verify._sign_path_values(model, horizon)])
+        stat = final / verify._normalizer(model, v, horizon)[-1]
+        _floor_is_below_the_exact_tail(model, v, horizon, stat)
 
 
 # ---------------------------------------------------------------------------
