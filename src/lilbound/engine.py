@@ -27,9 +27,11 @@ Deep sums need care on two fronts, both handled here:
     ratios near 0.0015, and its ratios later climb to 0.995.  A sum that
     never stops runs to k_max, is flagged, and reports residual_bound = +inf.
 
-Reported sums are always the plain partial sums: a truncated series is a
-certified lower estimate of the infinite one, which is the safe direction
-for every dominance comparison made downstream.
+Reported sums are the plain partial sums.  A series stopped by the rule
+above reports its partial sum with a residual that the observed ratios
+imply, and a truncated one reports its partial sum with residual +inf:
+neither is proven to be at least the infinite series, so neither value
+is a certified upper bound.
 
 Only the minimum over ratios is reported, so a series is summed in full
 only for a ratio that can still win.  One stacked pass per level makes
@@ -38,8 +40,28 @@ Terms are >= 0, so their sum less a rounding slack that depends on k_max
 alone is at most the value the full series reports, unless the series
 stops inside them (64 terms hold too few ratios to diverge).  A ratio
 whose lower bound is above a full sum already made can neither be the
-minimum nor tie it, so skipping it changes no bit of the report.  A
-question about the minimum, "is B(x) >= t?" (bound_at_least, which
+minimum nor tie it, so skipping it changes no bit of the report.
+
+A ratio that the prefix does not rule out gets a second look before its
+full sum: the envelope.  When phi has a closed-form conjugate and the
+ratio's k_max block arguments are nondecreasing from block 64 on, its
+terms are nonincreasing there, so the terms in a stretch (g', g] of a
+grid of about 64 geometric points 64 = g_0 < g_1 < ... <= k_max add up
+to at least (g - g') t_g.  The envelope sums these down to P, the last
+grid point before the first whose term is at most half the term at the
+grid point before it, or below 2*tol.  A certified stop at block k needs
+t_k < t_(k-1)/2 (its ratios below 1/2) or t_k < tol (ratios from 1/2
+on make the tail bound at least t_k), and neither can happen at a block
+up to P, so the reported sum holds every term the envelope counts.  The
+prefix bound plus the envelope, times the rounding slack above and
+1 - 1e-9, is a lower bound on the reported value: closed-form terms lie
+within about 1e-12 relative of the exact terms at the same arguments,
+which are monotone, so a term inside a stretch is at least t_g times
+1 - 1e-9 and the halving test carries the same slack.  On the default
+grids this leaves one full sum per level.  A numeric conjugate takes no
+envelope: its 64 lockstep solves cost about what a 512-term sum does.
+
+A question about the minimum, "is B(x) >= t?" (bound_at_least, which
 calibration asks), takes the ratios in the same order and stops at the
 first prefix lower bound >= t or the first full sum below it.
 """
@@ -66,6 +88,11 @@ _EXACT_CAP = 2.0 ** 52
 _CHUNK = 256
 #: leading terms of every series that optimized_bound sums up front
 _PREFIX = 64
+#: relative slack on the envelope: computed closed-form terms lie within
+#: about 1e-12 relative of the exact terms, which are monotone
+_ENVELOPE_SLACK = 1e-9
+#: envelope terms stay normal floats, whose relative error is that small
+_SMALLEST_NORMAL = 2.0 ** -1022
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +395,23 @@ def _finish_sum(terms: np.ndarray, tol: float,
 # the optimized bound
 # ---------------------------------------------------------------------------
 
+def _keep(k_max: int) -> float:
+    """The factor that turns a float sum of terms made by block_sum into
+    a number no larger than a full sum that holds them.
+
+    Terms are >= 0, and a float sum of n of them lies within a factor
+    1 -+ gamma_n of its exact sum in any order (gamma_n = n*eps/(1 -
+    n*eps), eps = 2^-53).  A full sum holds at most k_max terms, so it
+    is at least (1 - gamma_k_max) times the exact sum of the terms it
+    holds, and a computed sum of m <= k_max of them times keep, rounded
+    twice, at most (1 + gamma_m)(1 + eps)^2 (1 - slack) times theirs.
+    The slack 4*k_max*eps covers gamma_m + gamma_k_max + 2*eps, and
+    makes keep <= 0 (no series is skipped) long before k_max is large
+    enough for it not to.
+    """
+    return 1.0 - 4.0 * k_max * 2.0 ** -53
+
+
 def _prefix_lower_bounds(phi: PhiFunction, x: float, heads: np.ndarray,
                          tol: float, k_max: int) -> np.ndarray:
     """Per row of leading block arguments, a number no larger than the
@@ -383,19 +427,47 @@ def _prefix_lower_bounds(phi: PhiFunction, x: float, heads: np.ndarray,
     """
     terms = _terms(phi, x, heads)
     (stopped, _), _ = _certified_windows(terms, _term_ratios(terms), tol)
-    # Terms are >= 0, and a float sum of n of them lies within a factor
-    # 1 -+ gamma_n of its exact sum in any order (gamma_n = n*eps/(1 -
-    # n*eps), eps = 2^-53).  A full sum holds every prefix term and at
-    # most k_max terms, so it is at least (1 - gamma_k_max) times the
-    # exact prefix sum, and the computed prefix sum times keep, rounded
-    # twice, at most (1 + gamma_m)(1 + eps)^2 (1 - slack) times it, with
-    # m <= k_max terms in the prefix.  The slack 4*k_max*eps covers
-    # gamma_m + gamma_k_max + 2*eps, and makes keep <= 0 (no series is
-    # skipped) long before k_max is large enough for it not to.
-    keep = 1.0 - 4.0 * k_max * 2.0 ** -53
-    lows = terms.sum(axis=1) * keep
+    lows = terms.sum(axis=1) * _keep(k_max)
     lows[stopped] = -math.inf
     return lows
+
+
+@lru_cache(maxsize=256)
+def _envelope_points(v: "NormingSequence", sigma: "SigmaProfile",
+                     ratio: float, k_max: int):
+    """(widths g_j - g_(j-1), block arguments at g_0, g_1, ...) on the
+    blocks _PREFIX = g_0 < g_1 < ... < g_m = k_max, about _PREFIX
+    geometric steps apart, or None when the k_max block arguments are
+    not nondecreasing from block _PREFIX on, where the envelope does not
+    hold.  Needs k_max > _PREFIX.  A Python set drops the repeated grid
+    points: np.unique imports numpy.ma on its first call."""
+    args = _block_arguments(v, sigma, ratio, k_max)[_PREFIX - 1:]
+    if not np.all(args[:-1] <= args[1:]):
+        return None
+    step = (k_max / _PREFIX) ** (1.0 / _PREFIX)
+    grid = np.array(sorted({round(_PREFIX * step ** j)
+                            for j in range(_PREFIX)} | {k_max}))
+    return np.diff(grid).astype(float), args[grid - _PREFIX]
+
+
+def _envelope_lower_bound(phi: PhiFunction, x: float, low: float,
+                          v: "NormingSequence", sigma: "SigmaProfile",
+                          ratio: float, tol: float, k_max: int) -> float:
+    """The prefix lower bound low of a ratio's series at level x, raised
+    by the envelope of its terms _PREFIX + 1 .. P (see the module
+    docstring); low itself where the envelope does not apply."""
+    if phi.analytic_conjugate is None or k_max <= _PREFIX:
+        return low
+    points = _envelope_points(v, sigma, ratio, k_max)
+    if points is None:
+        return low
+    widths, args = points
+    t = _terms(phi, x, args)
+    holds = (2.0 * t[1:] > (1.0 + _ENVELOPE_SLACK) * t[:-1]) \
+        & (t[1:] >= max(2.0 * tol, _SMALLEST_NORMAL))
+    n = len(holds) if holds.all() else int(holds.argmin())
+    envelope = float(widths[:n] @ t[1:n + 1])
+    return (low + envelope * _keep(k_max)) * (1.0 - _ENVELOPE_SLACK)
 
 
 def _ratio_family(v: NormingSequence, sigma: SigmaProfile,
@@ -478,9 +550,10 @@ def optimized_bound(v: NormingSequence, sigma: SigmaProfile, phi: PhiFunction,
 
     Ratios are visited in order of a lower bound from their first 64
     terms (see _prefix_lower_bounds), and block_sum runs only for a ratio
-    whose lower bound is not above the smallest sum so far.  A skipped
-    ratio's value is strictly above that sum, so the report is the one
-    block_sum over every ratio gives, bit for bit.
+    whose lower bound, raised by the envelope of its later terms (see
+    _envelope_lower_bound), is not above the smallest sum so far.  A
+    skipped ratio's value is strictly above that sum, so the report is
+    the one block_sum over every ratio gives, bit for bit.
     """
     if not 0 < C < math.inf:
         raise DomainError(f"theorem constant must be positive and finite, "
@@ -493,7 +566,8 @@ def optimized_bound(v: NormingSequence, sigma: SigmaProfile, phi: PhiFunction,
         results, best = {}, math.inf
         for i, low in _by_prefix_bound(phi, x, heads, tol, k_max):
             # this series cannot be below, nor tie, a sum already made
-            if low > best:
+            if low > best or _envelope_lower_bound(
+                    phi, x, low, v, sigma, ratios[i], tol, k_max) > best:
                 continue
             res = results[i] = block_sum(ratios[i], v, sigma, phi, x, tol,
                                          k_max)
@@ -589,11 +663,14 @@ def single_time_lower_bound(tail_at_n0: Callable[[float], float], n0: int,
     """Tail of the normalized value at one fixed time as a sup-tail floor.
 
     The sup over n of S(n)/(sigma(n) v(n)) exceeds u whenever the single
-    time n0 does, so P(S(n0)/sigma(n0) > u * v(n0)) is a certified lower
-    bound on the sup-tail probability.  n0 is the engine's index, the one
-    v is evaluated at; tail_at_n0 is the tail of S/sigma at the model
-    time paired with it, n0 + n_min - 1 for a model whose profile starts
-    at n_min (see MartingaleModel.sigma_profile).
+    time n0 does, so P(S(n0)/sigma(n0) > u * v(n0)) is a lower bound on
+    the sup-tail probability.  tail_at_n0(x) is P(S(n0)/sigma(n0) > x),
+    and v is evaluated at n0.  The threshold is the one rounded product
+    u * v(n0), so at a level where the statistic's own float test,
+    S(n0) / fl(sigma(n0) v(n0)) > u, decides otherwise, this floor can
+    differ from the tail of that statistic.  `lilbound verify` reports
+    verify.single_time_tail with the run's norming instead, which makes
+    that test.
     """
     if n0 < 1:
         raise DomainError(f"n0 must be a positive index, got {n0}")

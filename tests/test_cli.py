@@ -394,6 +394,43 @@ def test_log_grid_through_zero_exits_2_in_one_line(tmp_path, capsys, flag,
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--u-grid", "-5,5"],
+                                  ["bound", "--u-grid", "-5,5"]])
+def test_value_after_a_space_that_starts_with_minus_exits_2_in_one_line(
+        tmp_path, capsys, argv):
+    """argparse takes -5,5 for a flag; the error is one line that gives
+    the '=' form, not a usage message, and nothing is written."""
+    code, out, err = run_cli(capsys, argv + ["--out-dir", str(tmp_path)])
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "--u-grid=-5,5" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["bound", "--nope", "3"],
+                                  ["verify", "--horizon", "x"],
+                                  ["bound", "--nope", "-5,5"],
+                                  ["verify", "--exact", "-5,5"],
+                                  ["bound", "--u-grid", "-5,5", "--nope"]])
+def test_argparse_errors_exit_2_in_one_line(capsys, argv):
+    """No '=' hint where the '=' form would not parse either."""
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "starts with '-'" not in err
+
+
+def test_help_is_argparse_help(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: lilbound simulate")
+    assert "--u-grid U_GRID" in out
+
+
 def test_all_negative_log_grid_is_valid():
     assert parse_grid("log:-1:-2:3", "u grid").tolist() == \
         [-1.0, -2.0 ** 0.5, -2.0]

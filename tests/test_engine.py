@@ -384,6 +384,7 @@ def _bits(report):
             float(report.c_used).hex())
 
 
+_DEFAULT_US = np.geomspace(1.0, 8.0, 16).tolist()
 _LAMS = np.arange(801) / 20.0
 #: lambda^2/2 tabulated on [0, 40]: phi2 through the numeric conjugate
 LAM2_TABLE = phi_from_table(_LAMS, _LAMS * _LAMS / 2.0)
@@ -411,12 +412,28 @@ LAM2_TABLE = phi_from_table(_LAMS, _LAMS * _LAMS / 2.0)
          c=1.0, ratios=[2.0, 4.0], k_max=512, tol=DEFAULT_TOL)
 @example(phi="table", norming="vr:2", profile="chaos:d=1", us=[1e308],
          c=1.0, ratios=[2.0, 4.0], k_max=512, tol=DEFAULT_TOL)
+# the default grids of `lilbound bound`, where the envelope leaves one full
+# sum per level
+@example(phi="phi2", norming="vr:2", profile="chaos:d=1", us=_DEFAULT_US,
+         c=1.0, ratios=list(DEFAULT_RATIOS), k_max=DEFAULT_KMAX,
+         tol=DEFAULT_TOL)
+@example(phi="chi2", norming="vr:2", profile="chaos:d=2", us=_DEFAULT_US,
+         c=1.0, ratios=list(DEFAULT_RATIOS), k_max=DEFAULT_KMAX,
+         tol=DEFAULT_TOL)
+@example(phi="phi2", norming="vr:2", profile="weightedA:beta=1",
+         us=_DEFAULT_US, c=1.0, ratios=list(DEFAULT_RATIOS),
+         k_max=DEFAULT_KMAX, tol=DEFAULT_TOL)
+# the winner stops at k = 4187, far past the prefix, and so do the ratios
+# that the envelope rules out
+@example(phi="phi2", norming="vr:1", profile="weightedA:beta=1", us=[4.0],
+         c=1.0, ratios=list(DEFAULT_RATIOS), k_max=DEFAULT_KMAX, tol=0.3)
 def test_optimized_bound_equals_every_ratio_summed(phi, norming, profile, us,
                                                    c, ratios, k_max, tol):
-    """Skipping the ratios that a 64-term prefix rules out changes no bit
-    of the report, including with duplicate ratios (ties), k_max on
-    either side of the prefix length, and a loose tol, under which many
-    series stop inside the prefix with a sizeable sum still after it."""
+    """Skipping the ratios that a 64-term prefix and the envelope rule
+    out changes no bit of the report, including with duplicate ratios
+    (ties), k_max on either side of the prefix length, and a loose tol,
+    under which many series stop inside the prefix with a sizeable sum
+    still after it, or far past it."""
     f = LAM2_TABLE if phi == "table" else phi_from_id(phi)
     v = norming_from_id(norming)
     sigma = (profile_from_id(profile) if profile.startswith("powerlaw")
@@ -493,46 +510,145 @@ def test_prefix_holds_too_few_ratios_to_diverge():
     assert _PREFIX - 1 < _DIVERGENCE_RUN
 
 
-@pytest.mark.parametrize("profile", ["chaos:d=1", "chaos:d=2", "chaos:d=3",
-                                     "weightedA:beta=1", "powerlaw:gamma=0.5",
-                                     "powerlaw:gamma=1,m=log"])
-def test_block_arguments_heads_do_not_depend_on_k_max(profile):
-    """A _PREFIX-term call of _block_arguments gives, bit for bit, the
-    first _PREFIX entries of each ratio's k_max-term arguments (the first
-    k_max when k_max is shorter), so the ratio family's heads could come
-    from it."""
-    sigma = (profile_from_id(profile) if profile.startswith("powerlaw")
-             else model_from_id(profile).sigma_profile())
-    for v, ratios, k_max in ((V2, None, DEFAULT_KMAX),
-                             (iterated_log_norming(1.0), [2.0, 3.5, 32.0],
-                              1000),
-                             (V2, [2.0, 7.0], 5)):
-        got, heads = engine._ratio_family(v, sigma, ratios, DEFAULT_TOL,
-                                          k_max)
-        short = np.stack([_block_arguments(v, sigma, r, min(_PREFIX, k_max))
-                          for r in got])
-        assert short.shape == heads.shape
-        assert short.tobytes() == heads.tobytes()
-
-
 @pytest.mark.parametrize("norming", ["vr:1", "vr:2", "const:1"])
 def test_ratio_family_heads_are_the_full_arguments_heads(norming):
     """The ratio family computes only min(_PREFIX, k_max) block arguments
     per ratio; they are, bit for bit, the first entries of the k_max-term
-    arrays that block_sum sums."""
+    arrays that block_sum sums, one row per distinct ratio in order."""
     v = norming_from_id(norming)
     ratios = sorted({*DEFAULT_RATIOS, 2.5, 3.0, 5.0})
     assert len(ratios) == 15
     for profile in ("chaos:d=1", "chaos:d=2", "chaos:d=3",
-                    "weightedA:beta=1", "powerlaw:gamma=1,m=log"):
+                    "weightedA:beta=1", "powerlaw:gamma=0.5",
+                    "powerlaw:gamma=1,m=log"):
         sigma = (profile_from_id(profile) if profile.startswith("powerlaw")
                  else model_from_id(profile).sigma_profile())
-        for k_max in (16, _PREFIX, 512, DEFAULT_KMAX):
-            _, heads = engine._ratio_family(v, sigma, ratios, DEFAULT_TOL,
-                                            k_max)
+        for k_max in (5, 16, _PREFIX, 512, 1000, DEFAULT_KMAX):
+            got, heads = engine._ratio_family(v, sigma, ratios[::-1] * 2,
+                                              DEFAULT_TOL, k_max)
+            assert got == ratios
             full = np.stack([_block_arguments(v, sigma, r, k_max)[:_PREFIX]
                              for r in ratios])
+            assert heads.shape == full.shape
             assert heads.tobytes() == full.tobytes(), (profile, k_max)
+
+
+_LN2 = math.log(2.0)
+
+
+def _norming_with_terms(first: float, *runs) -> NormingSequence:
+    """A v under which, at ratio 2 and unit sigma, the phi2 terms at
+    x = sqrt(2 log 2) are first, then each the one before times the next
+    ratio, where runs are (ratio, count) pairs and the last ratio holds
+    to DEFAULT_KMAX."""
+    ratios = [r for r, count in runs for _ in range(count)]
+    ratios += [runs[-1][0]] * (DEFAULT_KMAX - 1 - len(ratios))
+    halvings = np.cumsum(-np.log2([first] + ratios))
+
+    def v(log_n):
+        k = np.rint(np.asarray(log_n, dtype=float) / _LN2).astype(int)
+        return np.sqrt(halvings[k])
+
+    return NormingSequence(label=f"terms:{first:g},{runs}", eval_log=v,
+                           evaluate=lambda n: v(np.log(np.asarray(n, float))))
+
+
+#: stops by halving at k = 103 with a tail bound of 5.1e-5, its terms flat
+#: at 2.04e-4 after that: every term past the stop is above 2*tol at
+#: tol = 8e-5, so only the halving test ends the envelope there
+STEP_NORMING = _norming_with_terms(0.5, (0.98, 99), (0.2, 1), (0.15, 1),
+                                   (0.1, 1), (1.0, 1))
+#: stops at k = 1003 on ratios 0.9, 0.85, 0.8 with a tail bound of 0.13,
+#: and the terms fall by 0.999 a block again after that: no grid stretch
+#: halves until far past the stop at tol = 0.2, so only the 2*tol test
+#: ends the envelope there
+GENTLE_STOP_NORMING = _norming_with_terms(0.0625, (0.999, 999), (0.9, 1),
+                                          (0.85, 1), (0.8, 1), (0.999, 1))
+#: stops at k = 512 at tol = 1e-3, and the envelope counts most of the
+#: terms past the prefix
+GEOMETRIC_NORMING = _norming_with_terms(0.5, (0.98, 1))
+UNIT_SIGMA = SigmaProfile(
+    label="unit", evaluate=lambda n: np.ones_like(n, dtype=float),
+    log_sigma=lambda log_n: np.zeros_like(log_n, dtype=float))
+
+
+def _envelope_cases():
+    """(label, phi, v, sigma, ratio, x, tol, k_max): series that stop
+    past the prefix where only one of the envelope's two end tests holds
+    it back, the default ratios at a level where the winner and the
+    ratios the envelope rules out stop far past the prefix (tol = 0.3),
+    then draws from a seeded rng: closed-form generators under growing,
+    sqrt-growth (series that stop) and constant (divergent series,
+    arguments that are not monotone) normings, at k_max on both sides of
+    _PREFIX."""
+    x = math.sqrt(2.0 * _LN2)
+    for v, tol in ((STEP_NORMING, 8e-5), (GENTLE_STOP_NORMING, 0.2),
+                   (GEOMETRIC_NORMING, 1e-3)):
+        yield (v.label, phi2(), v, UNIT_SIGMA, 2.0, x, tol, DEFAULT_KMAX)
+    weighted = model_from_id("weightedA:beta=1").sigma_profile()
+    for r in DEFAULT_RATIOS:
+        yield ("weightedA:beta=1", phi2(), iterated_log_norming(1.0),
+               weighted, float(r), 4.0, 0.3, DEFAULT_KMAX)
+    rng = np.random.default_rng(20261020)
+    phis = ["phi2", "chi2", "cosh", "power:q=3", "power:q=1.5"]
+    normings = [V2, iterated_log_norming(1.0), iterated_log_norming(0.5),
+                SQRT_NORMING, constant_norming(1.0)]
+    profiles = ["chaos:d=1", "chaos:d=2", "chaos:d=3", "weightedA:beta=1",
+                "powerlaw:gamma=0.5", "powerlaw:gamma=1,m=invlog"]
+    for _ in range(400):
+        profile = str(rng.choice(profiles))
+        sigma = (profile_from_id(profile) if profile.startswith("powerlaw")
+                 else model_from_id(profile).sigma_profile())
+        yield (profile, phi_from_id(str(rng.choice(phis))),
+               normings[rng.integers(len(normings))], sigma,
+               float(rng.choice([2.0, 2.5, 3.0, 4.0, 7.0, 32.0])),
+               float(np.exp(rng.uniform(np.log(0.2), np.log(12.0)))),
+               float(rng.choice([DEFAULT_TOL, 1e-6, 1e-3, 0.1, 0.3, 0.6])),
+               int(rng.choice([65, 100, 512, 4096, DEFAULT_KMAX])))
+
+
+def test_envelope_is_below_the_reported_sum():
+    """The prefix bound raised by the envelope is at most block_sum's
+    value on series that stop early, run to k_max or diverge, and on
+    arguments the envelope must refuse; every kind occurs, and so does a
+    bound that the envelope raises."""
+    seen = set()
+    for label, phi, v, sigma, r, x, tol, k_max in _envelope_cases():
+        heads = engine._ratio_family(v, sigma, [r], tol, k_max)[1]
+        low = engine._prefix_lower_bounds(phi, x, heads, tol, k_max)[0]
+        raised = engine._envelope_lower_bound(phi, x, low, v, sigma, r, tol,
+                                              k_max)
+        res = block_sum(r, v, sigma, phi, x, tol, k_max)
+        assert raised <= res.value, (label, phi.label, v.label, r, x, tol,
+                                     k_max, raised, res)
+        if engine._envelope_points(v, sigma, r, k_max) is None:
+            seen.add("not monotone")
+        seen.add("diverged" if res.diverged else
+                 "stopped past the prefix" if res.converged
+                 and res.k_used > _PREFIX else
+                 "stopped in the prefix" if res.converged else "truncated")
+        if raised > low:
+            seen.add("raised")
+    assert seen == {"not monotone", "diverged", "stopped past the prefix",
+                    "stopped in the prefix", "truncated", "raised"}
+
+
+def test_default_grid_sums_one_series_per_level(monkeypatch):
+    """On `lilbound bound`'s default chaos:d=2 grid the prefix and the
+    envelope rule out every ratio but the winner: 16 block_sum calls for
+    16 levels (185 with the prefix alone)."""
+    model = chaos_model(2)
+    calls = []
+    real = engine.block_sum
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(engine, "block_sum", counted)
+    report = optimized_bound(V2, model.sigma_profile(), model.phi,
+                             _DEFAULT_US)
+    assert calls == list(report.chosen_ratios)
 
 
 def test_stacked_stop_test_equals_the_scan_row_by_row():
