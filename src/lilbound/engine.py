@@ -58,7 +58,8 @@ prefix bound plus the envelope, times the rounding slack above and
 within about 1e-12 relative of the exact terms at the same arguments,
 which are monotone, so a term inside a stretch is at least t_g times
 1 - 1e-9 and the halving test carries the same slack.  On the default
-grids this leaves one full sum per level.  A numeric conjugate takes no
+grids this leaves one full sum per level, for the built-in generators
+and convex tables alike.  A generator with no closed form takes no
 envelope: its 64 lockstep solves cost about what a 512-term sum does.
 
 A question about the minimum, "is B(x) >= t?" (bound_at_least, which

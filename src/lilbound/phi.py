@@ -10,11 +10,14 @@ conjugate transform
     conjugate(phi, u) = sup over lambda in [0, lambda0) of (lambda*u - phi(lambda))
 
 together with its inverse-function companions.  Built-in families carry
-closed-form conjugates; everything else is solved numerically by bisection
-on the (strictly increasing) derivative, and phi_inverse by bisection on
-phi itself.  Both follow one rule, :func:`_bisect`, which solves a whole
-array of targets in lockstep: the bracket's right end doubles until it
-reaches the target or a finite domain edge, each end taken once for all
+closed-form conjugates, and so does a table whose interpolant is convex:
+p' = u is then a quadratic with one root on one piece (see
+phi_from_table).
+Everything else is solved numerically by bisection on the (strictly
+increasing) derivative, and phi_inverse by bisection on phi itself.
+Both follow one rule, :func:`_bisect`, which solves a whole array of
+targets in lockstep: the bracket's right end doubles until it reaches
+the target or a finite domain edge, each end taken once for all
 targets, and each halving evaluates phi once on all targets in play.  An
 edge never reached ends the search: the conjugate's supremum is then the
 edge value, and phi_inverse's target lies beyond sup phi.  The scalar
@@ -242,6 +245,13 @@ def phi_from_table(lambdas: Sequence[float], values: Sequence[float],
     interpolant is scipy's ``PchipInterpolator(lam, val)`` to the bit:
     its derivatives, its cubic coefficients, and PPoly's power-sum order.
     It is written out in numpy so that a table run never imports scipy.
+
+    PCHIP does not always keep convex data convex.  Where it does (p''
+    at both ends of every piece at least -8 ulps, and the knot
+    derivatives d nondecreasing), the table carries a closed-form
+    conjugate: on the piece where d passes u, p' = u is a quadratic,
+    whose root is the maximizer.  A table with a concave piece keeps the
+    numeric solver.
     """
     lam = np.asarray(lambdas, dtype=float)
     val = np.asarray(values, dtype=float)
@@ -274,6 +284,12 @@ def phi_from_table(lambdas: Sequence[float], values: Sequence[float],
     coef = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], val[:-1], lam[:-1]])
     right = lam[1:]  # x >= 0 lies on piece i when right[i-1] <= x < right[i]
     lambda0 = float(lam[-1])
+    # p'' is linear on a piece, so p is convex there when p'' at both ends,
+    # 2*c1 and 2*c1 + 6*c0*h, is not below zero by more than a few ulps
+    bend = np.stack([2 * coef[1], 6 * coef[0] * h])
+    slack = 8 * np.spacing(np.abs(bend).max(axis=0))
+    convex = (np.all(bend[0] >= -slack) and np.all(bend.sum(axis=0) >= -slack)
+              and np.all(np.diff(d) >= 0))
 
     def ev(x):
         x = np.abs(x)
@@ -296,7 +312,32 @@ def phi_from_table(lambdas: Sequence[float], values: Sequence[float],
         y += c0
         return float(y) if y.ndim == 0 else y
 
-    return PhiFunction(label=label, evaluate=ev, lambda0=lambda0)
+    if not convex:
+        return PhiFunction(label=label, evaluate=ev, lambda0=lambda0)
+    cap = lambda0 * _EDGE  # the numeric solver's edge, see _domain_cap
+    last = len(d) - 1
+
+    def conj(u):
+        # p' rises from d[i] to d[i+1] on piece i, so the maximizer of
+        # lam*u - p(lam) is the root of p' = u on the piece where d first
+        # passes u: 0 below d[0], the edge cap from d[-1] on
+        u = np.asarray(u, dtype=float)
+        i = d.searchsorted(u, side="right") - 1
+        j = np.clip(i, 0, last - 1)
+        c0, c1, slope, _, knot = coef.take(j, axis=1)
+        # 3*c0 s^2 + 2*c1 s + (slope - u) = 0 by the root free of
+        # cancellation, a discriminant below 0 by rounding taken as 0;
+        # fmax and fmin take the 0/0 of a root at the knot itself to 0
+        a, b, c = 3 * c0, 2 * c1, slope - u
+        with np.errstate(all="ignore"):  # past d[-1], and at u = inf
+            s = -2 * c / (b + np.sqrt(np.maximum(b * b - 4 * a * c, 0.0)))
+            x = np.minimum(knot + np.fmin(np.fmax(s, 0.0), h[j]), cap)
+            x = np.where(i < 0, 0.0, np.where(i == last, cap, x))
+            value = np.maximum(x * u - ev(x), 0.0)
+        return np.where(u == 0.0, 0.0, value)
+
+    return PhiFunction(label=label, evaluate=ev, lambda0=lambda0,
+                       analytic_conjugate=conj)
 
 
 def load_csv(path: str, ndmin: int) -> np.ndarray:

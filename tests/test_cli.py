@@ -357,12 +357,39 @@ def test_bound_on_tabulated_generator(tmp_path, capsys):
     assert numeric["bound"] == pytest.approx(analytic["bound"], rel=1e-5)
 
 
+def test_bound_on_a_table_sums_one_series_per_level(tmp_path, capsys,
+                                                    monkeypatch, bisections):
+    """The lambda^2/2 table carries a closed form, so the envelope rules
+    out every ratio but the winner: on the default grids `bound` makes
+    one block_sum per level, 16 in all, and bisects nothing."""
+    from lilbound import engine
+    table = tmp_path / "phi.csv"
+    lams = np.arange(801) / 20.0
+    np.savetxt(table, np.column_stack([lams, lams * lams / 2.0]),
+               delimiter=",", fmt="%.17g")
+    calls = []
+    block_sum = engine.block_sum
+
+    def counting(ratio, v, sigma, phi, x, *rest):
+        calls.append(x)
+        return block_sum(ratio, v, sigma, phi, x, *rest)
+
+    monkeypatch.setattr(engine, "block_sum", counting)
+    code, _, _ = run_cli(capsys, ["bound", "--phi", f"csv:{table}",
+                                  "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    assert len(calls) == len(set(calls)) == 16
+    assert bisections == []
+
+
 def test_conjugate_command_solves_a_table_grid_once(tmp_path, capsys,
                                                   bisections):
-    """200 points of a table's conjugate in one lockstep solve, equal to
-    the points solved one at a time by the scalar oracle."""
-    from lilbound.phi import phi_from_csv
-    from oracles import scalar_conjugate
+    """200 points of a convex table's conjugate by its closed form, with
+    no bisection, equal to the numeric twin's lockstep solve within
+    1e-12 relative or 1e-10 absolute."""
+    from dataclasses import replace
+
+    from lilbound.phi import conjugate_many, phi_from_csv
     table = tmp_path / "phi.csv"
     lams = np.arange(801) / 20.0
     np.savetxt(table, np.column_stack([lams, lams * lams / 2.0]),
@@ -372,10 +399,11 @@ def test_conjugate_command_solves_a_table_grid_once(tmp_path, capsys,
                                     "--u", ",".join(map(repr, grid.tolist())),
                                     "--json"])
     assert code == EXIT_OK
-    assert bisections == [199]  # u = 0 is exactly 0, with no solve
-    phi = phi_from_csv(str(table))
-    assert json.loads(out)["phi_star"] == [
-        scalar_conjugate(phi, float(u))[0] for u in grid]
+    assert bisections == []
+    twin = conjugate_many(
+        replace(phi_from_csv(str(table)), analytic_conjugate=None), grid)
+    gap = np.abs(np.array(json.loads(out)["phi_star"]) - twin)
+    assert np.all(gap <= np.maximum(1e-12 * twin, 1e-10)), gap.max()
 
 
 @pytest.mark.parametrize("flag,spec", [

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,11 @@ from oracles import (Partition, block_term, dp_partition_oracle,
 
 SQRT_SIGMA = power_law_surrogate(0.5)   # sigma(n) = sqrt(n)
 V2 = iterated_log_norming(2.0)
+_LAMS = np.arange(801) / 20.0
+#: lambda^2/2 tabulated on [0, 40]: phi2 through the table's closed form,
+#: and through the numeric conjugate in its twin
+LAM2_TABLE = phi_from_table(_LAMS, _LAMS * _LAMS / 2.0)
+LAM2_NUMERIC = replace(LAM2_TABLE, analytic_conjugate=None)
 
 # norming growing like sqrt(n): fast enough decay for a certified stop,
 # which no built-in norming produces (iterated-log tails decay only
@@ -156,11 +162,11 @@ def _count_solved(monkeypatch):
 def test_numeric_block_sum_solves_each_distinct_level_once(monkeypatch):
     # with constant norming and sigma(n) = sqrt(n), block k's argument is
     # sqrt(A(k)/B(k)): past the exact boundaries (k > 53 at ratio 2) it
-    # is sqrt(1/2) for every block, so the series has few distinct levels
-    lams = np.arange(801) / 20.0
-    table = phi_from_table(lams, lams * lams / 2.0)
+    # is sqrt(1/2) for every block, so the series has few distinct levels;
+    # the table's numeric twin, since its closed form takes no solve
     solved = _count_solved(monkeypatch)
-    res = block_sum(2.0, constant_norming(1.0), SQRT_SIGMA, table, 3.0)
+    res = block_sum(2.0, constant_norming(1.0), SQRT_SIGMA, LAM2_NUMERIC,
+                    3.0)
     assert sum(solved) <= 64
     assert res.diverged and res.k_used == 66
 
@@ -181,9 +187,9 @@ def test_numeric_block_sum_that_stops_early_solves_one_chunk(monkeypatch):
 @pytest.mark.parametrize("v", [V2, constant_norming(1.0)],
                          ids=["vr:2", "const:1"])
 def test_numeric_block_sum_does_not_depend_on_chunking(v):
-    """Chunked evaluation gives the one-pass result over all k_max terms."""
-    lams = np.arange(801) / 20.0
-    table = phi_from_table(lams, lams * lams / 2.0)
+    """Chunked evaluation gives the one-pass result over all k_max terms
+    (on the table's numeric twin: its closed form takes the one pass)."""
+    table = LAM2_NUMERIC
     k_max, ratio, u = 3000, 3.0, 3.0
     res = block_sum(ratio, v, SQRT_SIGMA, table, u, k_max=k_max)
     args = _block_arguments(v, SQRT_SIGMA, ratio, k_max)
@@ -385,13 +391,11 @@ def _bits(report):
 
 
 _DEFAULT_US = np.geomspace(1.0, 8.0, 16).tolist()
-_LAMS = np.arange(801) / 20.0
-#: lambda^2/2 tabulated on [0, 40]: phi2 through the numeric conjugate
-LAM2_TABLE = phi_from_table(_LAMS, _LAMS * _LAMS / 2.0)
 
 
 @settings(max_examples=60)
-@given(phi=st.sampled_from(["phi2", "chi2", "cosh", "power:q=3", "table"]),
+@given(phi=st.sampled_from(["phi2", "chi2", "cosh", "power:q=3", "table",
+                            "numeric"]),
        norming=st.sampled_from(["vr:1", "vr:2", "const:1"]),
        profile=st.sampled_from(["chaos:d=1", "chaos:d=2", "weightedA:beta=1",
                                 "weightedA:beta=1,r=3", "powerlaw:gamma=0.5",
@@ -417,6 +421,9 @@ LAM2_TABLE = phi_from_table(_LAMS, _LAMS * _LAMS / 2.0)
 @example(phi="phi2", norming="vr:2", profile="chaos:d=1", us=_DEFAULT_US,
          c=1.0, ratios=list(DEFAULT_RATIOS), k_max=DEFAULT_KMAX,
          tol=DEFAULT_TOL)
+@example(phi="table", norming="vr:2", profile="chaos:d=1", us=_DEFAULT_US,
+         c=1.0, ratios=list(DEFAULT_RATIOS), k_max=DEFAULT_KMAX,
+         tol=DEFAULT_TOL)
 @example(phi="chi2", norming="vr:2", profile="chaos:d=2", us=_DEFAULT_US,
          c=1.0, ratios=list(DEFAULT_RATIOS), k_max=DEFAULT_KMAX,
          tol=DEFAULT_TOL)
@@ -434,7 +441,8 @@ def test_optimized_bound_equals_every_ratio_summed(phi, norming, profile, us,
     (ties), k_max on either side of the prefix length, and a loose tol,
     under which many series stop inside the prefix with a sizeable sum
     still after it, or far past it."""
-    f = LAM2_TABLE if phi == "table" else phi_from_id(phi)
+    f = {"table": LAM2_TABLE, "numeric": LAM2_NUMERIC}.get(phi) \
+        or phi_from_id(phi)
     v = norming_from_id(norming)
     sigma = (profile_from_id(profile) if profile.startswith("powerlaw")
              else model_from_id(profile).sigma_profile())

@@ -161,7 +161,8 @@ def quadratic_table():
 
 
 def test_conjugate_many_bit_identical_to_scalar_on_table():
-    table = quadratic_table()
+    # the table's numeric twin: its closed form would bypass the solver
+    table = numeric_only(quadratic_table())
     # 0, interior points, the slope 40 at the edge and past it (where the
     # supremum sits at the domain edge), and large u, up to 1e308 whose
     # edge value overflows to inf; then repeated and unsorted levels,
@@ -177,7 +178,7 @@ def test_conjugate_many_bit_identical_to_scalar_on_table():
 def test_points_past_the_last_slope_join_the_lockstep_solve(bisections):
     # they take the edge value inside the one array solve: no point is
     # solved on its own
-    table = quadratic_table()
+    table = numeric_only(quadratic_table())
     us = np.array([10.0, 40.0, 45.0, 1e3])
     expected = [scalar_conjugate(table, float(u))[0] for u in us]
     np.testing.assert_array_equal(conjugate_many(table, us), expected)
@@ -201,7 +202,7 @@ def test_small_range_table_takes_the_edge_value_far_past_its_slope():
     # 0.04u - 0.0008; closing in on an edge the slope never reaches
     # stalled here, since the objective still rises at rate u there
     lams = np.linspace(0.0, 0.04, 81)
-    table = phi_from_table(lams, lams * lams / 2.0)
+    table = numeric_only(phi_from_table(lams, lams * lams / 2.0))
     us = np.array([0.01, 0.05, 1.0, 1e4])
     values = conjugate_many(table, us)
     np.testing.assert_array_equal(
@@ -211,6 +212,81 @@ def test_small_range_table_takes_the_edge_value_far_past_its_slope():
                  - Fraction(lams[-1] * lams[-1] / 2.0))
         assert Fraction(float(value)) <= exact
         assert value == pytest.approx(float(exact), rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form conjugate of a convex table
+# ---------------------------------------------------------------------------
+
+def _tabulated(f, top, rows, power=1):
+    """f on rows knots spread over [0, top] as the power of an even grid."""
+    lams = np.linspace(0.0, top ** (1.0 / power), rows) ** power
+    return phi_from_table(lams, f(lams))
+
+
+CONVEX_TABLES = {
+    "lam2-40": quadratic_table,
+    "lam2-0.04": lambda: _tabulated(lambda x: x * x / 2.0, 0.04, 81),
+    "cosh": lambda: _tabulated(lambda x: np.cosh(x) - 1.0, 5.0, 501),
+    "chi2": lambda: _tabulated(chi_square_phi().evaluate, 0.7, 701),
+    "cube-uneven": lambda: _tabulated(lambda x: x ** 3 / 3.0, 9.0, 300, 2),
+}
+
+
+@pytest.mark.parametrize("make", CONVEX_TABLES.values(), ids=CONVEX_TABLES)
+def test_convex_table_closed_form_matches_its_numeric_twin(make, bisections):
+    # the numeric solver's contract: 1e-10 absolute; at u = 1e-6 its
+    # difference quotients leave the twin a third low on lam2-40, 8e-14
+    table = make()
+    assert table.analytic_conjugate is not None
+    us = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 400)])
+    closed = conjugate_many(table, us)
+    assert bisections == [] and closed[0] == 0.0
+    twin = conjugate_many(numeric_only(table), us)
+    gap = np.abs(closed - twin)
+    assert np.all(gap <= np.maximum(1e-12 * twin, 1e-10)), gap.max()
+
+
+@pytest.mark.parametrize("make", CONVEX_TABLES.values(), ids=CONVEX_TABLES)
+def test_convex_table_closed_form_is_nondecreasing_in_u(make):
+    # the premise of the engine's envelope
+    values = conjugate_many(make(), np.concatenate([
+        np.linspace(0.0, 1.0, 100001), np.geomspace(1.0, 1e3, 100001)]))
+    assert np.all(np.diff(values) >= 0.0)
+
+
+@pytest.mark.parametrize("make", CONVEX_TABLES.values(), ids=CONVEX_TABLES)
+def test_convex_table_takes_the_edge_value_past_its_last_slope(make):
+    # 1.5 times the slope near the edge is past the last knot
+    # derivative; from there on the value is lam u - p(lam) at the
+    # solver's edge, bit for bit, inf where lam u overflows
+    table = make()
+    cap = phi_module._domain_cap(table)
+    lams = np.array([table.lambda0 * 0.999, table.lambda0 * 0.9999])
+    slope = float(np.diff(table.evaluate(lams))[0] / np.diff(lams)[0])
+    us = np.array([1.5, 2.0, 10.0, 1e6]) * slope
+    us = np.concatenate([us, [1e308, math.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = conjugate_many(table, us)
+    with np.errstate(over="ignore"):
+        edge = cap * us - table.evaluate(np.full(len(us), cap))
+    np.testing.assert_array_equal(closed, edge)
+    np.testing.assert_array_equal(closed,
+                                  conjugate_many(numeric_only(table), us))
+    assert closed[-1] == math.inf
+
+
+def test_tables_with_concave_pieces_keep_the_numeric_solver(bisections):
+    # |lambda|^1.5 at step 2.5 has p'' = -0.083 on its piece 1, and
+    # PCHIP bends the pieces of random convex data the same way
+    lams = np.arange(801) * 2.5
+    tables = [phi_from_table(lams, lams ** 1.5),
+              phi_from_table(*_random_table(np.random.default_rng(7)))]
+    for table in tables:
+        assert table.analytic_conjugate is None
+        conjugate_many(table, np.array([0.5, 3.0]))
+    assert bisections == [2, 2]
 
 
 def test_unbounded_slope_search_without_an_edge_fails_cleanly():
