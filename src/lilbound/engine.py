@@ -17,7 +17,8 @@ Deep sums need care on two fronts, both handled here:
     so boundaries are carried in log space (exact integers while
     ratio^(k-1) <= 2^52, where the min-gap and rounding rules can still
     bind; the pure (k-1)*log(ratio) form beyond, where they provably
-    cannot);
+    cannot), and one pass of sigma over log A(1..k_max+1) serves both
+    ends of every block, B(k) = A(k+1) - 1;
 
   * for iterated-logarithm normings the terms decay polynomially in k,
     not geometrically.  A sum stops early when three consecutive term
@@ -103,8 +104,8 @@ _SMALLEST_NORMAL = 2.0 ** -1022
 def _integer_boundaries(ratio: float, power_cap: float = math.inf):
     """A(1) = 1, A(2), ... with A(k) = max(A(k-1) + 2, round(ratio^(k-1))).
 
-    The geometric boundary rule: _log_boundaries carries it in log space
-    for block_sum, and the partition oracles in tests/oracles.py
+    The geometric boundary rule: _block_arguments carries it in log
+    space for block_sum, and the partition oracles in tests/oracles.py
     materialize it; stops before the first A(k) with ratio^(k-1) >
     power_cap.
     """
@@ -119,38 +120,29 @@ def _integer_boundaries(ratio: float, power_cap: float = math.inf):
 
 
 @lru_cache(maxsize=256)
-def _log_boundaries(ratio: float, k_max: int):
-    """(log A(k), log B(k)) arrays for k = 1..k_max, geometric family.
-
-    Exact rounded-integer boundaries while they fit in 2^52; beyond that
-    A(k) = ratio^(k-1) exactly as far as float64 can tell (the min-gap
-    rule needs a gap < 2, impossible once consecutive powers differ by
-    >= 2^52, and rounding shifts log A by < 2^-52).
+def _block_arguments(v: "NormingSequence", sigma: "SigmaProfile",
+                     ratio: float, k_max: int) -> np.ndarray:
+    """x_k = sigma(A(k)) v(A(k)) / sigma(B(k)) for k = 1..k_max, geometric
+    family; an x_k of +inf is legal (its term is 0), a NaN one a
+    DomainError.  Boundaries are exact integers while they fit in 2^52;
+    beyond that A(k) = ratio^(k-1) exactly as far as float64 can tell
+    (the min-gap rule needs a gap < 2, impossible once consecutive
+    powers differ by >= 2^52, and rounding or the -1 of B(k) = A(k+1) - 1
+    shifts log A by < 2^-52), so sigma(B(k)) is read off log A there.
     """
-    log_q = math.log(ratio)
     # ints[i] = A(i+1) while exact
     ints = list(islice(_integer_boundaries(ratio, _EXACT_CAP), k_max + 1))
     n_exact = len(ints)
     log_a = np.empty(k_max + 1)
     log_a[:n_exact] = np.log(np.array(ints, dtype=float))
-    if n_exact <= k_max:
-        log_a[n_exact:] = np.arange(n_exact, k_max + 1, dtype=float) * log_q
-    # B(k) = A(k+1) - 1; the -1 is kept only while boundaries are exact
-    log_b = log_a[1:].copy()
-    if n_exact >= 2:
-        log_b[:n_exact - 1] = np.log(np.array(ints[1:], dtype=float) - 1.0)
-    return log_a[:k_max], log_b
-
-
-@lru_cache(maxsize=256)
-def _block_arguments(v: "NormingSequence", sigma: "SigmaProfile",
-                     ratio: float, k_max: int) -> np.ndarray:
-    """x_k = sigma(A(k)) v(A(k)) / sigma(B(k)) for k = 1..k_max; an x_k
-    of +inf is legal (its term is 0), a NaN one a DomainError."""
-    log_a, log_b = _log_boundaries(ratio, k_max)
+    log_a[n_exact:] = np.arange(n_exact, k_max + 1) * math.log(ratio)
     with np.errstate(over="ignore", invalid="ignore"):
-        args = np.exp(sigma.log_sigma(log_a) - sigma.log_sigma(log_b)) \
-            * v.eval_log(log_a)
+        ls = sigma.log_sigma(log_a)
+        args = ls[:-1] - ls[1:]
+        args[:n_exact - 1] = ls[:n_exact - 1] - sigma.log_sigma(
+            np.log(np.array(ints[1:], dtype=float) - 1.0))
+        np.exp(args, out=args)
+        args *= v.eval_log(log_a[:-1])
     undefined = np.flatnonzero(np.isnan(args))
     if len(undefined):
         raise DomainError(f"sigma profile {sigma.label} overflows float64 "
@@ -356,6 +348,8 @@ def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
                           f"got {ratio}")
     if not 0 < tol < 1:
         raise DomainError(f"tolerance must be in (0, 1), got {tol}")
+    if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
+        raise DomainError(f"k_max must be an integer >= 1, got {k_max}")
     args = _block_arguments(v, sigma, ratio, k_max)
     if phi.analytic_conjugate is not None:
         return _finish_sum(_terms(phi, u, args), tol)
@@ -476,9 +470,9 @@ def _ratio_family(v: NormingSequence, sigma: SigmaProfile,
                   k_max: int):
     """The distinct ratios searched, sorted, and the first _PREFIX block
     arguments of each as the rows of one array; a DomainError for an
-    empty or invalid family or a tolerance outside (0, 1).  The heads are
-    computed on their own, so only a ratio summed in full pays for its
-    k_max arguments."""
+    empty or invalid family, a tolerance outside (0, 1) or a k_max that
+    is not an integer >= 1.  The heads are computed on their own, so
+    only a ratio summed in full pays for its k_max arguments."""
     ratios = sorted({float(r) for r in
                      (DEFAULT_RATIOS if ratio_grid is None else ratio_grid)})
     if not ratios or not all(2 <= r < math.inf for r in ratios):
@@ -486,6 +480,8 @@ def _ratio_family(v: NormingSequence, sigma: SigmaProfile,
                           "finite values >= 2")
     if not 0 < tol < 1:
         raise DomainError(f"tolerance must be in (0, 1), got {tol}")
+    if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
+        raise DomainError(f"k_max must be an integer >= 1, got {k_max}")
     heads = np.stack([_block_arguments(v, sigma, r, min(_PREFIX, k_max))
                       for r in ratios])
     return ratios, heads

@@ -238,13 +238,14 @@ def phi_from_table(lambdas: Sequence[float], values: Sequence[float],
                    label: str = "table") -> PhiFunction:
     """Generator from tabulated (lambda, phi) pairs on lambda >= 0.
 
-    The table must start at (0, 0) with strictly increasing lambda and
-    convex nondecreasing values.  Evaluation uses monotone (PCHIP)
-    interpolation and evenness by reflection; the last lambda is an open
-    right endpoint, so requests at or beyond it are domain errors.  The
-    interpolant is scipy's ``PchipInterpolator(lam, val)`` to the bit:
-    its derivatives, its cubic coefficients, and PPoly's power-sum order.
-    It is written out in numpy so that a table run never imports scipy.
+    The table must be finite and start at (0, 0), with strictly
+    increasing lambda and convex nondecreasing values.  Evaluation uses
+    monotone (PCHIP) interpolation and evenness by reflection; the last
+    lambda is an open right endpoint, so requests at or beyond it are
+    domain errors.  The interpolant is scipy's ``PchipInterpolator(lam,
+    val)`` to the bit: its derivatives, its cubic coefficients, and
+    PPoly's power-sum order.  It is written out in numpy so that a table
+    run never imports scipy.
 
     PCHIP does not always keep convex data convex.  Where it does (p''
     at both ends of every piece at least -8 ulps, and the knot
@@ -255,6 +256,8 @@ def phi_from_table(lambdas: Sequence[float], values: Sequence[float],
     """
     lam = np.asarray(lambdas, dtype=float)
     val = np.asarray(values, dtype=float)
+    if not (np.isfinite(lam).all() and np.isfinite(val).all()):
+        raise DomainError("table entries must be finite")
     if lam.ndim != 1 or lam.shape != val.shape or len(lam) < 4:
         raise DomainError("table needs matching 1-d columns with >= 4 rows")
     if lam[0] != 0.0 or val[0] != 0.0:

@@ -1,9 +1,10 @@
 """Exact test oracles: the numeric conjugate and inverse one point at a
-time, partitions materialized block by block, the exhaustive partition
-optimum, the whole-array series scan, the optimized bound with every
-ratio's series summed, exact single-path steppers, single-time tail
-counts by enumerating every sign path, and the single-time floor from
-the whole binomial row.
+time, partitions materialized block by block, block arguments from
+separate log A and log B lists, the exhaustive partition optimum, the
+whole-array series scan, the optimized bound with every ratio's series
+summed, exact single-path steppers, single-time tail counts by
+enumerating every sign path, and the single-time floor from the whole
+binomial row.
 
 The library evaluates the bound through log-space boundaries and
 simulates paths in float64 blocks; the oracles here compute the same
@@ -21,9 +22,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from lilbound.engine import (_DIVERGENCE_RUN, DEFAULT_KMAX, DEFAULT_RATIOS,
-                             DEFAULT_TOL, BoundReport, NormingSequence,
-                             SigmaProfile, _integer_boundaries, block_sum)
+from lilbound.engine import (_DIVERGENCE_RUN, _EXACT_CAP, DEFAULT_KMAX,
+                             DEFAULT_RATIOS, DEFAULT_TOL, BoundReport,
+                             NormingSequence, SigmaProfile,
+                             _integer_boundaries, block_sum)
 from lilbound.errors import (DomainError, NonconvergenceError,
                              UnreachableValueError)
 from lilbound.phi import (CONJUGATE_TOL, MAX_ITER, PhiFunction, _domain_cap,
@@ -191,6 +193,40 @@ def block_term(k: int, partition: Partition, v: NormingSequence,
     arg = u * float(sigma.evaluate(a)) * float(v.evaluate(a)) \
         / float(sigma.evaluate(b))
     return math.exp(-conjugate(phi, arg))
+
+
+def _log_boundaries(ratio: float, k_max: int):
+    """(log A(k), log B(k)) arrays for k = 1..k_max, geometric family,
+    as two separate lists (see block_arguments_oracle)."""
+    log_q = math.log(ratio)
+    # ints[i] = A(i+1) while exact
+    ints = list(islice(_integer_boundaries(ratio, _EXACT_CAP), k_max + 1))
+    n_exact = len(ints)
+    log_a = np.empty(k_max + 1)
+    log_a[:n_exact] = np.log(np.array(ints, dtype=float))
+    if n_exact <= k_max:
+        log_a[n_exact:] = np.arange(n_exact, k_max + 1, dtype=float) * log_q
+    # B(k) = A(k+1) - 1; the -1 is kept only while boundaries are exact
+    log_b = log_a[1:].copy()
+    if n_exact >= 2:
+        log_b[:n_exact - 1] = np.log(np.array(ints[1:], dtype=float) - 1.0)
+    return log_a[:k_max], log_b
+
+
+def block_arguments_oracle(v: NormingSequence, sigma: SigmaProfile,
+                           ratio: float, k_max: int) -> np.ndarray:
+    """engine._block_arguments with log B(k) as a second k_max-long
+    array and sigma evaluated on each end's list in full: 2*k_max
+    points, where the engine reads sigma(B(k)) off its log A list."""
+    log_a, log_b = _log_boundaries(ratio, k_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        args = np.exp(sigma.log_sigma(log_a) - sigma.log_sigma(log_b)) \
+            * v.eval_log(log_a)
+    undefined = np.flatnonzero(np.isnan(args))
+    if len(undefined):
+        raise DomainError(f"sigma profile {sigma.label} overflows float64 "
+                          f"at block {undefined[0] + 1}, ratio {ratio:g}")
+    return args
 
 
 # ---------------------------------------------------------------------------

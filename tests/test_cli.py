@@ -357,6 +357,28 @@ def test_bound_on_tabulated_generator(tmp_path, capsys):
     assert numeric["bound"] == pytest.approx(analytic["bound"], rel=1e-5)
 
 
+@pytest.mark.parametrize("rows", [
+    "0,0\n1,0.5\n2,2\n3,inf\n", "0,0\n1,0.5\n2,nan\n3,4.5\n",
+    "0,0\n1,0.5\nnan,2\n3,4.5\n", "0,0\n1,0.5\n2,2\ninf,4.5\n"],
+    ids=["inf-value", "nan-value", "nan-lambda", "inf-lambda"])
+def test_table_with_a_nonfinite_entry_exits_2_in_one_line(tmp_path, capsys,
+                                                          rows):
+    """A NaN or an infinity in either column is one error line that says
+    so, for conjugate and bound alike, with no numpy warning."""
+    table = tmp_path / "phi.csv"
+    table.write_text(rows)
+    for argv in (["conjugate", "--phi", f"csv:{table}", "--u", "1,3"],
+                 ["bound", "--phi", f"csv:{table}", "--u-grid", "2,3",
+                  "--ratio-grid", "2", "--out-dir", str(tmp_path)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_DOMAIN, argv
+        assert out == ""
+        assert err == "error: table entries must be finite\n", err
+    assert not (tmp_path / "bound.json").exists()
+
+
 def test_bound_on_a_table_sums_one_series_per_level(tmp_path, capsys,
                                                     monkeypatch, bisections):
     """The lambda^2/2 table carries a closed form, so the envelope rules

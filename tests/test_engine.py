@@ -33,9 +33,10 @@ from lilbound.engine import (_DIVERGENCE_RUN, _PREFIX, DEFAULT_KMAX,
                              bound_at_least)
 from lilbound.phi import (conjugate, conjugate_many, phi_from_csv,
                           phi_from_table)
-from oracles import (Partition, block_term, dp_partition_oracle,
-                     geometric_partition, geometric_prefix_sum,
-                     optimized_bound_oracle, scan_terms)
+from oracles import (Partition, block_arguments_oracle, block_term,
+                     dp_partition_oracle, geometric_partition,
+                     geometric_prefix_sum, optimized_bound_oracle,
+                     scan_terms)
 
 SQRT_SIGMA = power_law_surrogate(0.5)   # sigma(n) = sqrt(n)
 V2 = iterated_log_norming(2.0)
@@ -82,6 +83,57 @@ def test_geometric_partition_boundaries():
         geometric_partition(1.5, 4)
     with pytest.raises(DomainError):
         geometric_partition(3.0, 80)  # beyond the exact integer range
+
+
+def _arguments_or_error(f, *call):
+    """f(*call) as bytes, or the DomainError message it raises."""
+    try:
+        return f(*call).tobytes()
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_block_arguments_equal_the_two_list_oracle():
+    """Reading sigma(B(k)) off the log A list gives the arrays, and the
+    DomainErrors, of evaluating sigma on a separate log B list, bit for
+    bit, for every profile and norming the CLI builds."""
+    sigmas = [model_from_id(m).sigma_profile() for m in (
+        "chaos:d=1", "chaos:d=2", "chaos:d=3", "chaos:d=5",
+        "weightedA:beta=1", "weightedA:beta=1,r=3")]
+    sigmas += [profile_from_id(p) for p in (
+        "powerlaw:gamma=0.5", "powerlaw:gamma=1,m=log",
+        "powerlaw:gamma=2,m=invlog", "powerlaw:gamma=1e306")]
+    ratios = sorted({*DEFAULT_RATIOS, 2.0, 3.0, 7.5, 1000.0})
+    errors = 0
+    for sigma in sigmas:
+        for v in map(norming_from_id,
+                     ("vr:2", "vr:1", "vr:0.5", "vr:0.003", "const:1")):
+            for ratio in ratios:
+                for k_max in (1, 2, 5, 64, 512, DEFAULT_KMAX):
+                    call = (v, sigma, ratio, k_max)
+                    got = _arguments_or_error(_block_arguments, *call)
+                    assert got == _arguments_or_error(
+                        block_arguments_oracle, *call), (sigma.label,
+                                                         v.label, call[2:])
+                    errors += isinstance(got, str)
+    assert errors > 0
+
+
+@pytest.mark.parametrize("ratio", [2.0, 3.0, 32.0])
+def test_block_arguments_evaluate_sigma_once_per_boundary(ratio):
+    """One call evaluates sigma on log A(1..k_max+1), then again only at
+    the exact B(k), at most 52 of them (ratio 2): k_max + 53 points at
+    most, where two full boundary lists would take 2*k_max."""
+    sizes = []
+
+    def log_sigma(log_n):
+        sizes.append(np.size(log_n))
+        return SQRT_SIGMA.log_sigma(log_n)
+
+    sigma = replace(SQRT_SIGMA, log_sigma=log_sigma)
+    _block_arguments(V2, sigma, ratio, DEFAULT_KMAX)
+    assert sizes[0] == DEFAULT_KMAX + 1
+    assert sum(sizes) <= DEFAULT_KMAX + 53
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +324,7 @@ def test_scan_equals_whole_array_oracle_on_synthetic_arrays():
 
 def test_analytic_block_sum_allocates_a_few_series_arrays():
     """One default-length analytic series peaks at under three float64
-    arrays of k_max terms, cached boundaries and thresholds excluded."""
+    arrays of k_max terms, cached block arguments and thresholds excluded."""
     model = chaos_model(1)
     call = (4.0, V2, model.sigma_profile(), phi2(), 2.3)
     block_sum(*call)   # fill the caches
@@ -297,6 +349,12 @@ def test_block_sum_input_validation():
             block_sum(3.0, V2, SQRT_SIGMA, phi2(), bad)
         with pytest.raises(DomainError):
             block_sum(bad, V2, SQRT_SIGMA, phi2(), 2.0)
+    for bad in (0, -3, 2.5, 20000.0):
+        with pytest.raises(DomainError, match="k_max"):
+            block_sum(3.0, V2, SQRT_SIGMA, phi2(), 2.0, k_max=bad)
+    assert block_sum(3.0, V2, SQRT_SIGMA, phi2(), 2.0,
+                     k_max=np.int64(64)) == block_sum(
+        3.0, V2, SQRT_SIGMA, phi2(), 2.0, k_max=64)
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +567,11 @@ def test_optimized_bound_argument_validation():
         optimized_bound(V2, SQRT_SIGMA, phi2(), [2.0], ratio_grid=[1.5])
     with pytest.raises(DomainError):
         optimized_bound(V2, SQRT_SIGMA, phi2(), [2.0], ratio_grid=[])
+    for bad in (0, -3, 2.5, 20000.0):
+        with pytest.raises(DomainError, match="k_max"):
+            optimized_bound(V2, SQRT_SIGMA, phi2(), [2.0], k_max=bad)
+    with pytest.raises(DomainError, match="k_max"):
+        bound_at_least(V2, SQRT_SIGMA, phi2(), 2.0, 0.1, k_max=0)
 
 
 def test_prefix_holds_too_few_ratios_to_diverge():
