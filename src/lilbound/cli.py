@@ -58,8 +58,9 @@ MAX_SIZE = 2 ** 53
 #: it themselves, and main imports it before parsing when they are asked
 #: for, so it is compiled on the small heap of a fresh process (0.45 MB
 #: less peak RSS than an import mid-command); bound never loads the module
-_VERIFY_NAMES = ("CENSOR_COUNT", "TailEstimate", "calibrate_constant",
-                "empirical_sup_tail", "exact_sup_tail", "single_time_tail")
+_VERIFY_NAMES = ("CENSOR_COUNT", "MIN_PATHS", "TailEstimate",
+                 "calibrate_constant", "empirical_sup_tail", "exact_sup_tail",
+                 "single_time_tail")
 
 
 def _import_verify() -> None:
@@ -411,7 +412,7 @@ def _tail_files(cfg: RunConfig, estimate) -> None:
 
 
 def _censor_guard(cfg: RunConfig) -> Optional[int]:
-    if cfg.paths < 1000:
+    if cfg.paths < MIN_PATHS:
         print(f"{cfg.paths} paths cannot resolve any tail at the "
               f"{CENSOR_COUNT}-count censoring threshold; increase paths",
               file=sys.stderr)

@@ -21,18 +21,17 @@ Deep sums need care on two fronts, both handled here:
     ends of every block, B(k) = A(k+1) - 1;
 
   * for iterated-logarithm normings the terms decay polynomially in k,
-    not geometrically.  A sum stops early when three consecutive term
-    ratios are below 1 and non-increasing and the geometric tail they
-    imply, last*rho/(1-rho), is below tol.  That residual rests on those
-    three observed ratios alone: weightedA:beta=1,r=3 stops at k = 5 on
-    ratios near 0.0015, and its ratios later climb to 0.995.  A sum that
-    never stops runs to k_max, is flagged, and reports residual_bound = +inf.
+    not geometrically.  One pass over the term ratios (_finish_sum)
+    finds the first stop: three ratios below 1 and non-increasing whose
+    geometric tail, last*rho/(1-rho), is below tol.  That residual rests
+    on those three observed ratios alone: weightedA:beta=1,r=3 stops at
+    k = 5 on ratios near 0.0015, and its ratios later climb to 0.995.
+    64 ratios >= 1 - 0.01/k in a row before it make the sum divergent,
+    +inf; a sum with neither runs to k_max and reports residual +inf.
 
-Reported sums are the plain partial sums.  A series stopped by the rule
-above reports its partial sum with a residual that the observed ratios
-imply, and a truncated one reports its partial sum with residual +inf:
-neither is proven to be at least the infinite series, so neither value
-is a certified upper bound.
+Reported sums are the plain partial sums, with the residual that the
+observed ratios imply or +inf: neither is proven to be at least the
+infinite series, so no reported value is a certified upper bound.
 
 Only the minimum over ratios is reported, so a series is summed in full
 only for a ratio that can still win.  One stacked pass per level makes
@@ -61,7 +60,14 @@ which are monotone, so a term inside a stretch is at least t_g times
 1 - 1e-9 and the halving test carries the same slack.  On the default
 grids this leaves one full sum per level, for the built-in generators
 and convex tables alike.  A generator with no closed form takes no
-envelope: its 64 lockstep solves cost about what a 512-term sum does.
+envelope.  Its grid reaches arguments that a series stopping early
+never does, where a solve can stall: power:q=3's numeric twin on
+chaos:d=3 under a sqrt(n) norming stops at block 6 (ratio 7, x =
+0.4587, tol 0.3), but an ungated envelope stalls at 3.6e207.  Its 64
+lockstep solves cost about a 512-term sum: without the gate, default
+bound on |lambda|^1.5 at step 2.5 ran 2.5x faster, a 3-level call at
+k_max 512 1.2x slower.  A table's finite domain keeps its solves
+finite, so tables could be gated on lambda0 instead.
 
 A question about the minimum, "is B(x) >= t?" (bound_at_least, which
 calibration asks), takes the ratios in the same order and stops at the
@@ -230,7 +236,9 @@ class BlockSumResult:
 
 @lru_cache(maxsize=16)
 def _near_one_thresholds(n_ratios: int) -> np.ndarray:
-    """1 - 0.01/k for the ratio of term k to term k-1, k = 2..n_ratios+1."""
+    """1 - 0.01/k for the ratio of term k to term k-1, k = 2..n_ratios+1;
+    cached, since built inline they lift a default analytic block_sum's
+    peak from 381 kB to 640 kB, past three series arrays' 480 kB."""
     thresholds = 1.0 - 0.01 / np.arange(2, n_ratios + 2, dtype=float)
     thresholds.flags.writeable = False
     return thresholds
@@ -238,7 +246,9 @@ def _near_one_thresholds(n_ratios: int) -> np.ndarray:
 
 def _divergence_point(near_one: np.ndarray) -> Optional[int]:
     """Position in terms that ends the first run of _DIVERGENCE_RUN
-    consecutive near-one ratios, None when there is no such run."""
+    consecutive near-one ratios, None when there is no such run.  Runs
+    are found from the gaps between breaks, not by the cumulative-sum
+    window of tests/oracles.py, so that oracle checks this search."""
     if np.count_nonzero(near_one) < _DIVERGENCE_RUN:
         return None
     breaks = np.flatnonzero(~near_one)
@@ -291,36 +301,6 @@ def _certified_windows(terms: np.ndarray, rr: np.ndarray, tol: float):
     return tuple(i[cert] for i in stops), tail[cert]
 
 
-def _scan_terms(terms: np.ndarray, tol: float):
-    """Find the first certified stop or divergence point in a term prefix.
-
-    Returns (stop_index, residual, diverged_index); indices are 0-based
-    positions into terms, None when not found.  Certification at position
-    i requires the last three ratios below 1 and non-increasing, with the
-    dominated-tail bound t_i * rho/(1 - rho) below tol; divergence at
-    position i means the _DIVERGENCE_RUN ratios ending there are all
-    >= 1 - 0.01/k.  Ratios are those of _term_ratios.
-
-    One divide makes the ratios, and the run search runs only when
-    enough ratios are near one, so a scan allocates one ratio array plus
-    boolean masks.
-    """
-    m = len(terms)
-    if m < 4:
-        return None, math.nan, None
-    rr = _term_ratios(terms)
-    div_idx = _divergence_point(rr >= _near_one_thresholds(m - 1))
-    (cert,), tails = _certified_windows(terms, rr, tol)
-    stop = None
-    residual = math.nan
-    if len(cert):
-        stop = int(cert[0])
-        residual = float(tails[0])
-    if div_idx is not None and (stop is None or div_idx < stop):
-        return None, math.nan, div_idx
-    return stop, residual, None
-
-
 def _terms(phi: PhiFunction, u: float, args: np.ndarray) -> np.ndarray:
     """The block terms exp(-phi*(u * args)), 0 where a level or its
     conjugate overflows to +inf; the levels are freed before the terms
@@ -330,6 +310,14 @@ def _terms(phi: PhiFunction, u: float, args: np.ndarray) -> np.ndarray:
         terms = np.negative(conj)
         np.exp(terms, out=terms)
     return terms
+
+
+def _check_budget(tol: float, k_max: int) -> None:
+    """A DomainError unless 0 < tol < 1 and k_max is an integer >= 1."""
+    if not 0 < tol < 1:
+        raise DomainError(f"tolerance must be in (0, 1), got {tol}")
+    if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
+        raise DomainError(f"k_max must be an integer >= 1, got {k_max}")
 
 
 def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
@@ -346,10 +334,7 @@ def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
     if not 2 <= ratio < math.inf:
         raise DomainError(f"geometric ratio must be finite and >= 2, "
                           f"got {ratio}")
-    if not 0 < tol < 1:
-        raise DomainError(f"tolerance must be in (0, 1), got {tol}")
-    if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
-        raise DomainError(f"k_max must be an integer >= 1, got {k_max}")
+    _check_budget(tol, k_max)
     args = _block_arguments(v, sigma, ratio, k_max)
     if phi.analytic_conjugate is not None:
         return _finish_sum(_terms(phi, u, args), tol)
@@ -362,28 +347,31 @@ def block_sum(ratio: float, v: NormingSequence, sigma: SigmaProfile,
     while True:
         hi = min(lo + chunk, k_max)
         terms[lo:hi] = _terms(phi, u, args[lo:hi])
-        scan = _scan_terms(terms[:hi], tol)
-        if scan[0] is not None or scan[2] is not None or hi == k_max:
-            return _finish_sum(terms[:hi], tol, scan)
+        res = _finish_sum(terms[:hi], tol)
+        if res.converged or res.diverged or hi == k_max:
+            return res
         lo, chunk = hi, chunk * 2
 
 
-def _finish_sum(terms: np.ndarray, tol: float,
-                scan: Optional[tuple] = None) -> BlockSumResult:
-    """The result for a term array; scan is its _scan_terms result when
-    the caller already has it."""
-    stop, residual, div = _scan_terms(terms, tol) if scan is None else scan
+def _finish_sum(terms: np.ndarray, tol: float) -> BlockSumResult:
+    """The result for a term array: converged at its first certified stop
+    (_certified_windows), diverged at a divergence point before it, else
+    truncated.  One divide makes its ratios (_term_ratios)."""
+    n, residual, div = len(terms), math.inf, None
+    if n >= 4:
+        rr = _term_ratios(terms)
+        div = _divergence_point(rr >= _near_one_thresholds(n - 1))
+        (cert,), tails = _certified_windows(terms, rr, tol)
+        if len(cert) and (div is None or cert[0] <= div):
+            n, residual, div = int(cert[0]) + 1, float(tails[0]), None
     if div is not None:
         return BlockSumResult(value=math.inf, k_used=div + 1,
                               residual_bound=math.inf,
                               converged=False, diverged=True)
-    if stop is not None:
-        return BlockSumResult(value=float(terms[:stop + 1].sum()),
-                              k_used=stop + 1, residual_bound=residual,
-                              converged=True, diverged=False)
-    return BlockSumResult(value=float(terms.sum()), k_used=len(terms),
-                          residual_bound=math.inf, converged=False,
-                          diverged=False)
+    # a certified residual is below tol, so finite
+    return BlockSumResult(value=float(terms[:n].sum()), k_used=n,
+                          residual_bound=residual,
+                          converged=residual < math.inf, diverged=False)
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +458,14 @@ def _ratio_family(v: NormingSequence, sigma: SigmaProfile,
                   k_max: int):
     """The distinct ratios searched, sorted, and the first _PREFIX block
     arguments of each as the rows of one array; a DomainError for an
-    empty or invalid family, a tolerance outside (0, 1) or a k_max that
-    is not an integer >= 1.  The heads are computed on their own, so
-    only a ratio summed in full pays for its k_max arguments."""
+    empty or invalid family or budget.  The heads are computed on their
+    own, so only a ratio summed in full pays for its k_max arguments."""
     ratios = sorted({float(r) for r in
                      (DEFAULT_RATIOS if ratio_grid is None else ratio_grid)})
     if not ratios or not all(2 <= r < math.inf for r in ratios):
         raise DomainError("candidate ratios must be a nonempty set of "
                           "finite values >= 2")
-    if not 0 < tol < 1:
-        raise DomainError(f"tolerance must be in (0, 1), got {tol}")
-    if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
-        raise DomainError(f"k_max must be an integer >= 1, got {k_max}")
+    _check_budget(tol, k_max)
     heads = np.stack([_block_arguments(v, sigma, r, min(_PREFIX, k_max))
                       for r in ratios])
     return ratios, heads

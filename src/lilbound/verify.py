@@ -80,6 +80,8 @@ STEP_BLOCK = 1024
 TILE_WORDS = 128
 GROUP_WORDS = 16
 CENSOR_COUNT = 10
+#: fewer paths than this cannot resolve any tail at CENSOR_COUNT
+MIN_PATHS = 1000
 ENUM_MAX_HORIZON = 20
 ENUM_BLOCK = 1 << 16  # sign paths per enumerated block
 # the exact single-time floor stops its walk of n0-bit bigints a few
@@ -878,8 +880,8 @@ def empirical_sup_tail(model: MartingaleModel, v: NormingSequence,
     the truncation biases the estimate low by a vanishing amount, and the
     horizon is carried in the result rather than corrected for.
     """
-    if n_paths < 1000:
-        raise DomainError(f"need at least 1000 paths, got {n_paths}")
+    if n_paths < MIN_PATHS:
+        raise DomainError(f"need at least {MIN_PATHS} paths, got {n_paths}")
     denom = _normalizer(model, v, horizon)
     grid = [float(u) for u in u_grid]
     if not grid or not all(math.isfinite(u) for u in grid):

@@ -291,9 +291,12 @@ def geometric_prefix_sum(ratio: float, v: NormingSequence,
 # ---------------------------------------------------------------------------
 
 def scan_terms(terms: np.ndarray, tol: float):
-    """engine._scan_terms as a dozen whole-array passes: every ratio by
-    np.where, the divergence run by a cumulative sum, and the tail bound
-    at every window.  Same contract and return value."""
+    """The first certified stop or divergence point that engine._finish_sum
+    finds, as a dozen whole-array passes: every ratio by np.where, the
+    divergence run by a cumulative sum, and the tail bound at every
+    window.  Returns (stop, residual, divergence): 0-based positions in
+    terms, None and a NaN residual where the sum neither stops nor
+    diverges."""
     m = len(terms)
     if m < 4:
         return None, math.nan, None

@@ -29,7 +29,7 @@ from lilbound.cli import (model_from_id, norming_from_id, phi_from_id,
 from lilbound.engine import (_DIVERGENCE_RUN, _PREFIX, DEFAULT_KMAX,
                              DEFAULT_RATIOS, DEFAULT_TOL, BoundReport,
                              _block_arguments, _certified_windows,
-                             _finish_sum, _scan_terms, _term_ratios,
+                             _finish_sum, _term_ratios,
                              bound_at_least)
 from lilbound.phi import (conjugate, conjugate_many, phi_from_csv,
                           phi_from_table)
@@ -252,6 +252,18 @@ def test_numeric_block_sum_does_not_depend_on_chunking(v):
     assert res.value == pytest.approx(analytic.value, rel=1e-5)
 
 
+def _scan(terms, tol):
+    """_finish_sum's result as (stop, residual, divergence), the oracle's
+    form: 0-based positions in terms, None and a NaN residual where the
+    sum neither stops nor diverges."""
+    res = _finish_sum(terms, tol)
+    if res.diverged:
+        return None, math.nan, res.k_used - 1
+    if res.converged:
+        return res.k_used - 1, res.residual_bound, None
+    return None, math.nan, None
+
+
 def _same_scan(got, want):
     """Scan results equal field by field, a NaN residual equal to NaN."""
     return all(a == b or (a != a and b != b) for a, b in zip(got, want))
@@ -275,7 +287,7 @@ def test_scan_equals_whole_array_oracle_on_real_series(model_id):
                         terms = np.exp(-conjugate_many(phi, u * args))
                     for length in (3, 5, 70, 300, DEFAULT_KMAX):
                         for tol in (DEFAULT_TOL, 1e-6):
-                            got = _scan_terms(terms[:length], tol)
+                            got = _scan(terms[:length], tol)
                             assert _same_scan(
                                 got, scan_terms(terms[:length], tol)), (
                                 v_id, phi_id, ratio, u, length, tol)
@@ -318,7 +330,7 @@ def test_scan_equals_whole_array_oracle_on_synthetic_arrays():
         cases.append(terms)
     for terms in cases:
         for tol in (DEFAULT_TOL, 1e-3, 0.5):
-            assert _same_scan(_scan_terms(terms, tol),
+            assert _same_scan(_scan(terms, tol),
                               scan_terms(terms, tol)), (terms, tol)
 
 
@@ -704,6 +716,22 @@ def test_envelope_is_below_the_reported_sum():
                     "stopped in the prefix", "truncated", "raised"}
 
 
+def test_numeric_generator_takes_no_envelope():
+    """A series that stops early under a numeric conjugate reports its
+    block_sum value: the envelope's grid would solve at arguments deep
+    past the stop, where power:q=3's numeric twin stalls near 3.6e207."""
+    sigma = model_from_id("chaos:d=3").sigma_profile()
+    twin = replace(phi_from_id("power:q=3"), analytic_conjugate=None,
+                   analytic_inverse=None)
+    x, tol, k_max = 0.45871597148309107, 0.3, 512
+    res = block_sum(7.0, SQRT_NORMING, sigma, twin, x, tol, k_max)
+    assert res.converged and res.k_used == 6
+    assert res.value == 4.169154735222509
+    report = optimized_bound(SQRT_NORMING, sigma, twin, [x], ratio_grid=[7.0],
+                             tol=tol, k_max=k_max)
+    assert report.q_sums[0] == res.value
+
+
 def test_default_grid_sums_one_series_per_level(monkeypatch):
     """On `lilbound bound`'s default chaos:d=2 grid the prefix and the
     envelope rule out every ratio but the winner: 16 block_sum calls for
@@ -724,7 +752,7 @@ def test_default_grid_sums_one_series_per_level(monkeypatch):
 
 def test_stacked_stop_test_equals_the_scan_row_by_row():
     """One stop test over a 2-D array of prefixes finds, in each row, the
-    first stop and residual _scan_terms finds there, with zeros, NaN,
+    first stop and residual _finish_sum finds there, with zeros, NaN,
     inf and tiny terms, at every prefix width up to _PREFIX."""
     rng = np.random.default_rng(20261019)
     specials = np.array([0.0, np.nan, np.inf, 1e-300])
@@ -743,7 +771,7 @@ def test_stacked_stop_test_equals_the_scan_row_by_row():
                                tails.tolist()):
                 first.setdefault(r, (k, t))
             for r, row in enumerate(terms):
-                stop, residual, div = _scan_terms(row, tol)
+                stop, residual, div = _scan(row, tol)
                 assert div is None
                 want = None if stop is None else (stop, residual)
                 assert first.get(r) == want, (width, tol, row)

@@ -314,6 +314,38 @@ def test_unpruned_tiles_check_every_step_as_prefix_values_does(
     assert limits.size == 64 and np.all(limits == 30)
 
 
+@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("d, horizon", [(9, 256), (10, 64)])
+def test_unpruned_tiles_match_reference(d, horizon, workers, monkeypatch,
+                                        tmp_path):
+    # int64 does not hold N_d at the corners of these tiles' boxes, while
+    # every walk fits: the kernel evaluates all their steps.  The spy
+    # logs to a file, which the worker processes share, that some span
+    # took that way
+    log = tmp_path / "walk_limits"
+
+    def spy(*args):
+        with open(log, "a") as f:
+            f.write(f"{args}\n")
+        return walk_limits(*args)
+
+    walk_limits = verify._walk_limits
+    monkeypatch.setattr(verify, "_walk_limits", spy)
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setenv("LILBOUND_THREADS", workers)
+    model, prefix = chaos_case(d)
+    n_paths = 3000
+    denom = verify._normalizer(model, V2, horizon)
+    assert len(verify._path_spans(n_paths)) == int(workers)
+    signed, absed = verify._over_path_chunks(model, denom, 11, n_paths)
+    assert set(log.read_text().splitlines()) == {str((d, horizon))}
+    ref_signed, ref_absed = reference_maxima(model, prefix, denom, horizon,
+                                             11, n_paths)
+    assert np.array_equal(signed, ref_signed)
+    assert np.array_equal(absed, ref_absed)
+
+
 # maxima raised to u_min: what empirical_sup_tail asks for with u_min =
 # min(grid), and the exact maxima at -inf
 RAISES = [-math.inf, 0.0, 1.5]
